@@ -24,15 +24,18 @@ realizations:
     vector field -i (A v).grad, under which an operator bracket
     [G, G'] = i c G'' becomes the matrix bracket [A, A'] = c A''.
 
-matrix5 and sp4 are stored as integer tables and checked in exact
-rational arithmetic; only the fock check uses floating point.
+matrix5 and sp4 are stored as integer tables and checked exactly with
+integer matrix products; only the fock check uses floating point.  The Fock
+generators are defined once, by band (G[i, i + k] = v[i] on the flat
+basis index), and the check composes bands directly; the dense matrices of
+fock_generators and two_mode_ladders are materialised from the same bands.
 """
 
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -159,105 +162,90 @@ def sp4_generators() -> dict[str, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# exact complex-rational matrices
+# truncated Fock representation, stored by band
 # ---------------------------------------------------------------------------
 
 
-class _ExactMatrix:
-    """Square matrix over Q + iQ, for exact commutator checks."""
-
-    __slots__ = ("re", "im", "dim")
-
-    def __init__(self, re, im):
-        self.re = [[Fraction(v) for v in row] for row in re]
-        self.im = [[Fraction(v) for v in row] for row in im]
-        self.dim = len(self.re)
-
-    @classmethod
-    def zeros(cls, dim: int) -> "_ExactMatrix":
-        z = [[0] * dim for _ in range(dim)]
-        return cls(z, z)
-
-    def __matmul__(self, other: "_ExactMatrix") -> "_ExactMatrix":
-        d = self.dim
-        re = [[Fraction(0)] * d for _ in range(d)]
-        im = [[Fraction(0)] * d for _ in range(d)]
-        for i in range(d):
-            for k in range(d):
-                ar, ai = self.re[i][k], self.im[i][k]
-                if not ar and not ai:
-                    continue
-                brow_r, brow_i = other.re[k], other.im[k]
-                for j in range(d):
-                    re[i][j] += ar * brow_r[j] - ai * brow_i[j]
-                    im[i][j] += ar * brow_i[j] + ai * brow_r[j]
-        return _ExactMatrix(re, im)
-
-    def __sub__(self, other: "_ExactMatrix") -> "_ExactMatrix":
-        d = self.dim
-        return _ExactMatrix(
-            [[self.re[i][j] - other.re[i][j] for j in range(d)] for i in range(d)],
-            [[self.im[i][j] - other.im[i][j] for j in range(d)] for i in range(d)],
-        )
-
-    def scale_imag(self, lam: Fraction) -> "_ExactMatrix":
-        """Multiply by the purely imaginary scalar i*lam."""
-        d = self.dim
-        return _ExactMatrix(
-            [[-lam * self.im[i][j] for j in range(d)] for i in range(d)],
-            [[lam * self.re[i][j] for j in range(d)] for i in range(d)],
-        )
-
-    def scale_real(self, lam: Fraction) -> "_ExactMatrix":
-        d = self.dim
-        return _ExactMatrix(
-            [[lam * self.re[i][j] for j in range(d)] for i in range(d)],
-            [[lam * self.im[i][j] for j in range(d)] for i in range(d)],
-        )
-
-    def commutator(self, other: "_ExactMatrix") -> "_ExactMatrix":
-        return (self @ other) - (other @ self)
-
-    def max_abs(self) -> Fraction:
-        """Entrywise max of |Re| + |Im|; zero iff the matrix is zero."""
-        top = Fraction(0)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                mag = abs(self.re[i][j]) + abs(self.im[i][j])
-                if mag > top:
-                    top = mag
-        return top
+def _shift(v: np.ndarray, s: int) -> np.ndarray:
+    """u[i] = v[i + s], zero where i + s falls outside v."""
+    u = np.zeros_like(v)
+    if s >= 0:
+        u[: max(v.size - s, 0)] = v[s:]
+    else:
+        u[-s:] = v[: max(v.size + s, 0)]
+    return u
 
 
-def _exact_matrix5() -> dict[str, _ExactMatrix]:
-    zeros = [[0] * 5 for _ in range(5)]
-    return {lab: _ExactMatrix(zeros, _matrix5_im(lab)) for lab in LABELS}
+class _Banded:
+    """Square operator stored by flat offset: G[i, i + k] = bands[k][i].
+
+    A band is zero wherever i + k falls outside the basis, so a product is
+    exact index arithmetic: (A B) at offset k1 + k2 is a[i] * b[i + k1].
+    Ladder bilinears move (n, m) by at most 2 and keep at most 5 bands.
+    """
+
+    __slots__ = ("bands",)
+
+    def __init__(self, bands: dict[int, np.ndarray]):
+        self.bands = bands
+
+    def __matmul__(self, other: "_Banded") -> "_Banded":
+        out: dict[int, np.ndarray] = {}
+        for k1, a in self.bands.items():
+            for k2, b in other.bands.items():
+                prod = a * _shift(b, k1)
+                k = k1 + k2
+                out[k] = out[k] + prod if k in out else prod
+        return _Banded(out)
+
+    def __add__(self, other: "_Banded") -> "_Banded":
+        out = dict(self.bands)
+        for k, v in other.bands.items():
+            out[k] = out[k] + v if k in out else v
+        return _Banded(out)
+
+    def __sub__(self, other: "_Banded") -> "_Banded":
+        return self + other * -1
+
+    def __mul__(self, scalar) -> "_Banded":
+        return _Banded({k: scalar * v for k, v in self.bands.items()})
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar) -> "_Banded":
+        return _Banded({k: v / scalar for k, v in self.bands.items()})
+
+    @property
+    def H(self) -> "_Banded":
+        """Conjugate transpose: band -k holds conj(v[i - k])."""
+        return _Banded({-k: np.conj(_shift(v, -k)) for k, v in self.bands.items()})
+
+    def dense(self) -> np.ndarray:
+        d = next(iter(self.bands.values())).size
+        out = np.zeros((d, d), dtype=np.result_type(*self.bands.values()))
+        rows = np.arange(d)
+        for k, v in self.bands.items():
+            keep = (rows + k >= 0) & (rows + k < d)
+            out[rows[keep], rows[keep] + k] = v[keep]
+        return out
 
 
-def _exact_sp4() -> dict[str, _ExactMatrix]:
-    zeros = [[0] * 4 for _ in range(4)]
-    half = Fraction(1, 2)
-    return {
-        lab: _ExactMatrix([[half * v for v in row] for row in _SP4_TWICE[lab]], zeros)
-        for lab in LABELS
-    }
-
-
-# ---------------------------------------------------------------------------
-# truncated Fock representation
-# ---------------------------------------------------------------------------
+def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
+    if not (isinstance(cutoff, numbers.Real) and cutoff % 1 == 0 and cutoff >= 2):
+        raise DomainError(f"fock cutoff must be an integer >= 2, got {cutoff!r}")
+    dim = int(cutoff) + 1
+    n, m = np.divmod(np.arange(dim * dim), dim)
+    # a|n+1, m> = sqrt(n+1)|n, m> sits one a-mode block (dim columns) right of the diagonal
+    return (
+        _Banded({dim: np.sqrt(n + 1.0) * (n < cutoff)}),
+        _Banded({1: np.sqrt(m + 1.0) * (m < cutoff)}),
+    )
 
 
 def two_mode_ladders(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
     """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff, a-mode outer."""
-    if cutoff != int(cutoff) or cutoff < 2:
-        raise DomainError(f"fock cutoff must be an integer >= 2, got {cutoff!r}")
-    dim = int(cutoff) + 1
-    lower = np.zeros((dim, dim))
-    ns = np.arange(1, dim)
-    lower[ns - 1, ns] = np.sqrt(ns)
-    eye = np.eye(dim)
-    return np.kron(lower, eye), np.kron(eye, lower)
+    a, b = _ladder_bands(cutoff)
+    return a.dense(), b.dense()
 
 
 def safe_sector_mask(cutoff: int) -> np.ndarray:
@@ -271,11 +259,11 @@ def safe_sector_mask(cutoff: int) -> np.ndarray:
     return (n + m) <= (cutoff - 2)
 
 
-def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
-    """The ten Hermitian bilinears on the truncated two-mode basis."""
-    a, b = two_mode_ladders(cutoff)
-    ad, bd = a.conj().T, b.conj().T
-    gens = {
+def _fock_bands(cutoff: int) -> dict[str, _Banded]:
+    a, b = _ladder_bands(cutoff)
+    ad, bd = a.H, b.H
+    eye = _Banded({0: np.ones((int(cutoff) + 1) ** 2)})
+    return {
         "L1": (ad @ b + bd @ a) / 2.0,
         "L2": (ad @ b - bd @ a) / 2j,
         "L3": (ad @ a - bd @ b) / 2.0,
@@ -283,8 +271,8 @@ def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
         # written as b^dag b + 1 so the truncated matrix has the operator's
         # true elements; the literal product b @ bd zeroes the top diagonal
         # entry and corrupts commutators even on safe-sector columns.
-        "S3": (ad @ a + bd @ b + np.eye(a.shape[0])) / 2.0,
-        "K1": -(ad @ ad + a @ a - bd @ bd - b @ b) / 4.0,
+        "S3": (ad @ a + bd @ b + eye) / 2.0,
+        "K1": (ad @ ad + a @ a - bd @ bd - b @ b) / -4.0,
         "K2": 1j * (ad @ ad - a @ a + bd @ bd - b @ b) / 4.0,
         "K3": (ad @ bd + a @ b) / 2.0,
         # The sign of the s-boosts is pinned by the commutator table: with
@@ -293,7 +281,12 @@ def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
         "Q2": (ad @ ad + a @ a + bd @ bd + b @ b) / 4.0,
         "Q3": -1j * (ad @ bd - a @ b) / 2.0,
     }
-    return {lab: gens[lab].astype(complex) for lab in LABELS}
+
+
+def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
+    """The ten Hermitian bilinears on the truncated two-mode basis, as dense matrices."""
+    gens = _fock_bands(cutoff)
+    return {lab: gens[lab].dense().astype(complex) for lab in LABELS}
 
 
 # ---------------------------------------------------------------------------
@@ -343,45 +336,44 @@ def _expected_string(entry: tuple[int, str] | None) -> str:
 def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
     """Verify all 45 commutators of one representation against the table.
 
-    fock requires a cutoff and is compared in floating point on columns
-    from the truncation-safe sector; matrix5 and sp4 are compared in exact
-    rational arithmetic (a deviation of exactly 0.0 is the expected outcome).
-    For sp4 flow matrices the bracket [G, G'] = i*lam*G'' reads
-    [A, A'] = lam * A''; for the other two it reads [G, G'] = (i*lam) G''.
+    fock requires a cutoff and is compared in floating point, band by band,
+    on columns from the truncation-safe sector.  matrix5 and sp4 are compared
+    exactly on their integer tables (a deviation of exactly 0.0 is expected):
+    with G = i M the bracket [G, G'] = i*lam*G'' reads [M, M'] = lam * M'';
+    sp4 flow matrices A = T / 2 obey [A, A'] = lam * A'', so [T, T'] =
+    2 * lam * T''.  Deviations are in the units of the generators themselves.
     """
     if rep == "fock":
         if cutoff is None:
             raise DomainError("rep='fock' requires a cutoff")
-        gens = fock_generators(cutoff)
+        gens, scale = _fock_bands(cutoff), 1j
         mask = safe_sector_mask(cutoff)
-        checks = []
-        for left, right in canonical_pairs():
-            entry = structure_constant(left, right)
-            comm = gens[left] @ gens[right] - gens[right] @ gens[left]
-            if entry is not None:
-                lam, target = entry
-                comm = comm - 1j * lam * gens[target]
-            dev = float(np.abs(comm[:, mask]).max())
-            checks.append(PairCheck(left, right, _expected_string(entry), dev))
+
+        def deviation(diff: _Banded) -> float:
+            # band k reaches column i + k from row i
+            cols = (v[_shift(mask, k)] for k, v in diff.bands.items())
+            return max((float(np.abs(c).max(initial=0.0)) for c in cols), default=0.0)
+
     elif rep in ("matrix5", "sp4"):
         if cutoff is not None:
             raise DomainError(f"cutoff applies only to rep='fock', not {rep!r}")
-        gens = _exact_matrix5() if rep == "matrix5" else _exact_sp4()
-        checks = []
-        for left, right in canonical_pairs():
-            entry = structure_constant(left, right)
-            diff = gens[left].commutator(gens[right])
-            if entry is not None:
-                lam, target = entry
-                expected = (
-                    gens[target].scale_real(Fraction(lam))
-                    if rep == "sp4"
-                    else gens[target].scale_imag(Fraction(lam))
-                )
-                diff = diff - expected
-            checks.append(PairCheck(left, right, _expected_string(entry), float(diff.max_abs())))
+        table = {lab: _matrix5_im(lab) for lab in LABELS} if rep == "matrix5" else _SP4_TWICE
+        gens = {lab: np.array(table[lab], dtype=np.int64) for lab in LABELS}
+        scale = 1 if rep == "matrix5" else 2
+
+        def deviation(diff: np.ndarray) -> float:
+            return float(np.abs(diff).max()) / scale**2
+
     else:
         raise DomainError(f"unknown representation {rep!r}; expected fock, matrix5, or sp4")
+    checks = []
+    for left, right in canonical_pairs():
+        entry = structure_constant(left, right)
+        diff = gens[left] @ gens[right] - gens[right] @ gens[left]
+        if entry is not None:
+            lam, target = entry
+            diff = diff - scale * lam * gens[target]
+        checks.append(PairCheck(left, right, _expected_string(entry), deviation(diff)))
     return AlgebraReport(rep=rep, pairs=tuple(checks), max_deviation=max(c.deviation for c in checks))
 
 

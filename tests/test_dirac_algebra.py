@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from entosc import DomainError
+from entosc.cli import main
 from entosc.dirac_algebra import (
     LABELS,
     check_algebra,
@@ -53,6 +55,88 @@ class TestFockOperators:
     def test_cutoff_validation(self):
         with pytest.raises(DomainError):
             fock_generators(1)
+
+
+def kron_generators(cutoff):
+    """Dense reference: the ten bilinears from np.kron ladders and dense products."""
+    dim = cutoff + 1
+    lower = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    a, b = np.kron(lower, np.eye(dim)), np.kron(np.eye(dim), lower)
+    ad, bd = a.T, b.T
+    gens = {
+        "L1": (ad @ b + bd @ a) / 2.0,
+        "L2": (ad @ b - bd @ a) / 2j,
+        "L3": (ad @ a - bd @ b) / 2.0,
+        "S3": (ad @ a + bd @ b + np.eye(dim * dim)) / 2.0,
+        "K1": -(ad @ ad + a @ a - bd @ bd - b @ b) / 4.0,
+        "K2": 1j * (ad @ ad - a @ a + bd @ bd - b @ b) / 4.0,
+        "K3": (ad @ bd + a @ b) / 2.0,
+        "Q1": 1j * (ad @ ad - a @ a - bd @ bd + b @ b) / 4.0,
+        "Q2": (ad @ ad + a @ a + bd @ bd + b @ b) / 4.0,
+        "Q3": -1j * (ad @ bd - a @ b) / 2.0,
+    }
+    return {lab: gens[lab].astype(complex) for lab in LABELS}
+
+
+def dense_pair_deviations(cutoff):
+    """Per-pair max |[G, G'] - i*lam*G''| over safe-sector columns, by dense products."""
+    gens = kron_generators(cutoff)
+    dim = cutoff + 1
+    n, m = np.divmod(np.arange(dim * dim), dim)
+    mask = (n + m) <= cutoff - 2
+    out = []
+    for left, right in canonical_pairs():
+        comm = gens[left] @ gens[right] - gens[right] @ gens[left]
+        entry = structure_constant(left, right)
+        if entry is not None:
+            lam, target = entry
+            comm = comm - 1j * lam * gens[target]
+        out.append(float(np.abs(comm[:, mask]).max()))
+    return out
+
+
+class TestBandedFock:
+    @given(st.integers(2, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_pair_deviations_match_dense_products(self, cutoff):
+        report = check_algebra("fock", cutoff=cutoff)
+        assert [(p.left, p.right) for p in report.pairs] == canonical_pairs()
+        dense = dense_pair_deviations(cutoff)
+        assert max(abs(p.deviation - d) for p, d in zip(report.pairs, dense)) <= 1e-13
+        assert report.max_deviation == max(p.deviation for p in report.pairs)
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 7])
+    def test_generators_match_kron_reference(self, cutoff):
+        gens, ref = fock_generators(cutoff), kron_generators(cutoff)
+        assert set(gens) == set(LABELS)
+        for lab in LABELS:
+            assert gens[lab].dtype == complex
+            assert np.abs(gens[lab] - ref[lab]).max() <= 1e-13
+
+    def test_ladders_match_kron_reference(self):
+        lower = np.diag(np.sqrt(np.arange(1.0, 6)), 1)
+        a, b = two_mode_ladders(5)
+        assert np.array_equal(a, np.kron(lower, np.eye(6)))
+        assert np.array_equal(b, np.kron(np.eye(6), lower))
+
+    def test_large_cutoff_on_the_command_line(self, capsys):
+        code = main(["algebra-check", "--rep", "fock", "--cutoff", "200"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "pairs = 45" in out
+        assert float(out.split("max_deviation = ")[1].split("\n")[0]) <= 1e-10
+
+    @pytest.mark.parametrize("cutoff", [1, 0, -3, 2.5, 10.01, float("nan"), float("inf"), "10"])
+    def test_invalid_cutoff_raises(self, cutoff):
+        with pytest.raises(DomainError):
+            check_algebra("fock", cutoff=cutoff)
+        with pytest.raises(DomainError):
+            fock_generators(cutoff)
+
+    @pytest.mark.parametrize("cutoff", ["1", "0", "2.5"])
+    def test_invalid_cutoff_exits_one(self, cutoff, capsys):
+        assert main(["algebra-check", "--rep", "fock", "--cutoff", cutoff]) == 1
+        assert "error" in capsys.readouterr().err
 
 
 class TestPrintedMatrices:

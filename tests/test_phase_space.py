@@ -5,15 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.linalg import expm
 
 from entosc import DomainError, NumericsError
 from entosc.phase_space import (
     DEFAULT_SAMPLE_POINTS,
+    FLOW_LABELS,
     GridFunction2D,
     PhasePoint,
     cross_squeezed_state_grid,
     flow_covariance_check,
+    flow_exponential,
     flow_matrix,
     ground_state_grid,
     sheared_state_grid,
@@ -175,6 +178,18 @@ class TestFlowCovariance:
     def test_symplectic_volume(self):
         for label in ("Q3", "K3", "Q3-L2"):
             assert abs(np.linalg.det(expm(0.7 * flow_matrix(label))) - 1.0) < 1e-12
+
+
+class TestFlowExponential:
+    def test_flow_matrices_square_to_quarter_identity_or_zero(self):
+        for label in FLOW_LABELS:
+            A = flow_matrix(label)
+            expected = np.zeros((4, 4)) if label == "Q3-L2" else np.eye(4) / 4.0
+            assert np.array_equal(A @ A, expected)
+
+    @given(st.sampled_from(FLOW_LABELS), st.floats(-2.0, 3.0, allow_nan=False))
+    def test_closed_form_matches_expm(self, label, t):
+        assert np.abs(flow_exponential(label, t) - expm(t * flow_matrix(label))).max() <= 1e-14
 
 
 class TestTransformedStates:
