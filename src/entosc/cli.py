@@ -214,6 +214,11 @@ def _cmd_inner_product(args, cfg: RunConfig) -> int:
     return 0
 
 
+# Points per axis of the lattice wigner-grid samples; at the cap the lattice
+# is 34 MB and the xy plane's FFT work arrays take a few times that.
+WIGNER_GRID_MAX_SIDE = 2049
+
+
 def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
     if args.state == "squeezed":
         if args.eta is None:
@@ -221,28 +226,30 @@ def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
         eta = args.eta
     else:
         eta = 0.0
-    if args.step <= 0 or args.half_width <= 0:
-        raise DomainError("--step and --half-width must be positive")
+    if not (0 < args.step < math.inf and 0 < args.half_width < math.inf):
+        raise DomainError("--step and --half-width must be positive and finite")
     base_spacing = phase_space.DEFAULT_SPACING
     ratio = args.step / base_spacing
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise DomainError(f"--step must be a multiple of the sampling spacing {base_spacing}")
+    if not (math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
+        raise DomainError(f"--step must be a positive multiple of the sampling spacing {base_spacing}")
     psi_halfwidth = args.half_width + phase_space.DEFAULT_HALF_WIDTH
+    steps = psi_halfwidth / base_spacing
+    if 2 * steps + 1 > WIGNER_GRID_MAX_SIDE:
+        raise DomainError(
+            f"--half-width {args.half_width} samples {2 * steps + 1:.0f} points per axis; "
+            f"the cap is {WIGNER_GRID_MAX_SIDE}"
+        )
     psi = phase_space.squeezed_state_grid(eta, half_width=psi_halfwidth)
     n = int(round(args.half_width / args.step))
     axis = args.step * np.arange(-n, n + 1)
-    values = np.empty((axis.size, axis.size))
     if args.plane == "xy":
-        for i, xv in enumerate(axis):
-            for j, yv in enumerate(axis):
-                values[i, j] = phase_space.wigner_transform(psi, phase_space.PhasePoint(xv, yv, 0.0, 0.0))
-        labels = ("x", "y")
+        plane = phase_space.wigner_xy(psi)
+        values = plane.values[np.ix_(plane.indices(0, axis), plane.indices(1, axis))]
     else:  # xp
-        for i, xv in enumerate(axis):
-            values[i, :] = phase_space.wigner_section(psi, xv, 0.0, axis, np.array([0.0]))[:, 0]
-        labels = ("x", "p")
+        plane = phase_space.wigner_xp(psi, 0.0, axis)
+        values = plane.values[plane.indices(0, axis)]
     grid = phase_space.GridFunction2D(
-        origin=(float(axis[0]), float(axis[0])), spacing=(args.step, args.step), values=values, labels=labels
+        origin=(float(axis[0]), float(axis[0])), spacing=(args.step, args.step), values=values, labels=plane.labels
     )
     stream, close = _open_out(args.out)
     try:
@@ -304,7 +311,12 @@ def build_parser() -> _Parser:
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(func=_cmd_inner_product)
 
-    p = sub.add_parser("wigner-grid", help="numerical Wigner function on a plane slice, as CSV")
+    p = sub.add_parser(
+        "wigner-grid",
+        help="numerical Wigner function on a plane slice, as CSV",
+        description="Numerical Wigner function on a plane slice, as CSV. Values carry an absolute "
+        "rounding floor of about 1e-16: smaller magnitudes, negative ones included, are noise.",
+    )
     p.add_argument("--state", choices=("ground", "squeezed"), default="ground")
     p.add_argument("--eta", type=float, default=None)
     p.add_argument("--plane", choices=("xy", "xp"), default="xy")

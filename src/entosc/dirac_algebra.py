@@ -34,12 +34,13 @@ fock_generators and two_mode_ladders are materialised from the same bands.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import CutoffError, DomainError
 
 LABELS = ("L1", "L2", "L3", "S3", "K1", "K2", "K3", "Q1", "Q2", "Q3")
 
@@ -230,10 +231,27 @@ class _Banded:
         return out
 
 
-def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
+# A Fock cutoff whose arrays would pass FOCK_BYTE_BUDGET fails fast with
+# CutoffError instead of exhausting memory.  The banded check peaks at about
+# 1 kB per basis state, of which there are (cutoff + 1)^2 (measured peak RSS
+# 71 MB at cutoff 200, 190 MB at 400, 392 MB at 600, taking 3.8 s); one dense
+# matrix takes 16 (cutoff + 1)^4 bytes, and fock_generators returns ten.
+FOCK_BYTE_BUDGET = 4 * 2**30
+FOCK_CUTOFF_MAX = math.isqrt(FOCK_BYTE_BUDGET // 1000) - 1  # 2071
+DENSE_FOCK_CUTOFF_MAX = math.isqrt(math.isqrt(FOCK_BYTE_BUDGET // 16)) - 1  # 127
+
+
+def _check_cutoff(cutoff, cap: int) -> int:
     if not (isinstance(cutoff, numbers.Real) and cutoff % 1 == 0 and cutoff >= 2):
         raise DomainError(f"fock cutoff must be an integer >= 2, got {cutoff!r}")
-    dim = int(cutoff) + 1
+    if cutoff > cap:
+        raise CutoffError(f"fock cutoff {cutoff} is above the cap of {cap} (a {FOCK_BYTE_BUDGET // 2**30} GiB budget)")
+    return int(cutoff)
+
+
+def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
+    cutoff = _check_cutoff(cutoff, FOCK_CUTOFF_MAX)
+    dim = cutoff + 1
     n, m = np.divmod(np.arange(dim * dim), dim)
     # a|n+1, m> = sqrt(n+1)|n, m> sits one a-mode block (dim columns) right of the diagonal
     return (
@@ -243,8 +261,8 @@ def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
 
 
 def two_mode_ladders(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff, a-mode outer."""
-    a, b = _ladder_bands(cutoff)
+    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff <= DENSE_FOCK_CUTOFF_MAX, a-mode outer."""
+    a, b = _ladder_bands(_check_cutoff(cutoff, DENSE_FOCK_CUTOFF_MAX))
     return a.dense(), b.dense()
 
 
@@ -254,7 +272,8 @@ def safe_sector_mask(cutoff: int) -> np.ndarray:
     Creation bilinears leak one excitation per factor, so commutators on a
     cutoff-truncated space are only exact on columns drawn from this sector.
     """
-    dim = int(cutoff) + 1
+    cutoff = _check_cutoff(cutoff, FOCK_CUTOFF_MAX)
+    dim = cutoff + 1
     n, m = np.divmod(np.arange(dim * dim), dim)
     return (n + m) <= (cutoff - 2)
 
@@ -284,8 +303,11 @@ def _fock_bands(cutoff: int) -> dict[str, _Banded]:
 
 
 def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
-    """The ten Hermitian bilinears on the truncated two-mode basis, as dense matrices."""
-    gens = _fock_bands(cutoff)
+    """The ten Hermitian bilinears on the truncated two-mode basis, as dense matrices.
+
+    Each takes 16 (cutoff + 1)^4 bytes, so cutoff is capped at DENSE_FOCK_CUTOFF_MAX.
+    """
+    gens = _fock_bands(_check_cutoff(cutoff, DENSE_FOCK_CUTOFF_MAX))
     return {lab: gens[lab].dense().astype(complex) for lab in LABELS}
 
 
@@ -336,9 +358,10 @@ def _expected_string(entry: tuple[int, str] | None) -> str:
 def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
     """Verify all 45 commutators of one representation against the table.
 
-    fock requires a cutoff and is compared in floating point, band by band,
-    on columns from the truncation-safe sector.  matrix5 and sp4 are compared
-    exactly on their integer tables (a deviation of exactly 0.0 is expected):
+    fock requires a cutoff (at most FOCK_CUTOFF_MAX) and is compared in
+    floating point, band by band, on columns from the truncation-safe sector.
+    matrix5 and sp4 are compared exactly on their integer tables (a deviation
+    of exactly 0.0 is expected):
     with G = i M the bracket [G, G'] = i*lam*G'' reads [M, M'] = lam * M'';
     sp4 flow matrices A = T / 2 obey [A, A'] = lam * A'', so [T, T'] =
     2 * lam * T''.  Deviations are in the units of the generators themselves.

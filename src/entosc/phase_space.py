@@ -6,10 +6,25 @@ The Wigner function used here is
                     conj(psi)(x + x', y + y') psi(x - x', y - y') dx' dy',
 
 evaluated by trapezoidal summation on the sampling lattice of psi, with
-the oscillatory factor evaluated exactly at the nodes.  For the Gaussian
-states of this package the integrand decays below 1e-15 inside the
-default half-width of 6, so the lattice sum is accurate to far better
-than the contracted tolerances.
+the oscillatory factor evaluated exactly at the nodes.  The sum at a
+lattice point runs over the largest window symmetric about it, and a point
+counts as covered only when that window reaches MIN_COVERAGE along both
+axes.  For the Gaussian states of this package the integrand decays below
+1e-15 inside the default half-width of 6, so the lattice sum is accurate to
+far better than the contracted tolerances.
+
+Two point functions and two plane kernels evaluate the same sum:
+
+* wigner_transform (one phase-space point) and wigner_section (one (x, y)
+  over a momentum grid) sum the window directly; they serve scattered
+  points such as the flow-covariance samples.
+* wigner_xy (every covered (x, y) at p = q = 0, real psi) is one FFT
+  convolution of psi with itself, sampled at even indices; wigner_xp
+  (every covered x at fixed y and q = 0, over a momentum grid) contracts
+  the y sum once for all x and then gathers anti-diagonals.  Their
+  rounding floor is absolute, about 1e-16 of the peak value: far Gaussian
+  tails that the direct sums resolve down to ~1e-39 come out as rounding
+  noise, tiny negatives of a few 1e-18 included.
 
 flow_covariance_check is the two-path test of the sp(4) flows: transform
 the wave function, Wigner-transform it numerically, and compare against
@@ -75,7 +90,9 @@ class GridFunction2D:
         center: tuple[float, float] = (0.0, 0.0),
         labels: tuple[str, str] = ("x", "y"),
     ) -> "GridFunction2D":
-        n = int(round(half_width / spacing))
+        if not (spacing > 0 and 0 <= half_width / spacing < math.inf):
+            raise DomainError(f"need spacing > 0 and a finite half-width / spacing >= 0, got {spacing}, {half_width}")
+        n = round(half_width / spacing)
         ax0 = center[0] + spacing * np.arange(-n, n + 1)
         ax1 = center[1] + spacing * np.arange(-n, n + 1)
         X, Y = np.meshgrid(ax0, ax1, indexing="ij")
@@ -85,26 +102,31 @@ class GridFunction2D:
         n = self.values.shape[which]
         return self.origin[which] + self.spacing[which] * np.arange(n)
 
+    def indices(self, which: int, coords) -> np.ndarray:
+        """Indices along one axis of on-lattice coordinates; raises if any is off the lattice."""
+        coords = np.atleast_1d(np.asarray(coords, dtype=float))
+        pos = (coords - self.origin[which]) / self.spacing[which]
+        idx = np.rint(pos)
+        off = ~(np.abs(pos - idx) <= 1e-9) | (idx < 0) | (idx >= self.values.shape[which])
+        if off.any():
+            ends = self.axis(which)[[0, -1]]
+            raise DomainError(
+                f"{self.labels[which]} = {coords[off][0]:.12g} is not a lattice point of "
+                f"[{ends[0]:.12g}, {ends[1]:.12g}] at spacing {self.spacing[which]:.12g}"
+            )
+        return idx.astype(int)
+
     def index_of(self, x: float, y: float) -> tuple[int, int]:
         """Indices of an on-lattice point; raises if (x, y) is off the lattice."""
-        out = []
-        for which, coord in ((0, x), (1, y)):
-            pos = (coord - self.origin[which]) / self.spacing[which]
-            idx = int(round(pos))
-            if abs(pos - idx) > 1e-9 or not 0 <= idx < self.values.shape[which]:
-                raise DomainError(f"point {(x, y)} is not on the sampling lattice")
-            out.append(idx)
-        return out[0], out[1]
+        return int(self.indices(0, x)[0]), int(self.indices(1, y)[0])
 
     def write_csv(self, stream: TextIO) -> None:
         """Triples <axis0>,<axis1>,value with 12 significant digits."""
         stream.write(f"{self.labels[0]},{self.labels[1]},value\n")
-        ax0, ax1 = self.axis(0), self.axis(1)
-        for i, a in enumerate(ax0):
-            for j, b in enumerate(ax1):
-                v = self.values[i, j]
-                v = v.real if np.iscomplexobj(self.values) else v
-                stream.write(f"{a:.12g},{b:.12g},{v:.12g}\n")
+        tails = [f",{b:.12g}," for b in self.axis(1).tolist()]
+        for a, row in zip(self.axis(0).tolist(), np.real(self.values)):
+            head = f"{a:.12g}"
+            stream.write("".join(f"{head}{b}{v:.12g}\n" for b, v in zip(tails, row.tolist())))
 
 
 def wigner_ground_closed(at) -> float:
@@ -113,15 +135,49 @@ def wigner_ground_closed(at) -> float:
     return float(np.exp(-np.sum(v * v)) / np.pi**2)
 
 
-def _correlation(psi: GridFunction2D, at: PhasePoint) -> tuple[np.ndarray, int, int]:
-    """F[j, k] = conj(psi)(x + jh, y + kh) psi(x - jh, y - kh) and the offsets."""
+def _lattice_step(psi: GridFunction2D) -> float:
     if abs(psi.spacing[0] - psi.spacing[1]) > 1e-12:
         raise DomainError("Wigner transform requires equal spacing on both axes")
+    return psi.spacing[0]
+
+
+def _covered(n: int, h: float, label: str) -> slice:
+    """Indices of an n-point axis whose symmetric window reaches MIN_COVERAGE."""
+    i = np.arange(n)
+    ok = np.flatnonzero(np.minimum(i, n - 1 - i) * h >= MIN_COVERAGE)
+    if ok.size == 0:
+        raise DomainError(
+            f"grid covers at most {(n - 1) // 2 * h:.2f} along {label}; need at least {MIN_COVERAGE}"
+        )
+    return slice(int(ok[0]), int(ok[-1]) + 1)
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n: FFTs of other lengths, primes above all, are several times slower."""
+    while True:
+        k = n
+        for f in (2, 3, 5):
+            while k % f == 0:
+                k //= f
+        if k == 1:
+            return n
+        n += 1
+
+
+def _real_part(w: np.ndarray, imag_tol: float) -> np.ndarray:
+    resid = float(np.abs(w.imag).max(initial=0.0))
+    if resid > imag_tol:
+        raise NumericsError(f"Wigner value has imaginary residual {resid:.3e} above {imag_tol}")
+    return w.real
+
+
+def _correlation(psi: GridFunction2D, at: PhasePoint) -> tuple[np.ndarray, int, int]:
+    """F[j, k] = conj(psi)(x + jh, y + kh) psi(x - jh, y - kh) and the offsets."""
+    h = _lattice_step(psi)
     ix, iy = psi.index_of(at.x, at.y)
     nx, ny = psi.values.shape
     mx = min(ix, nx - 1 - ix)
     my = min(iy, ny - 1 - iy)
-    h = psi.spacing[0]
     if mx * h < MIN_COVERAGE or my * h < MIN_COVERAGE:
         raise DomainError(
             f"grid covers only {mx * h:.2f} x {my * h:.2f} around {(at.x, at.y)}; "
@@ -144,9 +200,7 @@ def wigner_transform(psi: GridFunction2D, at: PhasePoint, imag_tol: float = 1e-9
     ex = np.exp(-2.0j * at.p * h * np.arange(-mx, mx + 1))
     ey = np.exp(-2.0j * at.q * h * np.arange(-my, my + 1))
     w = (h * h / np.pi**2) * (ex @ F @ ey)
-    if abs(w.imag) > imag_tol:
-        raise NumericsError(f"Wigner value has imaginary residual {w.imag:.3e} above {imag_tol}")
-    return float(w.real)
+    return float(_real_part(np.asarray(w), imag_tol))
 
 
 def wigner_section(psi: GridFunction2D, x: float, y: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -170,21 +224,96 @@ def wigner_section_fn(
     half_width: float = DEFAULT_HALF_WIDTH,
     spacing: float = DEFAULT_SPACING,
 ) -> np.ndarray:
-    """Like wigner_section, but sampling psi_fn on a fresh lattice at (x, y).
+    """Like wigner_section, but sampling psi_fn on a fresh lattice centred at (x, y).
 
     Frees the base point from any global sampling lattice, which matters
-    when the outer integration grid is quadrature-chosen.
+    when the outer integration grid is quadrature-chosen.  half_width must
+    reach MIN_COVERAGE.
     """
-    m = int(round(half_width / spacing))
-    offs = spacing * np.arange(-m, m + 1)
-    ox = offs[:, None]
-    oy = offs[None, :]
-    F = np.conj(psi_fn(x + ox, y + oy)) * psi_fn(x - ox, y - oy)
+    psi = GridFunction2D.from_function(psi_fn, half_width, spacing, center=(x, y))
+    return wigner_section(psi, x, y, p, q)
+
+
+def wigner_xy(psi: GridFunction2D) -> GridFunction2D:
+    """W(x, y; 0, 0) of a real psi at every covered lattice point (x, y), from one FFT convolution.
+
+    With V = psi.values, the window sum of wigner_transform at lattice
+    point (i, j) and zero momenta is the full convolution (V * V)[2i, 2j]:
+    the convolution's terms at an even index are exactly that symmetric
+    window.  Even indices take only even-with-even and odd-with-odd
+    sub-lattice products, so the plane is four real convolutions of
+    quarter-size arrays (polyphase), not one of twice the size:
+
+        C[2i, 2j] = sum_{s, t in {0, 1}} (V[s::2, t::2] * V[s::2, t::2])[i - s, j - t].
+
+    Values carry an absolute rounding floor of about 1e-16 of the peak.
+    """
+    from numpy import fft  # `import numpy` does not load numpy.fft; keep `import entosc` lean
+
+    h = _lattice_step(psi)
+    V = psi.values
+    if np.iscomplexobj(V):
+        raise DomainError("wigner_xy takes a real wave function; use wigner_transform for complex psi")
+    rows, cols = _covered(V.shape[0], h, psi.labels[0]), _covered(V.shape[1], h, psi.labels[1])
+    # a full linear convolution of two sub-lattices has at most V.shape points per axis
+    shape = (_fft_length(V.shape[0]), _fft_length(V.shape[1]))
+    C = 0.0
+    for s in (0, 1):
+        for t in (0, 1):
+            f = fft.rfft2(V[s::2, t::2], shape)
+            f *= f
+            conv = fft.irfft2(f, shape)
+            C = C + conv[rows.start - s : rows.stop - s, cols.start - t : cols.stop - t]
+    x, y = psi.axis(0), psi.axis(1)
+    return GridFunction2D(
+        origin=(float(x[rows.start]), float(y[cols.start])),
+        spacing=psi.spacing,
+        values=(h * h / np.pi**2) * C,
+        labels=psi.labels,
+    )
+
+
+def wigner_xp(psi: GridFunction2D, y: float, p) -> GridFunction2D:
+    """W(x, y; p_m, 0) at every covered lattice x, over the evenly spaced momentum grid p.
+
+    The y sum is contracted once for all x,
+
+        G[a, c] = sum_{|k| <= my} conj V[a, iy + k] V[c, iy - k],
+
+    and then W[i, m] = h^2/pi^2 sum_{|j| <= mx(i)} exp(-2i p_m h j) G[i + j, i - j]
+    is an anti-diagonal gather and one matrix product.  The momentum axis
+    takes the spacing of p (the lattice step for a single momentum).  As in
+    wigner_transform, an imaginary residual above 1e-9 raises.
+    """
+    h = _lattice_step(psi)
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    ep = np.exp(-2.0j * np.outer(p, offs))
-    eq = np.exp(-2.0j * np.outer(offs, q))
-    return np.real((spacing * spacing / np.pi**2) * (ep @ F @ eq))
+    if p.ndim != 1 or p.size == 0:
+        raise DomainError("p must be a non-empty 1-d momentum grid")
+    dp = (p[-1] - p[0]) / (p.size - 1) if p.size > 1 else h
+    if not dp > 0 or np.abs(np.diff(p) - dp).max(initial=0.0) > 1e-9 * dp:
+        raise DomainError("p must be increasing and evenly spaced")
+    V = psi.values
+    nx, ny = V.shape
+    rows = _covered(nx, h, psi.labels[0])
+    iy = int(psi.indices(1, y)[0])
+    my = min(iy, ny - 1 - iy)
+    if my * h < MIN_COVERAGE:
+        raise DomainError(f"grid covers only {my * h:.2f} around {psi.labels[1]} = {y}; need at least {MIN_COVERAGE}")
+    band = V[:, iy - my : iy + my + 1]
+    G = band.conj() @ band[:, ::-1].T  # conj() returns the array itself when psi is real
+    # row i sums j over |j| <= min(i, nx - 1 - i), where both i + j and i - j are on the lattice;
+    # G[i + j, i - j] is entry i (nx + 1) + j (nx - 1) of the flattened G
+    i = np.arange(rows.start, rows.stop)[:, None]
+    j = np.arange(-((nx - 1) // 2), (nx - 1) // 2 + 1)
+    inside = np.abs(j) <= np.minimum(i, nx - 1 - i)
+    D = G.ravel()[np.where(inside, i * (nx + 1) + j * (nx - 1), 0)]
+    D[~inside] = 0.0
+    ep = np.exp(-2.0j * np.outer(h * j, p))
+    w = _real_part((h * h / np.pi**2) * (D @ ep), 1e-9)
+    x = psi.axis(0)
+    return GridFunction2D(
+        origin=(float(x[rows.start]), float(p[0])), spacing=(h, float(dp)), values=w, labels=(psi.labels[0], "p")
+    )
 
 
 # ---------------------------------------------------------------------------

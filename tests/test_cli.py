@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from entosc import phase_space
 from entosc.cli import main
 
 
@@ -168,6 +169,68 @@ class TestWignerGrid:
     def test_missing_eta_for_squeezed(self, capsys):
         code, _, _ = run(capsys, "wigner-grid", "--state", "squeezed", "--out", "-")
         assert code == 1
+
+    @pytest.mark.parametrize("plane", ["xy", "xp"])
+    def test_squeezed_plane_matches_closed_form(self, plane, tmp_path, capsys):
+        # chi_0(x')chi_0(y') has W = pi^-2 exp(-|B v|^2 - |B^-1 k|^2), B the symmetric squeeze
+        eta = 0.5
+        c, s = math.cosh(eta), math.sinh(eta)
+        out_file = tmp_path / "w.csv"
+        argv = ["wigner-grid", "--state", "squeezed", "--eta", str(eta), "--plane", plane]
+        code, out, _ = run(capsys, *argv, "--half-width", "2", "--step", "0.25", "--out", str(out_file))
+        assert code == 0
+        assert out == f"wrote 289 rows to {out_file}\n"
+        lines = out_file.read_text().splitlines()
+        assert lines[0] == ("x,y,value" if plane == "xy" else "x,p,value")
+        assert len(lines) == 290
+        for line in lines[1:]:
+            a, b, v = (float(part) for part in line.split(","))
+            if plane == "xy":
+                expo = (c * a - s * b) ** 2 + (c * b - s * a) ** 2
+            else:
+                expo = math.cosh(2 * eta) * (a * a + b * b)
+            assert abs(v - math.exp(-expo) / math.pi**2) <= 1e-10
+
+    @pytest.mark.parametrize("plane", ["xy", "xp"])
+    def test_byte_stable(self, plane, tmp_path, capsys):
+        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
+        for f in (f1, f2):
+            run(capsys, "wigner-grid", "--state", "squeezed", "--eta", "0.3", "--plane", plane, "--out", str(f))
+        assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--half-width", "nan"),
+            ("--half-width", "inf"),
+            ("--half-width", "-1"),
+            ("--step", "nan"),
+            ("--step", "inf"),
+            ("--step", "1e-300"),
+            ("--step", "0.07"),
+            ("--step", "1e308"),
+            ("--half-width", "1e6"),
+        ],
+    )
+    def test_bad_sizes_exit_one_before_sampling(self, flags, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("sampled the wave function")
+
+        monkeypatch.setattr(phase_space, "squeezed_wavefunction", never)
+        code, _, err = run(capsys, "wigner-grid", *flags, "--out", "-")
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_lattice_cap_names_the_size_needed(self, capsys):
+        code, _, err = run(capsys, "wigner-grid", "--half-width", "100", "--out", "-")
+        assert code == 1
+        assert "samples 4241 points per axis" in err
+
+    def test_uncovered_point_exits_one(self, capsys):
+        # the axis reaches +-6.5 but the sampled lattice covers only +-5.5
+        code, _, err = run(capsys, "wigner-grid", "--half-width", "3.5", "--step", "6.5", "--out", "-")
+        assert code == 1
+        assert "not a lattice point of [-5.5, 5.5]" in err
 
 
 class TestConfig:

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from entosc import DomainError
+from entosc import CutoffError, DomainError
 from entosc.cli import main
 from entosc.dirac_algebra import (
+    DENSE_FOCK_CUTOFF_MAX,
+    FOCK_BYTE_BUDGET,
+    FOCK_CUTOFF_MAX,
     LABELS,
     check_algebra,
     canonical_pairs,
@@ -137,6 +140,35 @@ class TestBandedFock:
     def test_invalid_cutoff_exits_one(self, cutoff, capsys):
         assert main(["algebra-check", "--rep", "fock", "--cutoff", cutoff]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cutoff", [20, 30])
+    def test_cutoffs_in_use_pass(self, cutoff):
+        assert check_algebra("fock", cutoff=cutoff).max_deviation <= 1e-10
+
+    @pytest.mark.parametrize("cutoff", [FOCK_CUTOFF_MAX + 1, 10**400])
+    def test_cutoff_above_the_cap_raises(self, cutoff):
+        # 10**400 used to reach numpy's "Maximum allowed size exceeded"
+        with pytest.raises(CutoffError, match="cap"):
+            check_algebra("fock", cutoff=cutoff)
+        with pytest.raises(CutoffError):
+            safe_sector_mask(cutoff)
+
+    def test_caps_follow_the_byte_budget(self):
+        # about 1 kB per basis state for the banded check, 16 (c + 1)^4 bytes per dense matrix
+        assert 1000 * (FOCK_CUTOFF_MAX + 1) ** 2 <= FOCK_BYTE_BUDGET < 1000 * (FOCK_CUTOFF_MAX + 2) ** 2
+        assert 16 * (DENSE_FOCK_CUTOFF_MAX + 1) ** 4 <= FOCK_BYTE_BUDGET < 16 * (DENSE_FOCK_CUTOFF_MAX + 2) ** 4
+
+    def test_dense_cutoff_cap(self):
+        a, _ = two_mode_ladders(31)
+        assert a.shape == (32**2,) * 2
+        for dense in (fock_generators, two_mode_ladders):
+            with pytest.raises(CutoffError, match="cap"):
+                dense(DENSE_FOCK_CUTOFF_MAX + 1)
+
+    @pytest.mark.parametrize("cutoff", [str(FOCK_CUTOFF_MAX + 1), "1" + "0" * 400])
+    def test_cutoff_above_the_cap_exits_one(self, cutoff, capsys):
+        assert main(["algebra-check", "--rep", "fock", "--cutoff", cutoff]) == 1
+        assert "above the cap" in capsys.readouterr().err
 
 
 class TestPrintedMatrices:
