@@ -7,7 +7,6 @@ products, and a numerical Wigner transform with flow-covariance checks.
 """
 
 from . import (
-    cli,
     covariant_inner,
     dirac_algebra,
     entangled_series,
@@ -19,6 +18,17 @@ from . import (
 from .errors import CutoffError, DomainError, NumericsError
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # `cli` loads on first access, so `python -m entosc.cli` runs a module
+    # that the package import has not already executed.
+    if name == "cli":
+        import importlib
+
+        return importlib.import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CutoffError",

@@ -20,6 +20,7 @@ from . import (
     covariant_inner,
     dirac_algebra,
     entangled_series,
+    oscillator_basis,
     phase_space,
     planar_transforms,
     reduced_state,
@@ -93,8 +94,19 @@ def _open_out(path: str):
 def _cmd_identity_check(args, cfg: RunConfig) -> int:
     tol = args.tol if args.tol is not None else cfg.identity_tol
     series_tol = args.series_tol if args.series_tol is not None else cfg.series_tol
+    if not all(map(math.isfinite, (args.xmin, args.xmax, args.spacing))):
+        raise DomainError("--xmin, --xmax and --spacing must be finite")
     if args.xmax <= args.xmin or args.spacing <= 0:
         raise DomainError("grid requires xmax > xmin and positive spacing")
+    # series_sum's chi tables hold (n + 2K + 2) doubles per grid point, K <= the series bound
+    side = (args.xmax - args.xmin) / args.spacing + 1.0
+    kmax = min(cfg.series_kmax, oscillator_basis.N_MAX)
+    table_bytes = 8.0 * (max(args.n, 0) + 2 * kmax + 2) * side * side
+    if table_bytes > dirac_algebra.FOCK_BYTE_BUDGET:
+        raise DomainError(
+            f"a grid of {side:.4g}^2 points needs up to {table_bytes / 2**30:.3g} GiB of basis tables "
+            f"(K <= {kmax}); the budget is {dirac_algebra.FOCK_BYTE_BUDGET // 2**30} GiB"
+        )
     axis = np.arange(args.xmin, args.xmax + 0.5 * args.spacing, args.spacing)
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     series = entangled_series.series_sum(args.n, args.eta, X, Y, series_tol, kmax=cfg.series_kmax)

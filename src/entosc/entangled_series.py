@@ -53,6 +53,24 @@ def as_rapidity(eta) -> float:
     return SqueezeParam(float(eta)).eta
 
 
+def _log_cosh(eta: float) -> float:
+    """ln cosh(eta), accurate for small eta too (cosh - 1 = 2 sinh^2(eta/2))."""
+    return math.log1p(2.0 * math.sinh(0.5 * eta) ** 2)
+
+
+def _log_tanh(eta: float) -> float:
+    """ln tanh(eta) for eta > 0, accurate where tanh(eta) rounds to one.
+
+    For eta >= 0.5, ln tanh = log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) keeps the
+    relative precision of a value near -2 e^{-2 eta}; below, e^{-2 eta} is too
+    close to one and ln(tanh) itself is the accurate form.
+    """
+    if eta < 0.5:
+        return math.log(math.tanh(eta))
+    x = math.exp(-2.0 * eta)
+    return math.log1p(-x) - math.log1p(x)
+
+
 @dataclass(frozen=True)
 class SchmidtSeries:
     """Truncated Schmidt coefficients A_0..A_K with a probability tail bound."""
@@ -138,7 +156,9 @@ def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> 
     K0 = ceil(log(tol (1 - t^2)) / (2 log t)), t = tanh|eta|, and is then
     extended until A_K sup|chi chi| r / (1 - r) <= tol with the ratio bound
     r = t sqrt((n+K+1)/(K+1)); the plain geometric seed undershoots the
-    pointwise tolerance once t is close to one.
+    pointwise tolerance once t is close to one.  CutoffError is raised
+    before any coefficient is built when n + K0 already passes the basis
+    bound, tanh|eta| rounding to one included.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
@@ -150,7 +170,15 @@ def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> 
     t = math.tanh(abs(eta))
     if t == 0.0:
         return SchmidtSeries(n=n, eta=eta, coeffs=np.array([1.0]), cutoff=0, tail_bound=0.0)
-    k0 = max(math.ceil(math.log(tol * (1.0 - t * t)) / (2.0 * math.log(t))), 8)
+    if t == 1.0:  # |eta| >~ 19: estimate K0 from logs that do not round
+        k0 = (math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))
+    else:
+        k0 = max(math.ceil(math.log(tol * (1.0 - t * t)) / (2.0 * math.log(t))), 8)
+    if k0 + n > bound:
+        raise CutoffError(
+            f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {k0:.4g}, "
+            f"so n + K exceeds the basis bound {bound}"
+        )
     coeffs = [coefficient(n, k, eta) for k in range(k0 + 1)]
     k = k0
     while True:

@@ -8,8 +8,11 @@ mixed state that is diagonal in the number basis with probabilities
 For n = 0 this is exactly a thermal oscillator distribution, which is
 what lets the squeeze rapidity double as a temperature: matching
 (1 - q) q^k against (1 - e^{-1/T}) e^{-k/T} gives tanh(eta)^2 = e^{-1/T}.
-The von Neumann entropy is computed both from the probabilities and from
-the closed forms, which the tests require to agree.
+The von Neumann entropy comes from the probabilities (`entropy`) and from the
+closed form (`entropy_closed_form`, O(1) at n = 0, used by `thermo_curve`),
+which the tests require to agree.  Sums over the K ~ 46 / (1 - tanh^2 eta)
+probabilities raise `CutoffError`, naming K, before allocating when
+(n + 1)(K + 1) passes TERM_CAP or tanh^2 eta rounds to one (|eta| >~ 18.7).
 """
 
 from __future__ import annotations
@@ -20,8 +23,10 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .entangled_series import as_rapidity
-from .errors import DomainError
+from .entangled_series import _log_cosh, _log_tanh, as_rapidity
+from .errors import CutoffError, DomainError
+
+TERM_CAP = 2**23  # (n + 1)(K + 1) terms, ~30 B each at the peak; n = 0 at tanh^2 eta = 0.99999 fits
 
 
 @dataclass(frozen=True)
@@ -42,92 +47,85 @@ class ThermoPoint:
     temperature: float
 
 
-def _log_probs(n: int, eta: float, kmax: int) -> np.ndarray:
-    """log p_k for k = 0..kmax (eta > 0)."""
-    q = math.tanh(eta) ** 2
-    k = np.arange(kmax + 1, dtype=float)
-    log_binom = (
-        np.array([math.lgamma(n + kk + 1) for kk in range(kmax + 1)])
-        - math.lgamma(n + 1)
-        - np.array([math.lgamma(kk + 1) for kk in range(kmax + 1)])
-    )
-    return (n + 1) * math.log(1.0 - q) + log_binom + k * math.log(q)
+def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
+    """log binom(n + k, k) elementwise as sum_{i=1..n} log1p(k / i): n passes, a few ulp each."""
+    out = np.zeros(np.shape(k))
+    for i in range(1, n + 1):
+        out += np.log1p(k / i)
+    return out
 
 
 def _prob_cutoff(n: int, eta: float, tol: float) -> int:
-    """Smallest K with a certified probability tail below tol."""
+    """K with a certified probability tail below tol (eta > 0); CutoffError past TERM_CAP."""
     q = math.tanh(eta) ** 2
-    k = max(32, int(math.ceil((math.log(tol) + (n + 1) * math.log1p(-q)) / math.log(q))) if q > 0 else 0)
-    while True:
+    log_q, log_1mq = 2.0 * _log_tanh(eta), -2.0 * _log_cosh(eta)
+    k = max(32, math.ceil((math.log(tol) + (n + 1) * log_1mq) / log_q))
+    while (n + 1) * (k + 1) <= TERM_CAP:
         rho = q * (n + k + 1.0) / (k + 1.0)
-        log_pk = (n + 1) * math.log1p(-q) + (
-            math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
-        ) + k * math.log(q)
-        if rho < 1.0 and math.exp(log_pk) * rho / (1.0 - rho) <= tol:
+        log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
+        if rho < 1.0 and math.exp((n + 1) * log_1mq + log_binom + k * log_q) * rho / (1.0 - rho) <= tol:
             return k
         k = int(1.5 * k) + 8
+    raise CutoffError(
+        f"reduced-state series for n={n}, eta={eta} needs K >= {k:.3g} terms, past the cap (n + 1)(K + 1) <= {TERM_CAP}"
+    )
+
+
+def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log binom(n + k, k), log p_k) for k = 0..K, K from _prob_cutoff (0 at eta = 0)."""
+    if n != int(n) or n < 0:
+        raise DomainError("n must be a non-negative integer")
+    n = int(n)
+    if eta == 0.0:
+        return np.zeros(1), np.zeros(1)
+    log_p = np.arange(_prob_cutoff(n, eta, tol) + 1, dtype=float)  # k, made log p_k in place
+    log_binom = _log_binom(n, log_p)
+    log_p *= 2.0 * _log_tanh(eta)
+    log_p += log_binom
+    log_p -= 2.0 * (n + 1) * _log_cosh(eta)
+    return log_binom, log_p
 
 
 def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
     """Probabilities p_k with sum within tol of one."""
     if tol <= 0:
         raise DomainError("tol must be positive")
-    if n != int(n) or n < 0:
-        raise DomainError("n must be a non-negative integer")
-    n = int(n)
     eta = abs(as_rapidity(eta))
-    if eta == 0.0:
-        return ReducedDensity(n=n, eta=eta, probs=np.array([1.0]), cutoff=0, tail_bound=0.0)
-    kmax = _prob_cutoff(n, eta, tol)
-    probs = np.exp(_log_probs(n, eta, kmax))
-    q = math.tanh(eta) ** 2
-    rho = q * (n + kmax + 1.0) / (kmax + 1.0)
+    probs = np.exp(_log_terms(n, eta, tol)[1])
+    n, kmax = int(n), probs.size - 1
+    rho = math.tanh(eta) ** 2 * (n + kmax + 1.0) / (kmax + 1.0)
     return ReducedDensity(n=n, eta=eta, probs=probs, cutoff=kmax, tail_bound=float(probs[-1] * rho / (1.0 - rho)))
 
 
 def purity(n: int, eta) -> float:
     """Tr rho^2 = sum p_k^2; equals 1/cosh(2 eta) when n = 0."""
-    eta = abs(as_rapidity(eta))
-    if eta == 0.0:
-        return 1.0
-    rho = reduced_density(n, eta, tol=1e-18)
-    return float(np.sum(rho.probs**2))
+    return float(np.sum(reduced_density(n, eta, tol=1e-18).probs ** 2))
 
 
 def entropy(n: int, eta) -> float:
-    """Von Neumann entropy -sum p_k ln p_k in nats (0 ln 0 = 0)."""
+    """Von Neumann entropy -sum p_k ln p_k in nats (0 ln 0 = 0), from the probabilities."""
     eta = abs(as_rapidity(eta))
     if eta == 0.0:
         return 0.0
-    kmax = _prob_cutoff(int(n), eta, 1e-20)
-    log_p = _log_probs(int(n), eta, kmax)
-    p = np.exp(log_p)
-    return float(-np.sum(p * log_p))
+    log_p = _log_terms(n, eta, 1e-20)[1]
+    return float(-np.sum(np.exp(log_p) * log_p))
 
 
 def entropy_closed_form(n: int, eta) -> float:
     """The two-term closed form: squeeze part minus the binomial-weight sum.
 
-    S = 2(n+1) [cosh^2 ln cosh - sinh^2 ln sinh]
-        - cosh^-2(n+1) sum_k binom(n+k, k) ln binom(n+k, k) tanh^2k;
-    the second term vanishes for n = 0.
+    S = 2(n+1) [ln cosh - sinh^2 ln tanh] - sum_k p_k ln binom(n+k, k); the
+    lead term is 2(n+1) [cosh^2 ln cosh - sinh^2 ln sinh] without its
+    cancellation, and the sum vanishes for n = 0, so that case costs O(1).
     """
-    n = int(n)
     eta = abs(as_rapidity(eta))
     if eta == 0.0:
         return 0.0
-    c, s = math.cosh(eta), math.sinh(eta)
-    lead = 2.0 * (n + 1) * (c * c * math.log(c) - s * s * math.log(s))
+    lead = 2.0 * (n + 1) * (_log_cosh(eta) - math.sinh(eta) ** 2 * _log_tanh(eta))
     if n == 0:
         return lead
-    q = math.tanh(eta) ** 2
-    kmax = _prob_cutoff(n, eta, 1e-20)
-    k = np.arange(kmax + 1)
-    log_binom = np.array(
-        [math.lgamma(n + kk + 1) - math.lgamma(n + 1) - math.lgamma(kk + 1) for kk in k]
-    )
-    weight_sum = float(np.sum(np.exp(log_binom + k * math.log(q)) * log_binom))
-    return lead - weight_sum / c ** (2 * (n + 1))
+    log_binom, log_p = _log_terms(n, eta, 1e-20)
+    return lead - float(np.sum(np.exp(log_p) * log_binom))
 
 
 def position_density(eta, x, r):
@@ -165,14 +163,14 @@ def eta_for_temperature(T: float) -> float:
 
 
 def thermo_curve(beta_sq_grid: Iterable[float]) -> list[ThermoPoint]:
-    """Entropy and temperature along a grid of beta^2 = tanh(eta)^2 values."""
+    """Entropy (closed form, O(1) a point) and temperature along a grid of beta^2 = tanh(eta)^2 values."""
     points = []
     for q in beta_sq_grid:
         q = float(q)
         if not 0.0 <= q < 1.0:
             raise DomainError(f"beta_sq must lie in [0, 1), got {q}")
         eta = math.atanh(math.sqrt(q))
-        points.append(ThermoPoint(beta_sq=q, entropy=entropy(0, eta), temperature=temperature(eta)))
+        points.append(ThermoPoint(beta_sq=q, entropy=entropy_closed_form(0, eta), temperature=temperature(eta)))
     return points
 
 

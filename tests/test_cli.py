@@ -1,12 +1,20 @@
 """Exit-code contract, CSV/JSON formats, and config handling of the CLI."""
 
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from entosc import phase_space
+import entosc
+from entosc import entangled_series, phase_space
 from entosc.cli import main
+from entosc.reduced_state import ThermoPoint, entropy, temperature, write_thermo_csv
 
 
 def run(capsys, *argv):
@@ -41,6 +49,38 @@ class TestIdentityCheck:
         code, _, err = run(capsys, "identity-check")
         assert code == 1
         assert "usage error" in err
+
+    @pytest.mark.parametrize("eta", ["20", "5"])
+    def test_out_of_reach_rapidity_exits_one(self, eta, capsys):
+        code, _, err = run(capsys, "identity-check", "--eta", eta)
+        assert code == 1
+        assert err.startswith("error: series cutoff") and "needs K >=" in err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--spacing", "nan"),
+            ("--spacing", "inf"),
+            ("--xmin=-inf",),
+            ("--xmax", "nan"),
+            ("--spacing", "0.005"),
+            ("--spacing", "1e-300"),
+            ("--xmin=-1e308", "--xmax", "1e308"),
+        ],
+    )
+    def test_bad_grid_exits_one_before_summing(self, flags, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("summed the series")
+
+        monkeypatch.setattr(entangled_series, "series_sum", never)
+        code, _, err = run(capsys, "identity-check", "--eta", "0.5", *flags)
+        assert code == 1
+        assert err.startswith("error:")
+
+    def test_grid_budget_names_the_size(self, capsys):
+        code, _, err = run(capsys, "identity-check", "--eta", "0.5", "--spacing", "0.005")
+        assert code == 1
+        assert "a grid of 1601^2 points needs up to 9.82 GiB" in err
 
 
 class TestAlgebraCheck:
@@ -79,6 +119,19 @@ class TestThermoCurve:
         rows = [tuple(map(float, line.split(","))) for line in lines[1:]]
         for a, b in zip(rows, rows[1:]):
             assert b[1] > a[1] and b[2] > a[2]
+
+    @pytest.mark.parametrize("beta_sq_max", ["0.99", "0.9999"])
+    def test_csv_matches_series_route(self, beta_sq_max, tmp_path, capsys):
+        out_file = tmp_path / "curve.csv"
+        code, _, _ = run(capsys, "thermo-curve", "--beta-sq-max", beta_sq_max, "--steps", "200", "--out", str(out_file))
+        assert code == 0
+        points = []
+        for q in np.linspace(0.0, float(beta_sq_max), 200):
+            eta = math.atanh(math.sqrt(q))
+            points.append(ThermoPoint(beta_sq=float(q), entropy=entropy(0, eta), temperature=temperature(eta)))
+        buf = io.StringIO()
+        write_thermo_csv(points, buf)
+        assert out_file.read_text() == buf.getvalue()
 
     def test_byte_stable(self, tmp_path, capsys):
         f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -254,3 +307,17 @@ class TestConfig:
         code, _, err = run(capsys, "--config", str(cfg), "identity-check", "--eta", "0.5")
         assert code == 1
         assert "unknown config key" in err
+
+
+def test_module_entry_runs_without_runpy_warning():
+    src = str(Path(entosc.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run_module = [sys.executable, "-W", "error::RuntimeWarning", "-m", "entosc.cli", "--help"]
+    result = subprocess.run(run_module, capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: entosc")
+    # `import entosc` leaves cli unloaded, and entosc.cli still resolves
+    probe = "import sys, entosc; assert 'entosc.cli' not in sys.modules; print(entosc.cli.main.__name__)"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "main\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from entosc import CutoffError, DomainError
+from entosc import CutoffError, DomainError, entangled_series
 from entosc.entangled_series import (
     EigenvalueResidual,
     SqueezeParam,
@@ -135,6 +135,20 @@ class TestSeriesSum:
     def test_cutoff_error_near_rapidity_bound(self):
         with pytest.raises(CutoffError):
             series_sum(0, 5.0, 0.0, 0.0, tol=1e-14)
+
+    def test_cutoff_error_before_any_coefficient(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("built a coefficient")
+
+        monkeypatch.setattr(entangled_series, "coefficient", never)
+        with pytest.raises(CutoffError, match=r"needs K >= 2\.249e\+05"):
+            series_sum(0, 5.0, 0.0, 0.0, tol=1e-14)
+
+    @pytest.mark.parametrize("eta", [20.0, -20.0, 25.0])
+    def test_rounded_tanh_raises_cutoff_error(self, eta):
+        # tanh|eta| rounds to 1.0, which used to end in log(0)
+        with pytest.raises(CutoffError, match=r"needs K >= [0-9.]+e\+(18|2[0-9])"):
+            series_sum(0, eta, 0.0, 0.0)
 
 
 class TestSchmidtSeries:

@@ -2,14 +2,19 @@
 
 import io
 import math
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from entosc import DomainError
+from entosc import CutoffError, DomainError
 from entosc.oscillator_basis import chi_batch, quadrature
 from entosc.reduced_state import (
+    TERM_CAP,
     ThermoPoint,
+    _log_binom,
     entropy,
     entropy_closed_form,
     eta_for_temperature,
@@ -23,6 +28,25 @@ from entosc.reduced_state import (
 )
 
 LN2 = math.log(2.0)
+
+
+def decimal_entropy(eta: float) -> float:
+    """2[cosh^2 ln cosh - sinh^2 ln sinh] (n = 0) evaluated with 50 significant digits.
+
+    Below eta = 1 two more digits per decade keep cosh(eta) - 1 ~ eta^2 / 2 resolved.
+    """
+    if eta == 0.0:
+        return 0.0
+    with localcontext() as ctx:
+        ctx.prec = 50 + 2 * max(0, -math.floor(math.log10(abs(eta))))
+        e = Decimal(abs(eta))
+        c = (e.exp() + (-e).exp()) / 2
+        s = (e.exp() - (-e).exp()) / 2
+        return float(2 * (c * c * c.ln() - s * s * s.ln()))
+
+
+def eta_of(beta_sq: float) -> float:
+    return math.atanh(math.sqrt(beta_sq))
 
 
 class TestReducedDensity:
@@ -86,6 +110,33 @@ class TestEntropy:
     @pytest.mark.parametrize("eta", [0.2, 0.6, 1.0, 1.5])
     def test_two_paths_agree(self, n, eta):
         assert abs(entropy(n, eta) - entropy_closed_form(n, eta)) <= 1e-8
+
+    @given(st.integers(0, 4), st.floats(0.0, 0.999))
+    @settings(max_examples=60, deadline=None)
+    def test_two_paths_agree_across_beta_sq(self, n, beta_sq):
+        eta = eta_of(beta_sq)
+        assert entropy(n, eta) == pytest.approx(entropy_closed_form(n, eta), rel=1e-12, abs=1e-300)
+
+    @given(st.floats(-25.0, 25.0, allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_closed_form_against_decimal_reference(self, eta):
+        assert entropy_closed_form(0, eta) == pytest.approx(decimal_entropy(eta), rel=1e-13, abs=1e-300)
+
+    @pytest.mark.parametrize("eta", [20.0, 25.0, 7.6, 1e-8, 0.5])
+    def test_closed_form_at_landmarks(self, eta):
+        # at eta = 20 the cosh^2 ln cosh - sinh^2 ln sinh form cancels to 0.0
+        assert entropy_closed_form(0, eta) == pytest.approx(decimal_entropy(eta), rel=1e-13)
+
+    def test_two_paths_agree_near_the_term_cap(self):
+        eta = eta_of(0.99999)  # K ~ 5.8e6 terms, below TERM_CAP
+        assert entropy(0, eta) == pytest.approx(entropy_closed_form(0, eta), rel=1e-12)
+
+    def test_index_validation(self):
+        for fn in (entropy, entropy_closed_form, reduced_density):
+            with pytest.raises(DomainError):
+                fn(-1, 0.5)
+            with pytest.raises(DomainError):
+                fn(1.5, 0.5)
 
     def test_strictly_increasing_in_rapidity(self):
         etas = np.linspace(0.0, 2.0, 15)
@@ -162,6 +213,11 @@ class TestTemperature:
 
 
 class TestThermoCurve:
+    def test_near_one_is_finite_and_monotone(self):
+        entropies = [p.entropy for p in thermo_curve([0.999999, 1.0 - 1e-12, 1.0 - 2.0**-53])]
+        assert all(math.isfinite(s) for s in entropies)
+        assert entropies[0] < entropies[1] < entropies[2]
+
     def test_rest_point(self):
         point = thermo_curve([0.0])[0]
         assert point == ThermoPoint(beta_sq=0.0, entropy=0.0, temperature=0.0)
@@ -193,3 +249,44 @@ class TestThermoCurve:
         assert lines[0] == "beta_sq,entropy_nats,temperature"
         assert lines[1] == "0,0,0"
         assert lines[2].startswith("0.5,1.38629436112,")
+
+
+class TestLogBinomial:
+    @given(st.integers(0, 40), st.lists(st.integers(0, 10**7), min_size=1, max_size=20))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_lgamma(self, n, ks):
+        got = _log_binom(n, np.array(ks, dtype=float))
+        for value, k in zip(got, ks):
+            ref = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
+            # the reference rounds at the scale of lgamma(n + k + 1)
+            assert abs(value - ref) <= 8 * sys.float_info.epsilon * (math.lgamma(n + k + 1) + 1.0)
+
+    def test_exact_values(self):
+        got = _log_binom(3, np.arange(6, dtype=float))
+        ref = [math.log(math.comb(3 + k, k)) for k in range(6)]
+        assert np.allclose(got, ref, rtol=4 * sys.float_info.epsilon, atol=0.0)
+        assert _log_binom(0, np.arange(4, dtype=float)).tolist() == [0.0] * 4
+
+
+class TestWorkCap:
+    @pytest.mark.parametrize("fn", [entropy, purity, reduced_density])
+    def test_rounded_tanh_raises(self, fn):
+        # tanh(20)^2 rounds to 1.0, which used to end in log1p(-1)
+        with pytest.raises(CutoffError, match=r"needs K >= [0-9.]+e\+18 terms"):
+            fn(0, 20.0)
+
+    def test_closed_form_weight_sum_is_capped_too(self):
+        with pytest.raises(CutoffError, match="needs K >="):
+            entropy_closed_form(2, 20.0)
+
+    def test_term_count_above_cap(self):
+        # beta^2 = 0.999999 needs about 6e7 terms
+        expected = rf"needs K >= 5\.99e\+07 terms, past the cap \(n \+ 1\)\(K \+ 1\) <= {TERM_CAP}"
+        with pytest.raises(CutoffError, match=expected):
+            entropy(0, eta_of(0.999999))
+
+    def test_excited_states_count_every_pass(self):
+        # n + 1 passes over K + 1 terms: n = 400 at beta^2 = 0.99 passes the cap
+        with pytest.raises(CutoffError):
+            reduced_density(400, eta_of(0.99))
+        assert reduced_density(4, eta_of(0.99)).cutoff > 0
