@@ -98,17 +98,20 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
         raise DomainError("--xmin, --xmax and --spacing must be finite")
     if args.xmax <= args.xmin or args.spacing <= 0:
         raise DomainError("grid requires xmax > xmin and positive spacing")
-    # series_sum's chi tables hold (n + 2K + 2) doubles per grid point, K <= the series bound
+    # series_sum's chi tables hold (n + 2K + 2) doubles per axis point, K <= the series bound;
+    # the series, the Gaussian side and the deviation hold about n + 7 doubles per grid point
     side = (args.xmax - args.xmin) / args.spacing + 1.0
     kmax = min(cfg.series_kmax, oscillator_basis.N_MAX)
-    table_bytes = 8.0 * (max(args.n, 0) + 2 * kmax + 2) * side * side
-    if table_bytes > dirac_algebra.FOCK_BYTE_BUDGET:
+    n = max(args.n, 0)
+    grid_bytes = 8.0 * ((n + 2 * kmax + 2) * side + (n + 7) * side * side)
+    if grid_bytes > dirac_algebra.FOCK_BYTE_BUDGET:
         raise DomainError(
-            f"a grid of {side:.4g}^2 points needs up to {table_bytes / 2**30:.3g} GiB of basis tables "
-            f"(K <= {kmax}); the budget is {dirac_algebra.FOCK_BYTE_BUDGET // 2**30} GiB"
+            f"a grid of {side:.6g}^2 points needs up to {grid_bytes / 2**30:.3g} GiB "
+            f"(basis tables with K <= {kmax} and {n + 7} arrays over the plane); "
+            f"the budget is {dirac_algebra.FOCK_BYTE_BUDGET // 2**30} GiB"
         )
     axis = np.arange(args.xmin, args.xmax + 0.5 * args.spacing, args.spacing)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    X, Y = np.meshgrid(axis, axis, indexing="ij", sparse=True)
     series = entangled_series.series_sum(args.n, args.eta, X, Y, series_tol, kmax=cfg.series_kmax)
     gauss = entangled_series.squeezed_wavefunction(args.n, args.eta, X, Y)
     dev = float(np.abs(series - gauss).max())

@@ -12,7 +12,9 @@ entangles the modes into
 The module computes the coefficients in closed form and, independently,
 by two-dimensional Gauss-Hermite quadrature, and sums the series with a
 certified tail bound so partial sums can be compared pointwise against
-the squeezed Gaussian itself.
+the squeezed Gaussian itself.  Sums over the probabilities A_k(n)^2, here and
+in `reduced_state`, fix their term count first and raise CutoffError past
+TERM_CAP.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ from .errors import CutoffError, DomainError
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
 
 _ETA_MAX = 25.0  # beyond this tanh(eta) == 1 at double precision
+
+TERM_CAP = 2**23  # (n + 1)(K + 1) terms, ~30 B each at the peak; n = 0 at tanh^2 eta = 0.99999 fits
 
 
 @dataclass(frozen=True)
@@ -199,32 +203,64 @@ def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> 
 
 
 def series_sum(n: int, eta, x, y, tol: float = 1e-10, kmax: int | None = None):
-    """Partial sum sum_k A_k(n) chi_{n+k}(x) chi_k(y), accurate to tol pointwise."""
+    """Partial sum sum_k A_k(n) chi_{n+k}(x) chi_k(y), accurate to tol pointwise.
+
+    x and y are broadcast against each other like numpy operands, and each chi
+    table is built on its own argument: an open mesh (x of shape (N, 1), y of
+    shape (1, M)) costs O(K (N + M)) for the tables, and only the sum over k
+    touches all N M points.
+    """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     ser = schmidt_series(n, eta, tol, kmax)
-    x, y = np.broadcast_arrays(np.atleast_1d(np.asarray(x, float)), np.atleast_1d(np.asarray(y, float)))
-    cx = basis.chi_batch(int(n) + ser.cutoff, x.ravel())
-    cy = basis.chi_batch(ser.cutoff, y.ravel())
-    total = np.einsum("k,kp,kp->p", ser.coeffs, cx[int(n) :], cy).reshape(x.shape)
+    cx = basis.chi_batch(int(n) + ser.cutoff, x)
+    cy = basis.chi_batch(ser.cutoff, y)
+    total = np.einsum("k,k...,k...->...", ser.coeffs, cx[int(n) :], cy)
     return float(total.ravel()[0]) if scalar else total
 
 
+def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
+    """log binom(n + k, k) elementwise as sum_{i=1..n} log1p(k / i): n passes, a few ulp each."""
+    out = np.zeros(np.shape(k))
+    for i in range(1, n + 1):
+        out += np.log1p(k / i)
+    return out
+
+
+def _prob_cutoff(n: int, eta: float, tol: float) -> int:
+    """K with a certified tail of the probabilities A_k(n)^2 below tol (eta > 0); CutoffError past TERM_CAP."""
+    q = math.tanh(eta) ** 2
+    log_q, log_1mq = 2.0 * _log_tanh(eta), -2.0 * _log_cosh(eta)
+    k = max(32, math.ceil((math.log(tol) + (n + 1) * log_1mq) / log_q))
+    while (n + 1) * (k + 1) <= TERM_CAP:
+        rho = q * (n + k + 1.0) / (k + 1.0)
+        log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
+        if rho < 1.0 and math.exp((n + 1) * log_1mq + log_binom + k * log_q) * rho / (1.0 - rho) <= tol:
+            return k
+        k = int(1.5 * k) + 8
+    raise CutoffError(
+        f"Schmidt probability series for n={n}, eta={eta} needs K >= {k:.3g} terms, "
+        f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
+    )
+
+
+def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K, K from _prob_cutoff (0 at eta = 0)."""
+    if n != int(n) or n < 0:
+        raise DomainError("n must be a non-negative integer")
+    n = int(n)
+    if eta == 0.0:
+        return np.zeros(1), np.zeros(1)
+    log_p = np.arange(_prob_cutoff(n, eta, tol) + 1, dtype=float)  # k, made log p_k in place
+    log_binom = _log_binom(n, log_p)
+    log_p *= 2.0 * _log_tanh(eta)
+    log_p += log_binom
+    log_p -= 2.0 * (n + 1) * _log_cosh(eta)
+    return log_binom, log_p
+
+
 def normalization_check(n: int, eta) -> float:
-    """sum_k A_k(n)^2, accumulated to the machine tail (contract: equals 1)."""
-    eta = as_rapidity(eta)
-    t = math.tanh(abs(eta))
-    if t == 0.0:
-        return 1.0
-    total = 0.0
-    k = 0
-    while True:
-        a = coefficient(n, k, eta)
-        total += a * a
-        if k > 8 and a * a < 1e-18 * total:
-            return total
-        k += 1
-        if k > 200_000:  # pragma: no cover - |eta| <= 25 keeps tails short
-            return total
+    """sum_k A_k(n)^2 up to a tail below 1e-18 (contract: equals 1); CutoffError past TERM_CAP."""
+    return float(np.sum(np.exp(_log_terms(n, abs(as_rapidity(eta)), 1e-18)[1])))
 
 
 def unnormalized_series_ratio(eta) -> float:
@@ -232,18 +268,17 @@ def unnormalized_series_ratio(eta) -> float:
 
     The bare exponential of the two-mode raising bilinear produces the
     series without its 1/cosh prefactor; its norm sqrt(sum t^{2k}) is
-    cosh(eta), computed here by direct summation.
+    cosh(eta), computed here by direct summation of the terms up to a
+    relative tail below 1e-18.  The terms are the n = 0 probabilities over
+    1 - t^2, so their count K ~ 41 / (1 - t^2) comes from the same cutoff,
+    which raises CutoffError before summing once K passes TERM_CAP
+    (|eta| >~ 6.7, tanh|eta| rounding to one included).
     """
-    eta = as_rapidity(eta)
-    t = math.tanh(abs(eta))
-    if t == 0.0:
+    eta = abs(as_rapidity(eta))
+    if eta == 0.0:
         return 1.0
-    total, term, k = 0.0, 1.0, 0
-    while term > 1e-18 * max(total, 1.0):
-        total += term
-        term *= t * t
-        k += 1
-    return math.sqrt(total)
+    q = math.tanh(eta) ** 2
+    return math.sqrt(float(np.sum(q ** np.arange(_prob_cutoff(0, eta, 1e-18) + 1, dtype=float))))
 
 
 @dataclass(frozen=True)

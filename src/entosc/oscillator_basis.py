@@ -48,30 +48,27 @@ def hermite(n: int, x):
     return h if h.ndim else float(h)
 
 
-def chi_batch(nmax: int, x) -> np.ndarray:
-    """All chi_0..chi_nmax at x, stacked along the leading axis."""
+def _chi_rows(nmax: int, x, gaussian: bool) -> np.ndarray:
+    """The recurrence's rows 0..nmax at x, seeded with pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4."""
     nmax = _check_index(nmax, "nmax")
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((nmax + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x)
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x) if gaussian else np.pi ** -0.25
     if nmax >= 1:
         out[1] = np.sqrt(2.0) * x * out[0]
     for k in range(1, nmax):
         out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
     return out
+
+
+def chi_batch(nmax: int, x) -> np.ndarray:
+    """All chi_0..chi_nmax at x, stacked along the leading axis."""
+    return _chi_rows(nmax, x, gaussian=True)
 
 
 def chi_batch_bare(nmax: int, x) -> np.ndarray:
     """All chi_n / exp(-x^2/2) for n = 0..nmax (Gaussian factor removed)."""
-    nmax = _check_index(nmax, "nmax")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = np.full(x.shape, np.pi ** -0.25)
-    if nmax >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
+    return _chi_rows(nmax, x, gaussian=False)
 
 
 def chi(n: int, x):

@@ -10,9 +10,10 @@ what lets the squeeze rapidity double as a temperature: matching
 (1 - q) q^k against (1 - e^{-1/T}) e^{-k/T} gives tanh(eta)^2 = e^{-1/T}.
 The von Neumann entropy comes from the probabilities (`entropy`) and from the
 closed form (`entropy_closed_form`, O(1) at n = 0, used by `thermo_curve`),
-which the tests require to agree.  Sums over the K ~ 46 / (1 - tanh^2 eta)
-probabilities raise `CutoffError`, naming K, before allocating when
-(n + 1)(K + 1) passes TERM_CAP or tanh^2 eta rounds to one (|eta| >~ 18.7).
+which the tests require to agree.  The probabilities come from
+`entangled_series`, whose sums over the K ~ 46 / (1 - tanh^2 eta) terms raise
+`CutoffError`, naming K, before allocating when (n + 1)(K + 1) passes
+`entangled_series.TERM_CAP` or tanh^2 eta rounds to one (|eta| >~ 18.7).
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .entangled_series import _log_cosh, _log_tanh, as_rapidity
-from .errors import CutoffError, DomainError
-
-TERM_CAP = 2**23  # (n + 1)(K + 1) terms, ~30 B each at the peak; n = 0 at tanh^2 eta = 0.99999 fits
+from .entangled_series import _log_cosh, _log_tanh, _log_terms, as_rapidity
+from .errors import DomainError
 
 
 @dataclass(frozen=True)
@@ -45,45 +44,6 @@ class ThermoPoint:
     beta_sq: float
     entropy: float
     temperature: float
-
-
-def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
-    """log binom(n + k, k) elementwise as sum_{i=1..n} log1p(k / i): n passes, a few ulp each."""
-    out = np.zeros(np.shape(k))
-    for i in range(1, n + 1):
-        out += np.log1p(k / i)
-    return out
-
-
-def _prob_cutoff(n: int, eta: float, tol: float) -> int:
-    """K with a certified probability tail below tol (eta > 0); CutoffError past TERM_CAP."""
-    q = math.tanh(eta) ** 2
-    log_q, log_1mq = 2.0 * _log_tanh(eta), -2.0 * _log_cosh(eta)
-    k = max(32, math.ceil((math.log(tol) + (n + 1) * log_1mq) / log_q))
-    while (n + 1) * (k + 1) <= TERM_CAP:
-        rho = q * (n + k + 1.0) / (k + 1.0)
-        log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
-        if rho < 1.0 and math.exp((n + 1) * log_1mq + log_binom + k * log_q) * rho / (1.0 - rho) <= tol:
-            return k
-        k = int(1.5 * k) + 8
-    raise CutoffError(
-        f"reduced-state series for n={n}, eta={eta} needs K >= {k:.3g} terms, past the cap (n + 1)(K + 1) <= {TERM_CAP}"
-    )
-
-
-def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log binom(n + k, k), log p_k) for k = 0..K, K from _prob_cutoff (0 at eta = 0)."""
-    if n != int(n) or n < 0:
-        raise DomainError("n must be a non-negative integer")
-    n = int(n)
-    if eta == 0.0:
-        return np.zeros(1), np.zeros(1)
-    log_p = np.arange(_prob_cutoff(n, eta, tol) + 1, dtype=float)  # k, made log p_k in place
-    log_binom = _log_binom(n, log_p)
-    log_p *= 2.0 * _log_tanh(eta)
-    log_p += log_binom
-    log_p -= 2.0 * (n + 1) * _log_cosh(eta)
-    return log_binom, log_p
 
 
 def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:

@@ -63,7 +63,7 @@ class TestIdentityCheck:
             ("--spacing", "inf"),
             ("--xmin=-inf",),
             ("--xmax", "nan"),
-            ("--spacing", "0.005"),
+            ("--spacing", "0.0005"),
             ("--spacing", "1e-300"),
             ("--xmin=-1e308", "--xmax", "1e308"),
         ],
@@ -78,9 +78,22 @@ class TestIdentityCheck:
         assert err.startswith("error:")
 
     def test_grid_budget_names_the_size(self, capsys):
-        code, _, err = run(capsys, "identity-check", "--eta", "0.5", "--spacing", "0.005")
+        code, _, err = run(capsys, "identity-check", "--eta", "0.5", "--spacing", "0.0005")
         assert code == 1
-        assert "a grid of 1601^2 points needs up to 9.82 GiB" in err
+        assert "a grid of 16001^2 points needs up to 13.4 GiB" in err
+
+    def test_sums_on_an_open_mesh_within_budget(self, monkeypatch):
+        # 1601^2 fits once the chi tables are built per axis (about 0.14 GiB in all)
+        class Reached(Exception):
+            pass
+
+        def reached(n, eta, x, y, *args, **kwargs):
+            assert x.shape == (1601, 1) and y.shape == (1, 1601)
+            raise Reached
+
+        monkeypatch.setattr(entangled_series, "series_sum", reached)
+        with pytest.raises(Reached):
+            main(["identity-check", "--eta", "0.5", "--spacing", "0.005"])
 
 
 class TestAlgebraCheck:

@@ -1,6 +1,8 @@
 """Schmidt coefficients, the series-vs-Gaussian identity, and residuals."""
 
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from entosc import CutoffError, DomainError, entangled_series
 from entosc.entangled_series import (
+    TERM_CAP,
     EigenvalueResidual,
     SqueezeParam,
     coefficient,
@@ -144,6 +147,46 @@ class TestSeriesSum:
         with pytest.raises(CutoffError, match=r"needs K >= 2\.249e\+05"):
             series_sum(0, 5.0, 0.0, 0.0, tol=1e-14)
 
+    @given(
+        st.integers(0, 5),
+        st.floats(-1.3, 1.3, allow_nan=False),
+        st.lists(st.floats(-7.0, 7.0, allow_nan=False), min_size=1, max_size=12),
+        st.lists(st.floats(-7.0, 7.0, allow_nan=False), min_size=1, max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_open_mesh_equals_dense_mesh(self, n, eta, xs, ys):
+        X, Y = np.meshgrid(xs, ys, indexing="ij")
+        Xo, Yo = np.meshgrid(xs, ys, indexing="ij", sparse=True)
+        dense = series_sum(n, eta, X, Y)
+        open_mesh = series_sum(n, eta, Xo, Yo)
+        assert open_mesh.shape == dense.shape
+        assert np.array_equal(open_mesh, dense)
+
+    @given(
+        st.integers(0, 5),
+        st.floats(-1.3, 1.3, allow_nan=False),
+        st.floats(-6.0, 0.0, allow_nan=False),
+        st.floats(0.5, 6.0, allow_nan=False),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_squeezed_gaussian_on_planes(self, n, eta, lo, width):
+        axis = np.linspace(lo, lo + width, 33)
+        X, Y = np.meshgrid(axis, axis, indexing="ij", sparse=True)
+        dev = np.abs(series_sum(n, eta, X, Y, tol=1e-10) - squeezed_wavefunction(n, eta, X, Y)).max()
+        assert dev <= 1e-10
+
+    def test_open_mesh_tables_stay_on_the_axes(self):
+        # 161 x 161 at K = 103: dense tables would hold 210 * 161^2 doubles (~42 MiB)
+        axis = np.linspace(-4.0, 4.0, 161)
+        X, Y = np.meshgrid(axis, axis, indexing="ij", sparse=True)
+        tracemalloc.start()
+        try:
+            series_sum(3, 1.0, X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     @pytest.mark.parametrize("eta", [20.0, -20.0, 25.0])
     def test_rounded_tanh_raises_cutoff_error(self, eta):
         # tanh|eta| rounds to 1.0, which used to end in log(0)
@@ -175,6 +218,16 @@ class TestNormalization:
     def test_negative_binomial(self):
         assert normalization_check(5, 1.0) == pytest.approx(1.0, abs=1e-10)
 
+    def test_long_tail_is_summed(self):
+        # about 2.4e5 terms at tanh^2 = 0.99982
+        assert normalization_check(0, 5.0) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("eta", [10.0, -20.0])
+    def test_term_count_past_cap_raises(self, eta):
+        # eta = 10 used to return 0.00165 after 200000 terms
+        with pytest.raises(CutoffError, match=r"needs K >= [0-9.]+e\+(09|1[0-9]) terms"):
+            normalization_check(0, eta)
+
 
 class TestUnnormalizedRatio:
     def test_zero(self):
@@ -182,6 +235,20 @@ class TestUnnormalizedRatio:
 
     def test_log_two(self):
         assert unnormalized_series_ratio(LN2) == pytest.approx(1.25, abs=1e-12)
+
+    @given(st.floats(-6.0, 6.0, allow_nan=False))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_cosh_below_cap(self, eta):
+        # 1 / (1 - tanh^2) amplifies the rounding of tanh^2 by about cosh^2
+        rel = 4e-16 * math.cosh(eta) ** 2 + 1e-15
+        assert unnormalized_series_ratio(eta) == pytest.approx(math.cosh(eta), rel=rel)
+
+    def test_rounded_tanh_raises_fast(self):
+        # tanh(20) rounds to 1.0: the old loop never ended
+        started = time.perf_counter()
+        with pytest.raises(CutoffError, match=rf"needs K >= [0-9.]+e\+18 terms, past the cap .* <= {TERM_CAP}"):
+            unnormalized_series_ratio(20.0)
+        assert time.perf_counter() - started < 0.05
 
     def test_quadrature_norm_oracle(self):
         # || sum_k t^k chi_k chi_k || by two-dimensional quadrature

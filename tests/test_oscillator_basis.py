@@ -88,6 +88,16 @@ class TestChi:
         xs = np.linspace(-4, 4, 9)
         assert np.allclose(chi_bare(5, xs) * np.exp(-xs * xs / 2), chi(5, xs), atol=1e-14)
 
+    def test_orthonormal_up_to_cutoff(self):
+        # chi_256 turns at sqrt(513) ~ 22.6 and is below 1e-100 by |x| = 32; products
+        # chi_m chi_n have spectra inside |k| < 46, below the lattice's Nyquist pi / 0.05,
+        # so the lattice sum is the integral to rounding
+        h = 0.05
+        x = np.arange(-32.0, 32.0 + h / 2, h)
+        table = chi_batch(N_MAX, x)
+        gram = h * table @ table.T
+        assert np.abs(gram - np.eye(N_MAX + 1)).max() < 1e-12
+
 
 class TestGeneratingFunction:
     def test_zero_r(self):

@@ -10,11 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from entosc import CutoffError, DomainError
+from entosc.entangled_series import TERM_CAP, _log_binom
 from entosc.oscillator_basis import chi_batch, quadrature
 from entosc.reduced_state import (
-    TERM_CAP,
     ThermoPoint,
-    _log_binom,
     entropy,
     entropy_closed_form,
     eta_for_temperature,
