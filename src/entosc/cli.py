@@ -9,10 +9,12 @@ so repeated runs are byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+import typing
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +34,12 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _positive_finite(name: str, value: float) -> float:
+    if not 0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class RunConfig:
     identity_tol: float = 1e-8
@@ -43,17 +51,18 @@ class RunConfig:
     series_kmax: int = 256
 
     def __post_init__(self):
-        for name in ("identity_tol", "algebra_tol", "inner_tol", "series_tol"):
-            if getattr(self, name) <= 0:
-                raise DomainError(f"{name} must be positive")
-        for name in ("quadrature_order", "fock_cutoff", "series_kmax"):
-            if getattr(self, name) < 2:
+        for name, kind in _CONFIG_TYPES.items():
+            if kind is float:
+                _positive_finite(name, getattr(self, name))
+            elif not getattr(self, name) >= 2:
                 raise DomainError(f"{name} must be at least 2")
+
+
+_CONFIG_TYPES = typing.get_type_hints(RunConfig)
 
 
 def load_config(path: str) -> RunConfig:
     """key=value lines; blank lines and '#' comments ignored."""
-    known = {f.name: f.type for f in fields(RunConfig)}
     overrides: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -63,10 +72,13 @@ def load_config(path: str) -> RunConfig:
             if "=" not in line:
                 raise DomainError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
             key, value = (part.strip() for part in line.split("=", 1))
-            if key not in known:
+            if key not in _CONFIG_TYPES:
                 raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-            caster = int if key in ("quadrature_order", "fock_cutoff", "series_kmax") else float
-            overrides[key] = caster(value)
+            kind = _CONFIG_TYPES[key]
+            try:
+                overrides[key] = kind(value)
+            except ValueError:
+                raise DomainError(f"{path}:{lineno}: {key} = {value!r} is not a valid {kind.__name__}") from None
     return replace(RunConfig(), **overrides)
 
 
@@ -80,10 +92,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _open_out(path: str):
+@contextlib.contextmanager
+def _output(path: str):
+    """The stream to write a report to: stdout for '-', else the file, closed on exit."""
     if path == "-":
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        yield sys.stdout
+    else:
+        with open(path, "w", encoding="utf-8", newline="") as stream:
+            yield stream
 
 
 # ---------------------------------------------------------------------------
@@ -92,8 +108,8 @@ def _open_out(path: str):
 
 
 def _cmd_identity_check(args, cfg: RunConfig) -> int:
-    tol = args.tol if args.tol is not None else cfg.identity_tol
-    series_tol = args.series_tol if args.series_tol is not None else cfg.series_tol
+    tol = _positive_finite("--tol", args.tol if args.tol is not None else cfg.identity_tol)
+    series_tol = _positive_finite("--series-tol", args.series_tol if args.series_tol is not None else cfg.series_tol)
     if not all(map(math.isfinite, (args.xmin, args.xmax, args.spacing))):
         raise DomainError("--xmin, --xmax and --spacing must be finite")
     if args.xmax <= args.xmin or args.spacing <= 0:
@@ -127,7 +143,7 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_algebra_check(args, cfg: RunConfig) -> int:
-    tol = args.tol if args.tol is not None else cfg.algebra_tol
+    tol = _positive_finite("--tol", args.tol if args.tol is not None else cfg.algebra_tol)
     cutoff = None
     if args.rep == "fock":
         cutoff = args.cutoff if args.cutoff is not None else cfg.fock_cutoff
@@ -135,12 +151,8 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
         raise DomainError("--cutoff applies only to --rep fock")
     report = dirac_algebra.check_algebra(args.rep, cutoff)
     if args.json is not None:
-        stream, close = _open_out(args.json)
-        try:
+        with _output(args.json) as stream:
             stream.write(report.to_json() + "\n")
-        finally:
-            if close:
-                stream.close()
     print(f"rep = {report.rep}" + (f", cutoff = {cutoff}" if cutoff is not None else ""))
     print(f"pairs = {len(report.pairs)}")
     if args.verbose:
@@ -160,12 +172,8 @@ def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
         raise DomainError("--steps must be at least 2")
     grid = np.linspace(args.beta_sq_min, args.beta_sq_max, args.steps)
     points = reduced_state.thermo_curve(grid)
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         reduced_state.write_thermo_csv(points, stream)
-    finally:
-        if close:
-            stream.close()
     if args.out != "-":
         print(f"wrote {len(points)} rows to {args.out}")
     return 0
@@ -215,7 +223,7 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
 
 
 def _cmd_inner_product(args, cfg: RunConfig) -> int:
-    tol = args.tol if args.tol is not None else cfg.inner_tol
+    tol = _positive_finite("--tol", args.tol if args.tol is not None else cfg.inner_tol)
     order = args.order if args.order is not None else cfg.quadrature_order
     result = covariant_inner.inner_product(args.n, args.eta1, args.m, args.eta2, order=order)
     print(f"n = {args.n}, eta1 = {_fmt(args.eta1)}, m = {args.m}, eta2 = {_fmt(args.eta2)}")
@@ -266,12 +274,8 @@ def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
     grid = phase_space.GridFunction2D(
         origin=(float(axis[0]), float(axis[0])), spacing=(args.step, args.step), values=values, labels=plane.labels
     )
-    stream, close = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         grid.write_csv(stream)
-    finally:
-        if close:
-            stream.close()
     if args.out != "-":
         print(f"wrote {axis.size * axis.size} rows to {args.out}")
     return 0

@@ -57,10 +57,11 @@ class InnerProduct:
 def inner_product(n: int, eta1, m: int, eta2, order: int = basis.DEFAULT_QUAD_ORDER) -> InnerProduct:
     """Overlap of chi_n(z1')chi_0(t1') with chi_m(z2')chi_0(t2') over (z, t).
 
-    Integrated on a Gauss-Hermite grid in the light-cone-adapted normal
-    coordinates u = (z+t)/sqrt2, v = (z-t)/sqrt2, where the combined
-    Gaussian of the two frames is diagonal with scales
-    (e^{-2 eta1} + e^{-2 eta2})/2 and (e^{2 eta1} + e^{2 eta2})/2.
+    Integrated on `oscillator_basis.light_cone_grid`, the Gauss-Hermite grid
+    in the light-cone-adapted normal coordinates u = (z+t)/sqrt2,
+    v = (z-t)/sqrt2, where the combined Gaussian of the two frames is
+    diagonal with scales a = (e^{-2 eta1} + e^{-2 eta2})/2 and
+    b = (e^{2 eta1} + e^{2 eta2})/2.
     The closed form is cosh(eta1 - eta2)^-(n+1) delta_nm.
     """
     if n != int(n) or m != int(m) or n < 0 or m < 0:
@@ -72,20 +73,15 @@ def inner_product(n: int, eta1, m: int, eta2, order: int = basis.DEFAULT_QUAD_OR
 
     a = 0.5 * (math.exp(-2.0 * eta1) + math.exp(-2.0 * eta2))
     b = 0.5 * (math.exp(2.0 * eta1) + math.exp(2.0 * eta2))
-    rule = basis.quadrature(order)
-    u = rule.nodes[:, None] / math.sqrt(a)
-    v = rule.nodes[None, :] / math.sqrt(b)
-    z = (u + v) / math.sqrt(2.0)
-    t = (u - v) / math.sqrt(2.0)
+    z, t, w2 = basis.light_cone_grid(a, b, order)
 
     def bare(nn: int, eta: float):
         # chi_nn(z') chi_0(t') with both Gaussians stripped: they are
         # accounted for exactly by the a u^2 + b v^2 quadrature weight.
         zp = math.cosh(eta) * z - math.sinh(eta) * t
-        return basis.chi_batch_bare(nn, zp)[nn] * (np.pi**-0.25)
+        return basis.chi_bare(nn, zp) * (np.pi**-0.25)
 
     poly = bare(n, eta1) * bare(m, eta2)
-    w2 = rule.weights[:, None] * rule.weights[None, :]
     value = float(np.sum(w2 * poly) / math.sqrt(a * b))
     closed = (1.0 / abs(math.cosh(eta1 - eta2))) ** (n + 1) if n == m else 0.0
     return InnerProduct(quadrature=value, closed_form=closed)

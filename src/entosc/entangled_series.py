@@ -124,8 +124,9 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
 
     The integrand is polynomial times a correlated Gaussian; rotating to
     normal coordinates u = (x+y)/sqrt2, v = (x-y)/sqrt2 makes the Gaussian
-    diagonal with scales cosh(eta) e^{-+eta}, so a scaled Gauss-Hermite grid
-    integrates it exactly up to the rule's degree.
+    diagonal with scales cosh(eta) e^{-+eta}, so the scaled Gauss-Hermite
+    grid `oscillator_basis.light_cone_grid` integrates it exactly up to the
+    rule's degree; the scales' square-root product is cosh(eta).
     """
     if n != int(n) or n < 0 or k != int(k) or k < 0:
         raise DomainError("n and k must be non-negative integers")
@@ -134,22 +135,12 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
         raise DomainError(f"n + k = {n + k} exceeds the quadrature degree budget of 40")
     eta = as_rapidity(eta)
     c, s = math.cosh(eta), math.sinh(eta)
-    rule = basis.quadrature(order)
     # With u~ = u sqrt(cosh e^-eta), v~ = v sqrt(cosh e^eta) the combined
     # Gaussian (x^2 + y^2 + x'^2 + y'^2)/2 equals u~^2 + v~^2 exactly, so
     # only the bare polynomials remain under the quadrature weights.
-    u = rule.nodes[:, None] / math.sqrt(c * math.exp(-eta))
-    v = rule.nodes[None, :] / math.sqrt(c * math.exp(eta))
-    x = (u + v) / math.sqrt(2.0)
-    y = (u - v) / math.sqrt(2.0)
+    x, y, w2 = basis.light_cone_grid(c * math.exp(-eta), c * math.exp(eta), order)
     xp = c * x - s * y
-    poly = (
-        basis.chi_batch_bare(n + k, x)[n + k]
-        * basis.chi_batch_bare(k, y)[k]
-        * basis.chi_batch_bare(n, xp)[n]
-        * (np.pi**-0.25)
-    )
-    w2 = rule.weights[:, None] * rule.weights[None, :]
+    poly = basis.chi_bare(n + k, x) * basis.chi_bare(k, y) * basis.chi_bare(n, xp) * (np.pi**-0.25)
     return float(np.sum(w2 * poly) / c)
 
 

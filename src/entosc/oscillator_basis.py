@@ -4,15 +4,20 @@ The eigenfunctions in the physicists' convention,
 
     chi_n(x) = [sqrt(pi) 2^n n!]^(-1/2) H_n(x) exp(-x^2/2),
 
-are evaluated with a three-term recurrence carried out on the normalized
+are evaluated with one three-term recurrence carried out on the normalized
 functions themselves, so intermediate values stay O(1) and no factorial
-overflow occurs for any n up to ``N_MAX``.  The "bare" variants drop the
-exp(-x^2/2) factor; they are what Gauss-Hermite quadrature wants, since
-the e^{-x^2} weight is folded into the quadrature weights.
+overflow occurs for any n up to ``N_MAX``.  The recurrence keeps two rows
+live: `chi` and `chi_bare` hold two arrays the size of x whatever n is, and
+`chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
+factor; it is what Gauss-Hermite quadrature wants, since the e^{-x^2}
+weight is folded into the quadrature weights.  `light_cone_grid` is the one
+scaled two-dimensional Gauss-Hermite grid that the Schmidt-coefficient
+oracle and the covariant overlaps integrate on.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +26,8 @@ from .errors import CutoffError, DomainError, NumericsError
 
 N_MAX = 256
 DEFAULT_QUAD_ORDER = 64
+# hermgauss's smallest weights underflow past this order and the rule fails its own check
+QUAD_ORDER_MAX = 370
 
 
 def _check_index(n: int, name: str = "n") -> int:
@@ -31,60 +38,47 @@ def _check_index(n: int, name: str = "n") -> int:
     return int(n)
 
 
-def hermite(n: int, x):
-    """Hermite polynomial H_n(x), physicists' convention.
+def _chi_rows(nmax: int, x, gaussian: bool):
+    """Yield the recurrence's rows 0..nmax at x, seeded with pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4.
 
-    Uses the recurrence H_{n+1} = 2 x H_n - 2 n H_{n-1}.  Accepts scalars
-    or arrays.
+    Only the two rows the update reads are live at a time.
     """
-    n = _check_index(n)
-    x = np.asarray(x, dtype=float)
-    h_prev = np.ones_like(x)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = 2.0 * x
-    for k in range(1, n):
-        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
-    return h if h.ndim else float(h)
-
-
-def _chi_rows(nmax: int, x, gaussian: bool) -> np.ndarray:
-    """The recurrence's rows 0..nmax at x, seeded with pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4."""
     nmax = _check_index(nmax, "nmax")
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((nmax + 1,) + x.shape)
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * x * x) if gaussian else np.pi ** -0.25
-    if nmax >= 1:
-        out[1] = np.sqrt(2.0) * x * out[0]
-    for k in range(1, nmax):
-        out[k + 1] = np.sqrt(2.0 / (k + 1)) * x * out[k] - np.sqrt(k / (k + 1.0)) * out[k - 1]
-    return out
+    cur = np.pi ** -0.25 * np.exp(-0.5 * x * x) if gaussian else np.full(x.shape, np.pi ** -0.25)
+    prev = np.zeros_like(cur)
+    yield cur
+    for k in range(nmax):
+        cur, prev = np.sqrt(2.0 / (k + 1)) * x * cur - np.sqrt(k / (k + 1.0)) * prev, cur
+        yield cur
 
 
 def chi_batch(nmax: int, x) -> np.ndarray:
     """All chi_0..chi_nmax at x, stacked along the leading axis."""
-    return _chi_rows(nmax, x, gaussian=True)
+    rows = _chi_rows(nmax, x, gaussian=True)
+    first = next(rows)
+    out = np.empty((int(nmax) + 1,) + first.shape)
+    out[0] = first
+    for k, row in enumerate(rows, 1):
+        out[k] = row
+    return out
 
 
-def chi_batch_bare(nmax: int, x) -> np.ndarray:
-    """All chi_n / exp(-x^2/2) for n = 0..nmax (Gaussian factor removed)."""
-    return _chi_rows(nmax, x, gaussian=False)
+def _last_row(n: int, x, gaussian: bool):
+    scalar = np.ndim(x) == 0
+    for value in _chi_rows(n, x, gaussian):
+        pass
+    return float(value[0]) if scalar else value
 
 
 def chi(n: int, x):
     """Normalized oscillator eigenfunction chi_n(x)."""
-    n = _check_index(n)
-    scalar = np.ndim(x) == 0
-    value = chi_batch(n, x)[n]
-    return float(value[0]) if scalar else value
+    return _last_row(n, x, gaussian=True)
 
 
 def chi_bare(n: int, x):
     """chi_n(x) with the exp(-x^2/2) factor removed."""
-    n = _check_index(n)
-    scalar = np.ndim(x) == 0
-    value = chi_batch_bare(n, x)[n]
-    return float(value[0]) if scalar else value
+    return _last_row(n, x, gaussian=False)
 
 
 def generating_function(r: float, z: float) -> float:
@@ -100,15 +94,11 @@ class QuadratureRule:
     weights: np.ndarray
     order: int
 
-    def integrate_bare(self, values: np.ndarray) -> float:
-        """Sum weights * values; `values` must already exclude e^{-x^2}."""
-        return float(self.weights @ values)
-
 
 def quadrature(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     """Gauss-Hermite rule, exact for polynomial * e^{-x^2} up to degree 2*order - 1."""
-    if order != int(order) or order < 2:
-        raise DomainError(f"quadrature order must be an integer >= 2, got {order!r}")
+    if not 2 <= order <= QUAD_ORDER_MAX or order != int(order):
+        raise DomainError(f"quadrature order must be an integer in [2, {QUAD_ORDER_MAX}], got {order!r}")
     try:
         nodes, weights = np.polynomial.hermite.hermgauss(int(order))
     except Exception as exc:  # pragma: no cover - numpy solver failure
@@ -116,3 +106,20 @@ def quadrature(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
     if not (np.all(np.diff(nodes) > 0) and np.all(weights > 0)):
         raise NumericsError(f"invalid Gauss-Hermite rule at order {order}")
     return QuadratureRule(nodes=nodes, weights=weights, order=int(order))
+
+
+def light_cone_grid(a: float, b: float, order: int):
+    """Gauss-Hermite grid for exp(-a u^2 - b v^2) in x, y = (u +- v)/sqrt(2).
+
+    Returns x, y of shape (order, order) and the weight products w2, so that
+    sum(w2 * f(x, y)) / sqrt(a b) integrates f exp(-a u^2 - b v^2) over the
+    plane, exactly for polynomial f up to the rule's degree.  This is the
+    light-cone normal frame in which a boost, or the combined Gaussian of a
+    squeezed overlap, is diagonal.
+    """
+    rule = quadrature(order)
+    u = rule.nodes[:, None] / math.sqrt(a)
+    v = rule.nodes[None, :] / math.sqrt(b)
+    x = (u + v) / math.sqrt(2.0)
+    y = (u - v) / math.sqrt(2.0)
+    return x, y, rule.weights[:, None] * rule.weights[None, :]

@@ -215,25 +215,6 @@ def wigner_section(psi: GridFunction2D, x: float, y: float, p: np.ndarray, q: np
     return np.real(w)
 
 
-def wigner_section_fn(
-    psi_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    x: float,
-    y: float,
-    p: np.ndarray,
-    q: np.ndarray,
-    half_width: float = DEFAULT_HALF_WIDTH,
-    spacing: float = DEFAULT_SPACING,
-) -> np.ndarray:
-    """Like wigner_section, but sampling psi_fn on a fresh lattice centred at (x, y).
-
-    Frees the base point from any global sampling lattice, which matters
-    when the outer integration grid is quadrature-chosen.  half_width must
-    reach MIN_COVERAGE.
-    """
-    psi = GridFunction2D.from_function(psi_fn, half_width, spacing, center=(x, y))
-    return wigner_section(psi, x, y, p, q)
-
-
 def wigner_xy(psi: GridFunction2D) -> GridFunction2D:
     """W(x, y; 0, 0) of a real psi at every covered lattice point (x, y), from one FFT convolution.
 

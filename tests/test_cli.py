@@ -153,9 +153,15 @@ class TestThermoCurve:
         assert f1.read_bytes() == f2.read_bytes()
 
     def test_io_error_exits_three(self, capsys):
-        code, _, err = run(capsys, "thermo-curve", "--out", "/nonexistent-dir/x.csv")
-        assert code == 3
-        assert "i/o error" in err
+        # every file writer of the CLI, not only this command's
+        for argv in (
+            ("thermo-curve", "--out", "/nonexistent-dir/x.csv"),
+            ("wigner-grid", "--out", "/nonexistent-dir/x.csv"),
+            ("algebra-check", "--rep", "sp4", "--json", "/nonexistent-dir/x.json"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 3
+            assert "i/o error" in err
 
     def test_bad_range_exits_one(self, capsys):
         code, _, _ = run(capsys, "thermo-curve", "--beta-sq-max", "1.5", "--out", "-")
@@ -206,6 +212,35 @@ class TestInnerProduct:
         assert code == 0
         quad = float(out.split("quadrature = ")[1].split("\n")[0])
         assert abs(quad) < 1e-8
+
+
+    def test_order_past_cap_exits_one(self, tmp_path, capsys):
+        argv = ("inner-product", "--n", "0", "--eta1", "0.5", "--m", "0", "--eta2", "0")
+        cfg = tmp_path / "entosc.cfg"
+        cfg.write_text("quadrature_order = 1000\n")
+        for prefix, suffix in (((), ("--order", "371")), (("--config", str(cfg)), ())):
+            code, out, err = run(capsys, *prefix, *argv, *suffix)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: quadrature order must be an integer in [2, 370]")
+            assert err.count("\n") == 1
+
+
+TOLERANCE_COMMANDS = {
+    "identity-check": ("identity-check", "--eta", "0.5"),
+    "algebra-check": ("algebra-check", "--rep", "sp4"),
+    "inner-product": ("inner-product", "--n", "0", "--eta1", "0.5", "--m", "0", "--eta2", "0"),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("identity-check", "--tol"), ("identity-check", "--series-tol"), ("algebra-check", "--tol"), ("inner-product", "--tol")],
+)
+def test_tolerance_must_be_positive_and_finite(command, flag, value, capsys):
+    code, out, err = run(capsys, *TOLERANCE_COMMANDS[command], flag, value)
+    assert (code, out) == (1, "")
+    assert err == f"error: {flag} must be positive and finite, got {float(value)!r}\n"
 
 
 class TestWignerGrid:
@@ -313,6 +348,22 @@ class TestConfig:
             capsys, "--config", str(cfg), "identity-check", "--eta", "0.5", "--tol", "1e-8"
         )
         assert code == 0
+
+    @pytest.mark.parametrize("line", ["identity_tol = nan", "series_tol = inf", "inner_tol = -1", "algebra_tol = 0"])
+    def test_bad_tolerance_exits_one(self, line, tmp_path, capsys):
+        cfg = tmp_path / "entosc.cfg"
+        cfg.write_text(line + "\n")
+        code, out, err = run(capsys, "--config", str(cfg), "identity-check", "--eta", "0.5")
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {line.split()[0]} must be positive and finite")
+        assert err.count("\n") == 1
+
+    def test_malformed_value_exits_one(self, tmp_path, capsys):
+        cfg = tmp_path / "entosc.cfg"
+        cfg.write_text("quadrature_order = 1e3\n")
+        code, _, err = run(capsys, "--config", str(cfg), "identity-check", "--eta", "0.5")
+        assert code == 1
+        assert err.endswith("quadrature_order = '1e3' is not a valid int\n")
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "entosc.cfg"

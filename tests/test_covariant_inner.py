@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from entosc import DomainError
@@ -12,7 +13,7 @@ from entosc.covariant_inner import (
     inner_product,
 )
 from entosc.entangled_series import squeezed_wavefunction
-from entosc.oscillator_basis import chi
+from entosc.oscillator_basis import chi, chi_bare, quadrature
 
 LN2 = math.log(2.0)
 
@@ -50,6 +51,15 @@ class TestInnerProduct:
         result = inner_product(0, LN2, 0, 0.0)
         assert result.closed_form == pytest.approx(0.8, abs=1e-15)
         assert result.quadrature == pytest.approx(0.8, abs=1e-6)
+        # the shared light-cone grid is the hand-built one, bit for bit
+        a, b, rule = 0.5 * (0.25 + 1.0), 0.5 * (4.0 + 1.0), quadrature(64)
+        u = rule.nodes[:, None] / math.sqrt(a)
+        v = rule.nodes[None, :] / math.sqrt(b)
+        z, t = (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
+        zp = math.cosh(LN2) * z - math.sinh(LN2) * t
+        poly = chi_bare(2, zp) * np.pi**-0.25 * chi_bare(2, z) * np.pi**-0.25
+        w2 = rule.weights[:, None] * rule.weights[None, :]
+        assert inner_product(2, LN2, 2, 0.0).quadrature == float(np.sum(w2 * poly) / math.sqrt(a * b))
 
     def test_orthogonality_across_excitations(self):
         for n in range(5):

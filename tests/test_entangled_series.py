@@ -22,7 +22,7 @@ from entosc.entangled_series import (
     squeezed_wavefunction,
     unnormalized_series_ratio,
 )
-from entosc.oscillator_basis import chi_batch_bare, quadrature
+from entosc.oscillator_basis import chi_bare, quadrature
 
 LN2 = math.log(2.0)
 
@@ -110,6 +110,14 @@ class TestCoefficientQuadrature:
         assert coefficient_by_quadrature(2, 3, 0.9) == pytest.approx(
             coefficient(2, 3, 0.9), abs=1e-8
         )
+        # the shared light-cone grid is the hand-built one, bit for bit
+        c, s, rule = math.cosh(0.9), math.sinh(0.9), quadrature(64)
+        u = rule.nodes[:, None] / math.sqrt(c * math.exp(-0.9))
+        v = rule.nodes[None, :] / math.sqrt(c * math.exp(0.9))
+        x, y = (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
+        poly = chi_bare(5, x) * chi_bare(3, y) * chi_bare(2, c * x - s * y) * np.pi**-0.25
+        w2 = rule.weights[:, None] * rule.weights[None, :]
+        assert coefficient_by_quadrature(2, 3, 0.9) == float(np.sum(w2 * poly) / c)
 
     def test_budget(self):
         with pytest.raises(DomainError):
@@ -255,7 +263,7 @@ class TestUnnormalizedRatio:
         eta, kmax = 0.5, 40
         t = math.tanh(eta)
         rule = quadrature(64)
-        bx = chi_batch_bare(kmax, rule.nodes)
+        bx = np.array([chi_bare(k, rule.nodes) for k in range(kmax + 1)])
         weights_t = t ** np.arange(kmax + 1)
         g_bare = np.einsum("k,ki,kj->ij", weights_t, bx, bx)
         norm_sq = float(rule.weights @ (g_bare * g_bare) @ rule.weights)

@@ -1,6 +1,7 @@
-"""Oscillator eigenfunctions, Hermite recurrences, and quadrature."""
+"""Oscillator eigenfunctions, the Hermite oracle, and quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,32 @@ from hypothesis import given, strategies as st
 from entosc import CutoffError, DomainError
 from entosc.oscillator_basis import (
     N_MAX,
+    QUAD_ORDER_MAX,
+    _check_index,
     chi,
     chi_bare,
     chi_batch,
     generating_function,
-    hermite,
     quadrature,
 )
+
+
+def hermite(n, x):
+    """Independent oracle: H_n(x), physicists' convention, by H_{n+1} = 2 x H_n - 2 n H_{n-1}.
+
+    It takes the library's index contract (CutoffError past N_MAX, DomainError
+    below 0).  Its unnormalised values overflow at large n and |x| (H_256(10)
+    is nan), which is why the library recurs on chi_n itself.
+    """
+    n = _check_index(n)
+    x = np.asarray(x, dtype=float)
+    h_prev = np.ones_like(x)
+    if n == 0:
+        return h_prev if h_prev.ndim else float(h_prev)
+    h = 2.0 * x
+    for k in range(1, n):
+        h, h_prev = 2.0 * x * h - 2.0 * k * h_prev, h
+    return h if h.ndim else float(h)
 
 
 def hermite_explicit(n, x):
@@ -84,6 +104,26 @@ class TestChi:
         assert np.isfinite(chi(200, 1.3))
         assert abs(chi(200, 1.3)) < 1.0
 
+    def test_matches_hermite_oracle(self):
+        xs = np.linspace(-5.0, 5.0, 101)
+        for n in range(61):
+            norm = math.sqrt(math.sqrt(math.pi) * 2**n * math.factorial(n))
+            expected = hermite(n, xs) * np.exp(-xs * xs / 2.0) / norm
+            assert np.abs(chi(n, xs) - expected).max() < 1e-14
+
+    def test_memory_does_not_grow_with_n(self):
+        # the recurrence keeps two rows live, not a table of n + 1 planes
+        axis = np.linspace(-4.0, 4.0, 401)
+        plane = np.add.outer(axis, axis)
+        peaks = []
+        for n in (1, 40):
+            tracemalloc.start()
+            chi(n, plane)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+        assert peaks[1] < 6 * plane.nbytes
+
     def test_bare_matches_weighted(self):
         xs = np.linspace(-4, 4, 9)
         assert np.allclose(chi_bare(5, xs) * np.exp(-xs * xs / 2), chi(5, xs), atol=1e-14)
@@ -144,3 +184,10 @@ class TestQuadrature:
     def test_bad_order(self):
         with pytest.raises(DomainError):
             quadrature(1)
+
+    def test_order_cap(self):
+        # QUAD_ORDER_MAX is the last order whose rule passes its own check
+        assert quadrature(QUAD_ORDER_MAX).order == QUAD_ORDER_MAX
+        for order in (QUAD_ORDER_MAX + 1, 1000, math.inf, math.nan):
+            with pytest.raises(DomainError, match=f"in \\[2, {QUAD_ORDER_MAX}\\]"):
+                quadrature(order)

@@ -24,7 +24,6 @@ from entosc.phase_space import (
     squeezed_state_grid,
     wigner_ground_closed,
     wigner_section,
-    wigner_section_fn,
     wigner_transform,
     wigner_xp,
     wigner_xy,
@@ -294,7 +293,9 @@ def test_wigner_normalization(eta):
     total = 0.0
     for i in range(rule.order):
         for j in range(rule.order):
-            W = wigner_section_fn(psi_fn, float(X[i, j]), float(Y[i, j]), pgrid, pgrid, spacing=0.1)
+            x, y = float(X[i, j]), float(Y[i, j])
+            psi = GridFunction2D.from_function(psi_fn, 6.0, 0.1, center=(x, y))
+            W = wigner_section(psi, x, y, pgrid, pgrid)
             marginal = np.trapezoid(np.trapezoid(W, pgrid, axis=1), pgrid)
             # undo the e^{-u~^2 - v~^2} weight; the u, v scalings cancel
             total += rule.weights[i] * rule.weights[j] * marginal * math.exp(
