@@ -27,17 +27,11 @@ from . import (
     planar_transforms,
     reduced_state,
 )
-from .errors import CutoffError, DomainError, NumericsError
+from .errors import CutoffError, DomainError, NumericsError, budget, finite, integer, positive
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
-
-
-def _positive_finite(name: str, value: float) -> float:
-    if not 0 < value < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return value
 
 
 @dataclass(frozen=True)
@@ -53,9 +47,9 @@ class RunConfig:
     def __post_init__(self):
         for name, kind in _CONFIG_TYPES.items():
             if kind is float:
-                _positive_finite(name, getattr(self, name))
-            elif not getattr(self, name) >= 2:
-                raise DomainError(f"{name} must be at least 2")
+                positive(name, getattr(self, name))
+            else:
+                integer(name, getattr(self, name), low=2)
 
 
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
@@ -108,25 +102,17 @@ def _output(path: str):
 
 
 def _cmd_identity_check(args, cfg: RunConfig) -> int:
-    tol = _positive_finite("--tol", args.tol if args.tol is not None else cfg.identity_tol)
-    series_tol = _positive_finite("--series-tol", args.series_tol if args.series_tol is not None else cfg.series_tol)
-    if not all(map(math.isfinite, (args.xmin, args.xmax, args.spacing))):
-        raise DomainError("--xmin, --xmax and --spacing must be finite")
-    if args.xmax <= args.xmin or args.spacing <= 0:
-        raise DomainError("grid requires xmax > xmin and positive spacing")
+    tol = positive("--tol", args.tol if args.tol is not None else cfg.identity_tol)
+    series_tol = positive("--series-tol", args.series_tol if args.series_tol is not None else cfg.series_tol)
+    n, xmin, xmax = integer("--n", args.n), finite("--xmin", args.xmin), finite("--xmax", args.xmax)
+    if xmax <= xmin:
+        raise DomainError("grid requires xmax > xmin")
     # series_sum's chi tables hold (n + 2K + 2) doubles per axis point, K <= the series bound;
-    # the series, the Gaussian side and the deviation hold about n + 7 doubles per grid point
-    side = (args.xmax - args.xmin) / args.spacing + 1.0
+    # the series, the Gaussian side and the deviation peak at 7 doubles per grid point for any n
+    side = (xmax - xmin) / positive("--spacing", args.spacing) + 1.0
     kmax = min(cfg.series_kmax, oscillator_basis.N_MAX)
-    n = max(args.n, 0)
-    grid_bytes = 8.0 * ((n + 2 * kmax + 2) * side + (n + 7) * side * side)
-    if grid_bytes > dirac_algebra.FOCK_BYTE_BUDGET:
-        raise DomainError(
-            f"a grid of {side:.6g}^2 points needs up to {grid_bytes / 2**30:.3g} GiB "
-            f"(basis tables with K <= {kmax} and {n + 7} arrays over the plane); "
-            f"the budget is {dirac_algebra.FOCK_BYTE_BUDGET // 2**30} GiB"
-        )
-    axis = np.arange(args.xmin, args.xmax + 0.5 * args.spacing, args.spacing)
+    budget(8.0 * ((n + 2 * kmax + 2) * side + 7 * side * side), f"a grid of {side:.6g}^2 points")
+    axis = np.arange(xmin, finite("--xmax + --spacing / 2", xmax + 0.5 * args.spacing), args.spacing)
     X, Y = np.meshgrid(axis, axis, indexing="ij", sparse=True)
     series = entangled_series.series_sum(args.n, args.eta, X, Y, series_tol, kmax=cfg.series_kmax)
     gauss = entangled_series.squeezed_wavefunction(args.n, args.eta, X, Y)
@@ -135,7 +121,7 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
     print(f"grid = [{_fmt(args.xmin)}, {_fmt(args.xmax)}] step {_fmt(args.spacing)} ({axis.size}^2 points)")
     print(f"max_deviation = {_fmt(dev)}")
     print(f"tolerance = {_fmt(tol)}")
-    if dev > tol:
+    if not dev <= tol:  # a nan deviation fails too
         print("FAIL: series does not reproduce the squeezed Gaussian at tolerance")
         return 2
     print("OK")
@@ -143,7 +129,7 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_algebra_check(args, cfg: RunConfig) -> int:
-    tol = _positive_finite("--tol", args.tol if args.tol is not None else cfg.algebra_tol)
+    tol = positive("--tol", args.tol if args.tol is not None else cfg.algebra_tol)
     cutoff = None
     if args.rep == "fock":
         cutoff = args.cutoff if args.cutoff is not None else cfg.fock_cutoff
@@ -160,7 +146,7 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
             print(f"  [{p.left},{p.right}] -> {p.expected}: deviation {_fmt(p.deviation)}")
     print(f"max_deviation = {_fmt(report.max_deviation)}")
     print(f"tolerance = {_fmt(tol)}")
-    if report.max_deviation > tol:
+    if not report.max_deviation <= tol:
         print("FAIL: commutator table not satisfied at tolerance")
         return 2
     print("OK")
@@ -168,9 +154,8 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
-    if args.steps < 2:
-        raise DomainError("--steps must be at least 2")
-    grid = np.linspace(args.beta_sq_min, args.beta_sq_max, args.steps)
+    steps = integer("--steps", args.steps, low=2, high=THERMO_CURVE_MAX_STEPS)
+    grid = np.linspace(finite("--beta-sq-min", args.beta_sq_min), finite("--beta-sq-max", args.beta_sq_max), steps)
     points = reduced_state.thermo_curve(grid)
     with _output(args.out) as stream:
         reduced_state.write_thermo_csv(points, stream)
@@ -180,22 +165,21 @@ def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
 
 
 def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
-    alpha = args.alpha
-    if alpha <= 0:
-        raise DomainError("--alpha must be positive")
+    alpha, lam = positive("--alpha", args.alpha), finite("--lam", args.lam)
+    # the two factorizations that check their domains go first, so a refused input computes nothing
+    theta_rs, eta_rs = planar_transforms.shear_as_rotated_squeeze(alpha)
+    sr = planar_transforms.wigner_decompose(alpha, lam)
     theta_prime, eta_b = planar_transforms.bargmann_decompose(alpha)
     recon = planar_transforms.bargmann_reconstruct(theta_prime, eta_b)
     target = planar_transforms.shear(alpha)
-    theta_rs, eta_rs = planar_transforms.shear_as_rotated_squeeze(alpha)
     form_dev = float(
         np.abs(
             planar_transforms.rotated_squeeze_form(theta_rs, eta_rs)
             - planar_transforms.sheared_gaussian_form(alpha)
         ).max()
     )
-    sr = planar_transforms.wigner_decompose(alpha, args.lam)
-    omega = math.asin(2.0 * alpha * math.exp(-args.lam))
-    bound = 2.0 * alpha * math.exp(-2.0 * args.lam) + (1.0 - math.cos(omega))
+    omega = math.asin(min(2.0 * alpha * math.exp(-lam), 1.0))
+    bound = 2.0 * alpha * math.exp(-2.0 * lam) + (1.0 - math.cos(omega))
     payload = {
         "alpha": alpha,
         "bargmann": {
@@ -211,7 +195,7 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
             "form_residual": form_dev,
         },
         "squeezed_rotation": {
-            "lambda": args.lam,
+            "lambda": lam,
             "omega": omega,
             "matrix": sr.tolist(),
             "residual_vs_shear": float(np.abs(sr - target).max()),
@@ -223,14 +207,14 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
 
 
 def _cmd_inner_product(args, cfg: RunConfig) -> int:
-    tol = _positive_finite("--tol", args.tol if args.tol is not None else cfg.inner_tol)
+    tol = positive("--tol", args.tol if args.tol is not None else cfg.inner_tol)
     order = args.order if args.order is not None else cfg.quadrature_order
     result = covariant_inner.inner_product(args.n, args.eta1, args.m, args.eta2, order=order)
     print(f"n = {args.n}, eta1 = {_fmt(args.eta1)}, m = {args.m}, eta2 = {_fmt(args.eta2)}")
     print(f"quadrature = {_fmt(result.quadrature)}")
     print(f"closed_form = {_fmt(result.closed_form)}")
     print(f"deviation = {_fmt(result.deviation)}")
-    if result.deviation > tol:
+    if not result.deviation <= tol:
         print("FAIL: quadrature and closed form disagree at tolerance")
         return 2
     print("OK")
@@ -240,6 +224,8 @@ def _cmd_inner_product(args, cfg: RunConfig) -> int:
 # Points per axis of the lattice wigner-grid samples; at the cap the lattice
 # is 34 MB and the xy plane's FFT work arrays take a few times that.
 WIGNER_GRID_MAX_SIDE = 2049
+# Rows of thermo-curve; at the cap a run takes about 4.4 s and 244 MB end to end.
+THERMO_CURVE_MAX_STEPS = 10**6
 
 
 def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
@@ -249,22 +235,21 @@ def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
         eta = args.eta
     else:
         eta = 0.0
-    if not (0 < args.step < math.inf and 0 < args.half_width < math.inf):
-        raise DomainError("--step and --half-width must be positive and finite")
+    step, half_width = positive("--step", args.step), positive("--half-width", args.half_width)
     base_spacing = phase_space.DEFAULT_SPACING
-    ratio = args.step / base_spacing
+    ratio = step / base_spacing
     if not (math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
         raise DomainError(f"--step must be a positive multiple of the sampling spacing {base_spacing}")
-    psi_halfwidth = args.half_width + phase_space.DEFAULT_HALF_WIDTH
+    psi_halfwidth = half_width + phase_space.DEFAULT_HALF_WIDTH
     steps = psi_halfwidth / base_spacing
     if 2 * steps + 1 > WIGNER_GRID_MAX_SIDE:
         raise DomainError(
-            f"--half-width {args.half_width} samples {2 * steps + 1:.0f} points per axis; "
+            f"--half-width {half_width} samples {2 * steps + 1:.0f} points per axis; "
             f"the cap is {WIGNER_GRID_MAX_SIDE}"
         )
     psi = phase_space.squeezed_state_grid(eta, half_width=psi_halfwidth)
-    n = int(round(args.half_width / args.step))
-    axis = args.step * np.arange(-n, n + 1)
+    n = int(round(half_width / step))
+    axis = step * np.arange(-n, n + 1)
     if args.plane == "xy":
         plane = phase_space.wigner_xy(psi)
         values = plane.values[np.ix_(plane.indices(0, axis), plane.indices(1, axis))]
@@ -272,7 +257,7 @@ def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
         plane = phase_space.wigner_xp(psi, 0.0, axis)
         values = plane.values[plane.indices(0, axis)]
     grid = phase_space.GridFunction2D(
-        origin=(float(axis[0]), float(axis[0])), spacing=(args.step, args.step), values=values, labels=plane.labels
+        origin=(float(axis[0]), float(axis[0])), spacing=(step, step), values=values, labels=plane.labels
     )
     with _output(args.out) as stream:
         grid.write_csv(stream)

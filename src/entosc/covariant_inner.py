@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oscillator_basis as basis
-from .entangled_series import as_rapidity, squeezed_wavefunction
-from .errors import DomainError
+from .entangled_series import squeezed_wavefunction
+from .errors import DomainError, integer, rapidity
 
 _INDEX_BUDGET = 12  # quadrature degree budget for the overlap integrals
 
@@ -33,8 +33,7 @@ class CovariantState:
     eta: float
 
     def __post_init__(self):
-        if self.n != int(self.n) or self.n < 0:
-            raise DomainError("excitation number must be a non-negative integer")
+        integer("excitation number", self.n)
 
 
 def boosted_wavefunction(state: CovariantState, z, t):
@@ -64,12 +63,8 @@ def inner_product(n: int, eta1, m: int, eta2, order: int = basis.DEFAULT_QUAD_OR
     b = (e^{2 eta1} + e^{2 eta2})/2.
     The closed form is cosh(eta1 - eta2)^-(n+1) delta_nm.
     """
-    if n != int(n) or m != int(m) or n < 0 or m < 0:
-        raise DomainError("n and m must be non-negative integers")
-    n, m = int(n), int(m)
-    if max(n, m) > _INDEX_BUDGET:
-        raise DomainError(f"n, m <= {_INDEX_BUDGET} supported by the quadrature budget")
-    eta1, eta2 = as_rapidity(eta1), as_rapidity(eta2)
+    n, m = integer("n", n, high=_INDEX_BUDGET), integer("m", m, high=_INDEX_BUDGET)
+    eta1, eta2 = rapidity(eta1), rapidity(eta2)
 
     a = 0.5 * (math.exp(-2.0 * eta1) + math.exp(-2.0 * eta2))
     b = 0.5 * (math.exp(2.0 * eta1) + math.exp(2.0 * eta2))
@@ -89,8 +84,7 @@ def inner_product(n: int, eta1, m: int, eta2, order: int = basis.DEFAULT_QUAD_OR
 
 def contraction_factor(n: int, beta: float) -> float:
     """Net overlap decay (sqrt(1 - beta^2))^(n+1) between rest and moving frames."""
-    if n != int(n) or n < 0:
-        raise DomainError("n must be a non-negative integer")
+    n = integer("n", n)
     if not -1.0 < beta < 1.0:
         raise DomainError(f"|beta| must be below 1, got {beta}")
-    return math.sqrt(1.0 - beta * beta) ** (int(n) + 1)
+    return math.sqrt(1.0 - beta * beta) ** (n + 1)

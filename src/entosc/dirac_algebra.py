@@ -35,12 +35,11 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, DomainError
+from .errors import BYTE_BUDGET, CutoffError, DomainError, integer
 
 LABELS = ("L1", "L2", "L3", "S3", "K1", "K2", "K3", "Q1", "Q2", "Q3")
 
@@ -231,22 +230,21 @@ class _Banded:
         return out
 
 
-# A Fock cutoff whose arrays would pass FOCK_BYTE_BUDGET fails fast with
-# CutoffError instead of exhausting memory.  The banded check peaks at about
-# 1 kB per basis state, of which there are (cutoff + 1)^2 (measured peak RSS
-# 71 MB at cutoff 200, 190 MB at 400, 392 MB at 600, taking 3.8 s); one dense
-# matrix takes 16 (cutoff + 1)^4 bytes, and fock_generators returns ten.
-FOCK_BYTE_BUDGET = 4 * 2**30
-FOCK_CUTOFF_MAX = math.isqrt(FOCK_BYTE_BUDGET // 1000) - 1  # 2071
-DENSE_FOCK_CUTOFF_MAX = math.isqrt(math.isqrt(FOCK_BYTE_BUDGET // 16)) - 1  # 127
+# A Fock cutoff whose arrays would pass the package's byte budget
+# (errors.BYTE_BUDGET) fails fast with CutoffError instead of exhausting memory.
+# The banded check peaks at about 1 kB per basis state, of which there are
+# (cutoff + 1)^2 (measured peak RSS 71 MB at cutoff 200, 190 MB at 400, 392 MB
+# at 600, taking 3.8 s); one dense matrix takes 16 (cutoff + 1)^4 bytes, and
+# fock_generators returns ten.
+FOCK_CUTOFF_MAX = math.isqrt(BYTE_BUDGET // 1000) - 1  # 2071
+DENSE_FOCK_CUTOFF_MAX = math.isqrt(math.isqrt(BYTE_BUDGET // 16)) - 1  # 127
 
 
 def _check_cutoff(cutoff, cap: int) -> int:
-    if not (isinstance(cutoff, numbers.Real) and cutoff % 1 == 0 and cutoff >= 2):
-        raise DomainError(f"fock cutoff must be an integer >= 2, got {cutoff!r}")
+    cutoff = integer("fock cutoff", cutoff, low=2)
     if cutoff > cap:
-        raise CutoffError(f"fock cutoff {cutoff} is above the cap of {cap} (a {FOCK_BYTE_BUDGET // 2**30} GiB budget)")
-    return int(cutoff)
+        raise CutoffError(f"fock cutoff {cutoff} is above the cap of {cap} (a {BYTE_BUDGET // 2**30} GiB budget)")
+    return cutoff
 
 
 def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:

@@ -14,47 +14,25 @@ by two-dimensional Gauss-Hermite quadrature, and sums the series with a
 certified tail bound so partial sums can be compared pointwise against
 the squeezed Gaussian itself.  Sums over the probabilities A_k(n)^2, here and
 in `reduced_state`, fix their term count first and raise CutoffError past
-TERM_CAP.
+TERM_CAP.  Arguments go through the package's one contract in `errors`
+(`integer`, `positive`, `rapidity` with |eta| <= ETA_MAX, `budget`) before
+any work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import oscillator_basis as basis
-from .errors import CutoffError, DomainError
+from .errors import CutoffError, DomainError, budget, integer, positive, rapidity
 
 # sup_x |chi_j(x)| <= pi^(-1/4), so any product of two factors is below this.
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
 
-_ETA_MAX = 25.0  # beyond this tanh(eta) == 1 at double precision
-
 TERM_CAP = 2**23  # (n + 1)(K + 1) terms, ~30 B each at the peak; n = 0 at tanh^2 eta = 0.99999 fits
-
-
-@dataclass(frozen=True)
-class SqueezeParam:
-    """Squeeze rapidity with its hyperbolic functions cached."""
-
-    eta: float
-    tanh: float = field(init=False)
-    cosh: float = field(init=False)
-
-    def __post_init__(self):
-        if not math.isfinite(self.eta) or abs(self.eta) > _ETA_MAX:
-            raise DomainError(f"rapidity must be finite with |eta| <= {_ETA_MAX}, got {self.eta!r}")
-        object.__setattr__(self, "tanh", math.tanh(self.eta))
-        object.__setattr__(self, "cosh", math.cosh(self.eta))
-
-
-def as_rapidity(eta) -> float:
-    """Accept a float or a SqueezeParam and return the validated rapidity."""
-    if isinstance(eta, SqueezeParam):
-        return eta.eta
-    return SqueezeParam(float(eta)).eta
 
 
 def _log_cosh(eta: float) -> float:
@@ -88,7 +66,7 @@ class SchmidtSeries:
 
 def squeezed_wavefunction(n: int, eta, x, y):
     """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta."""
-    eta = as_rapidity(eta)
+    eta = rapidity(eta)
     c, s = math.cosh(eta), math.sinh(eta)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -104,10 +82,7 @@ def coefficient(n: int, k: int, eta) -> float:
     Log-domain for large indices, exact binomials below 20!; a negative
     rapidity enters through A_k(n, -eta) = (-1)^k A_k(n, eta).
     """
-    if n != int(n) or n < 0 or k != int(k) or k < 0:
-        raise DomainError("n and k must be non-negative integers")
-    n, k = int(n), int(k)
-    eta = as_rapidity(eta)
+    n, k, eta = integer("n", n), integer("k", k), rapidity(eta)
     sign = (-1.0) ** k if eta < 0 else 1.0
     eta = abs(eta)
     if eta == 0.0:
@@ -128,12 +103,8 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
     grid `oscillator_basis.light_cone_grid` integrates it exactly up to the
     rule's degree; the scales' square-root product is cosh(eta).
     """
-    if n != int(n) or n < 0 or k != int(k) or k < 0:
-        raise DomainError("n and k must be non-negative integers")
-    n, k = int(n), int(k)
-    if n + k > 40:
-        raise DomainError(f"n + k = {n + k} exceeds the quadrature degree budget of 40")
-    eta = as_rapidity(eta)
+    n, k, eta = integer("n", n), integer("k", k), rapidity(eta)
+    integer("n + k", n + k, high=40)  # the quadrature degree budget
     c, s = math.cosh(eta), math.sinh(eta)
     # With u~ = u sqrt(cosh e^-eta), v~ = v sqrt(cosh e^eta) the combined
     # Gaussian (x^2 + y^2 + x'^2 + y'^2)/2 equals u~^2 + v~^2 exactly, so
@@ -155,13 +126,8 @@ def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> 
     before any coefficient is built when n + K0 already passes the basis
     bound, tanh|eta| rounding to one included.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if n != int(n) or n < 0:
-        raise DomainError("n must be a non-negative integer")
-    n = int(n)
-    bound = basis.N_MAX if kmax is None else min(int(kmax), basis.N_MAX)
-    eta = as_rapidity(eta)
+    tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
+    bound = basis.N_MAX if kmax is None else min(integer("kmax", kmax), basis.N_MAX)
     t = math.tanh(abs(eta))
     if t == 0.0:
         return SchmidtSeries(n=n, eta=eta, coeffs=np.array([1.0]), cutoff=0, tail_bound=0.0)
@@ -203,9 +169,9 @@ def series_sum(n: int, eta, x, y, tol: float = 1e-10, kmax: int | None = None):
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     ser = schmidt_series(n, eta, tol, kmax)
-    cx = basis.chi_batch(int(n) + ser.cutoff, x)
+    cx = basis.chi_batch(ser.n + ser.cutoff, x)
     cy = basis.chi_batch(ser.cutoff, y)
-    total = np.einsum("k,k...,k...->...", ser.coeffs, cx[int(n) :], cy)
+    total = np.einsum("k,k...,k...->...", ser.coeffs, cx[ser.n :], cy)
     return float(total.ravel()[0]) if scalar else total
 
 
@@ -236,9 +202,7 @@ def _prob_cutoff(n: int, eta: float, tol: float) -> int:
 
 def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(log binom(n + k, k), log A_k(n)^2) for k = 0..K, K from _prob_cutoff (0 at eta = 0)."""
-    if n != int(n) or n < 0:
-        raise DomainError("n must be a non-negative integer")
-    n = int(n)
+    n = integer("n", n)
     if eta == 0.0:
         return np.zeros(1), np.zeros(1)
     log_p = np.arange(_prob_cutoff(n, eta, tol) + 1, dtype=float)  # k, made log p_k in place
@@ -251,7 +215,7 @@ def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
 
 def normalization_check(n: int, eta) -> float:
     """sum_k A_k(n)^2 up to a tail below 1e-18 (contract: equals 1); CutoffError past TERM_CAP."""
-    return float(np.sum(np.exp(_log_terms(n, abs(as_rapidity(eta)), 1e-18)[1])))
+    return float(np.sum(np.exp(_log_terms(n, abs(rapidity(eta)), 1e-18)[1])))
 
 
 def unnormalized_series_ratio(eta) -> float:
@@ -265,7 +229,7 @@ def unnormalized_series_ratio(eta) -> float:
     which raises CutoffError before summing once K passes TERM_CAP
     (|eta| >~ 6.7, tanh|eta| rounding to one included).
     """
-    eta = abs(as_rapidity(eta))
+    eta = abs(rapidity(eta))
     if eta == 0.0:
         return 1.0
     q = math.tanh(eta) ** 2
@@ -298,14 +262,14 @@ def eigenvalue_residual(
     """
     if stencil_order not in (2, 4):
         raise DomainError("stencil_order must be 2 or 4")
-    eta = as_rapidity(eta)
-    npts = int(round(2.0 * half_width / spacing)) + 1
-    if npts < 2 * stencil_order + 1:
-        raise DomainError("grid too small for the requested stencil")
+    n, m, eta = integer("n", n), integer("m", m), rapidity(eta)
+    steps = 2.0 * positive("half_width", half_width) / positive("spacing", spacing)
+    budget(8.0 * 8 * (steps + 1.0) * (steps + 1.0), f"a residual grid of {steps + 1.0:.6g}^2 points")  # peak: 8 planes
+    npts = integer("points per axis", round(steps) + 1, low=2 * stencil_order + 1)
     axis = -half_width + spacing * np.arange(npts)
     X, Y = np.meshgrid(axis, axis, indexing="ij")
     c, s = math.cosh(eta), math.sinh(eta)
-    psi = basis.chi(int(n), c * X - s * Y) * basis.chi(int(m), c * Y - s * X)
+    psi = basis.chi(n, c * X - s * Y) * basis.chi(m, c * Y - s * X)
 
     h2 = spacing * spacing
     if stencil_order == 2:
@@ -334,9 +298,9 @@ def eigenvalue_residual(
         Xi, Yi = X[2:-2, 2:-2], Y[2:-2, 2:-2]
 
     applied = 0.5 * ((Xi * Xi * inner - dxx) - (Yi * Yi * inner - dyy))
-    residual = float(np.abs(applied - (int(n) - int(m)) * inner).max())
+    residual = float(np.abs(applied - (n - m) * inner).max())
     warn = None
     scale = math.exp(abs(eta))
     if spacing * scale > 0.05:
         warn = f"spacing {spacing} may be too coarse for squeeze scale e^|eta| = {scale:.3f}"
-    return EigenvalueResidual(value=residual, eigenvalue=int(n) - int(m), spacing=spacing, warning=warn)
+    return EigenvalueResidual(value=residual, eigenvalue=n - m, spacing=spacing, warning=warn)

@@ -41,8 +41,8 @@ from typing import Callable, Sequence, TextIO
 import numpy as np
 
 from . import dirac_algebra, oscillator_basis as basis
-from .entangled_series import as_rapidity, squeezed_wavefunction
-from .errors import DomainError, NumericsError
+from .entangled_series import squeezed_wavefunction
+from .errors import DomainError, NumericsError, budget, positive, rapidity
 
 DEFAULT_HALF_WIDTH = 6.0
 DEFAULT_SPACING = 0.05
@@ -76,8 +76,8 @@ class GridFunction2D:
     labels: tuple[str, str] = ("x", "y")
 
     def __post_init__(self):
-        if self.spacing[0] <= 0 or self.spacing[1] <= 0:
-            raise DomainError("grid spacing must be positive")
+        for h in self.spacing:
+            positive("grid spacing", h)
         if not np.all(np.isfinite(self.values)):
             raise DomainError("grid values must be finite")
 
@@ -90,9 +90,10 @@ class GridFunction2D:
         center: tuple[float, float] = (0.0, 0.0),
         labels: tuple[str, str] = ("x", "y"),
     ) -> "GridFunction2D":
-        if not (spacing > 0 and 0 <= half_width / spacing < math.inf):
-            raise DomainError(f"need spacing > 0 and a finite half-width / spacing >= 0, got {spacing}, {half_width}")
-        n = round(half_width / spacing)
+        steps = positive("half_width", half_width) / positive("spacing", spacing)
+        # the package's states peak at 8 planes of the grid (tracemalloc), the mesh included
+        budget(8.0 * 8 * (2 * steps + 1) * (2 * steps + 1), f"a grid of {2 * steps + 1:.6g}^2 points")
+        n = round(steps)
         ax0 = center[0] + spacing * np.arange(-n, n + 1)
         ax1 = center[1] + spacing * np.arange(-n, n + 1)
         X, Y = np.meshgrid(ax0, ax1, indexing="ij")
@@ -311,7 +312,7 @@ def ground_state_grid(half_width: float = DEFAULT_HALF_WIDTH, spacing: float = D
 def squeezed_state_grid(
     eta, half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING, n: int = 0
 ) -> GridFunction2D:
-    eta = as_rapidity(eta)
+    eta = rapidity(eta)
     return GridFunction2D.from_function(
         lambda X, Y: squeezed_wavefunction(n, eta, X, Y), half_width, spacing
     )
@@ -339,7 +340,7 @@ def cross_squeezed_state_grid(
     No real wave function produces the position-momentum cross terms this
     flow creates.
     """
-    s = 0.5 * as_rapidity(eta)
+    s = 0.5 * rapidity(eta)
     t = math.tanh(s)
     kmax = 8
     while abs(t) > 0 and abs(t) ** kmax > 1e-16:

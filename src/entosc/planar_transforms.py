@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, finite, positive
 
 # 2x2 generators: exp(-i eta K) is the symmetric squeeze, exp(-i theta J)
 # the rotation, and S = K - J is nilpotent (S @ S = 0), so exp(-i alpha S)
@@ -25,6 +25,8 @@ from .errors import DomainError
 ROTATION_GEN = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 BOOST_GEN = np.array([[0.0, 1.0j], [1.0j, 0.0]])
 SHEAR_GEN = BOOST_GEN - ROTATION_GEN
+
+_EXP_ARG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows past this argument
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -61,7 +63,7 @@ def bargmann_decompose(alpha: float) -> tuple[float, float]:
         rotation(theta_prime) @ [[cosh eta, sinh eta], [sinh eta, cosh eta]]
             @ rotation(theta_prime) == shear(alpha).
     """
-    if alpha < 0:
+    if finite("alpha", alpha) < 0:
         raise DomainError("bargmann_decompose expects alpha >= 0; conjugate by rotation(pi/2) for alpha < 0")
     eta = float(np.arcsinh(alpha))
     theta = 0.5 * float(np.arccos(np.tanh(eta)))
@@ -81,12 +83,14 @@ def wigner_decompose(alpha: float, lam: float) -> np.ndarray:
 
     w = asin(2 alpha e^{-lam}) must exist; as lam -> inf the matrix tends
     to shear(alpha) through a singular limit, the lower-left entry dying
-    like e^{-2 lam}.
+    like e^{-2 lam}.  The domain, ln|2 alpha| <= lam and a finite e^{-2 lam},
+    is decided on logs, so no exponential is formed outside it.
     """
+    alpha, lam = finite("alpha", alpha), finite("lam", lam)
+    if (alpha and np.log(2.0 * abs(alpha)) > lam) or -2.0 * lam > _EXP_ARG_MAX:
+        raise DomainError(f"alpha = {alpha!r}, lam = {lam!r}: need ln|2 alpha| <= lam, lam >= {-_EXP_ARG_MAX / 2:.6g}")
     s = 2.0 * alpha * np.exp(-lam)
-    if abs(s) > 1.0:
-        raise DomainError(f"2*alpha*exp(-lam) = {s} is outside [-1, 1]; no real rotation angle")
-    omega = np.arcsin(s)
+    omega = np.arcsin(np.clip(s, -1.0, 1.0))  # on the edge lam = ln|2 alpha| s can round a few ulp past 1
     return np.array([[np.cos(omega), 2.0 * alpha], [-2.0 * alpha * np.exp(-2.0 * lam), np.cos(omega)]])
 
 
@@ -96,8 +100,9 @@ def shear_as_rotated_squeeze(alpha: float) -> tuple[float, float]:
     tan(2 theta) = 1/alpha and e^{2 eta} = 1 + 2 alpha^2 + 2 alpha sqrt(alpha^2 + 1);
     then rotated_squeeze_form(theta, eta) == sheared_gaussian_form(alpha).
     """
-    if alpha <= 0:
-        raise DomainError("alpha must be positive; use the mirror symmetry for alpha < 0")
+    alpha = positive("alpha", alpha)
+    # the sheared form's largest entry; e^{2 eta} overflows with it
+    finite(f"1 + 4 alpha^2 at alpha = {alpha!r}", 1.0 + 4.0 * alpha * alpha)
     theta = 0.5 * float(np.arctan2(1.0, alpha))
     eta = 0.5 * float(np.log(1.0 + 2.0 * alpha * alpha + 2.0 * alpha * np.sqrt(alpha * alpha + 1.0)))
     return theta, eta

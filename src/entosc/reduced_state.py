@@ -24,8 +24,8 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .entangled_series import _log_cosh, _log_tanh, _log_terms, as_rapidity
-from .errors import DomainError
+from .entangled_series import _log_cosh, _log_tanh, _log_terms
+from .errors import DomainError, finite, positive, rapidity
 
 
 @dataclass(frozen=True)
@@ -48,10 +48,8 @@ class ThermoPoint:
 
 def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
     """Probabilities p_k with sum within tol of one."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    eta = abs(as_rapidity(eta))
-    probs = np.exp(_log_terms(n, eta, tol)[1])
+    eta = abs(rapidity(eta))
+    probs = np.exp(_log_terms(n, eta, positive("tol", tol))[1])
     n, kmax = int(n), probs.size - 1
     rho = math.tanh(eta) ** 2 * (n + kmax + 1.0) / (kmax + 1.0)
     return ReducedDensity(n=n, eta=eta, probs=probs, cutoff=kmax, tail_bound=float(probs[-1] * rho / (1.0 - rho)))
@@ -64,7 +62,7 @@ def purity(n: int, eta) -> float:
 
 def entropy(n: int, eta) -> float:
     """Von Neumann entropy -sum p_k ln p_k in nats (0 ln 0 = 0), from the probabilities."""
-    eta = abs(as_rapidity(eta))
+    eta = abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
     log_p = _log_terms(n, eta, 1e-20)[1]
@@ -78,7 +76,7 @@ def entropy_closed_form(n: int, eta) -> float:
     lead term is 2(n+1) [cosh^2 ln cosh - sinh^2 ln sinh] without its
     cancellation, and the sum vanishes for n = 0, so that case costs O(1).
     """
-    eta = abs(as_rapidity(eta))
+    eta = abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
     lead = 2.0 * (n + 1) * (_log_cosh(eta) - math.sinh(eta) ** 2 * _log_tanh(eta))
@@ -90,7 +88,7 @@ def entropy_closed_form(n: int, eta) -> float:
 
 def position_density(eta, x, r):
     """Reduced coordinate-space density matrix rho(x, r) for n = 0."""
-    eta = as_rapidity(eta)
+    eta = rapidity(eta)
     c2 = math.cosh(2.0 * eta)
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
@@ -102,12 +100,12 @@ def position_density(eta, x, r):
 
 def width(eta) -> float:
     """Spread sqrt(cosh 2 eta) of the diagonal density rho(x, x)."""
-    return math.sqrt(math.cosh(2.0 * as_rapidity(eta)))
+    return math.sqrt(math.cosh(2.0 * rapidity(eta)))
 
 
 def temperature(eta) -> float:
     """Entanglement temperature T = -1 / ln(tanh^2 eta), extended by 0 at eta = 0."""
-    eta = abs(as_rapidity(eta))
+    eta = abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
     return -1.0 / math.log(math.tanh(eta) ** 2)
@@ -115,7 +113,7 @@ def temperature(eta) -> float:
 
 def eta_for_temperature(T: float) -> float:
     """Inverse of temperature: eta = atanh(e^{-1/(2T)})."""
-    if T < 0:
+    if finite("temperature", T) < 0:
         raise DomainError("temperature must be non-negative")
     if T == 0.0:
         return 0.0

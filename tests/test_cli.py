@@ -1,19 +1,23 @@
 """Exit-code contract, CSV/JSON formats, and config handling of the CLI."""
 
+import contextlib
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import entosc
-from entosc import entangled_series, phase_space
-from entosc.cli import main
+from entosc import entangled_series, errors, phase_space
+from entosc.cli import THERMO_CURVE_MAX_STEPS, main
 from entosc.reduced_state import ThermoPoint, entropy, temperature, write_thermo_csv
 
 
@@ -95,6 +99,19 @@ class TestIdentityCheck:
         with pytest.raises(Reached):
             main(["identity-check", "--eta", "0.5", "--spacing", "0.005"])
 
+    def test_budget_does_not_grow_with_n(self, monkeypatch):
+        # 7001^2 points at n = 5 fit in 7 doubles per point; n + 7 = 12 did not
+        class Reached(Exception):
+            pass
+
+        def reached(n, eta, x, y, *args, **kwargs):
+            assert n == 5 and x.shape == (7001, 1) and y.shape == (1, 7001)
+            raise Reached
+
+        monkeypatch.setattr(entangled_series, "series_sum", reached)
+        with pytest.raises(Reached):
+            main(["identity-check", "--n", "5", "--eta", "0.5", "--xmin=-3.5", "--xmax", "3.5", "--spacing", "0.001"])
+
 
 class TestAlgebraCheck:
     @pytest.mark.parametrize("rep", ["matrix5", "sp4"])
@@ -167,6 +184,12 @@ class TestThermoCurve:
         code, _, _ = run(capsys, "thermo-curve", "--beta-sq-max", "1.5", "--out", "-")
         assert code == 1
 
+    @pytest.mark.parametrize("steps", [THERMO_CURVE_MAX_STEPS + 1, 2_000_000_000])
+    def test_step_cap_exits_one(self, steps, capsys):
+        code, out, err = run(capsys, "thermo-curve", "--steps", str(steps), "--out", "-")
+        assert (code, out) == (1, "")
+        assert err == f"error: --steps must be an integer in [2, {THERMO_CURVE_MAX_STEPS}], got {steps}\n"
+
 
 class TestDecomposeShear:
     def test_unit_shear_report(self, capsys):
@@ -194,6 +217,39 @@ class TestDecomposeShear:
     def test_nonpositive_alpha_exits_one(self, capsys):
         code, _, _ = run(capsys, "decompose-shear", "--alpha", "-1")
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--alpha", "nan"),
+            ("--alpha", "inf"),
+            ("--alpha", "1", "--lam", "nan"),
+            ("--alpha", "1", "--lam", "inf"),
+            ("--alpha", "1e154", "--lam", "400"),
+            ("--alpha", "1", "--lam", "-800"),
+            ("--alpha", "1e-310", "--lam", "-700"),
+        ],
+    )
+    def test_inputs_without_finite_output_exit_one(self, flags, capsys):
+        code, out, err = run(capsys, "decompose-shear", *flags)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            # the largest alpha whose 1 + 4 alpha^2 is finite
+            ("--alpha", "6.703903964971298e153", "--lam", "400"),
+            # lam = ln(2 alpha) rounded, where 2 alpha e^-lam rounds to one ulp above 1
+            ("--alpha", "13.445080768798997", "--lam", "3.291760477611111"),
+            ("--alpha", "1e-300", "--lam", "1e300"),
+        ],
+    )
+    def test_domain_edges_print_finite_json(self, flags, capsys):
+        code, out, err = run(capsys, "decompose-shear", *flags)
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=pytest.fail)
+        assert payload["squeezed_rotation"]["residual_vs_shear"] <= payload["squeezed_rotation"]["residual_bound"]
 
 
 class TestInnerProduct:
@@ -371,6 +427,103 @@ class TestConfig:
         code, _, err = run(capsys, "--config", str(cfg), "identity-check", "--eta", "0.5")
         assert code == 1
         assert "unknown config key" in err
+
+
+# Each example sets up to three numeric flags to one of these edge values (None
+# leaves the flag out; non-integers given to integer flags are usage errors) and
+# the rest to their ordinary values.
+FLOAT_EDGES = ("0", "-1.5", "1e-300", "1e300", "nan", "inf", "-inf", None)
+INT_EDGES = FLOAT_EDGES + (str(2**31),)
+# the patched budget does not move the Fock caps, so only cutoffs they refuse, or <= 30
+CUTOFF_EDGES = ("0", "-1", "1e-300", "1e300", "nan", "inf", str(2**31), None)
+
+# command -> (choice flags, {numeric flag: (ordinary value, edge values)})
+PROPERTY_COMMANDS = {
+    "identity-check": (
+        {},
+        {
+            "--n": ("2", INT_EDGES),
+            "--eta": ("0.5", FLOAT_EDGES),
+            "--xmin": ("-4", FLOAT_EDGES),
+            "--xmax": ("4", FLOAT_EDGES),
+            "--spacing": ("0.25", FLOAT_EDGES),
+            "--tol": ("1e-8", FLOAT_EDGES),
+            "--series-tol": ("1e-10", FLOAT_EDGES),
+        },
+    ),
+    "algebra-check": (
+        {"--rep": ("fock", "matrix5", "sp4")},
+        {"--tol": ("1e-10", FLOAT_EDGES), "--cutoff": (None, CUTOFF_EDGES + ("10",))},
+    ),
+    "thermo-curve": (
+        {"--out": ("-",)},
+        {"--beta-sq-min": ("0", FLOAT_EDGES), "--beta-sq-max": ("0.99", FLOAT_EDGES), "--steps": ("20", INT_EDGES)},
+    ),
+    "decompose-shear": ({}, {"--alpha": ("1", FLOAT_EDGES), "--lam": ("4", FLOAT_EDGES)}),
+    "inner-product": (
+        {},
+        {
+            "--n": ("1", INT_EDGES),
+            "--eta1": ("0.4", FLOAT_EDGES),
+            "--m": ("1", INT_EDGES),
+            "--eta2": ("-0.3", FLOAT_EDGES),
+            "--tol": ("1e-6", FLOAT_EDGES),
+            "--order": ("64", INT_EDGES),
+        },
+    ),
+    "wigner-grid": (
+        {"--out": ("-",), "--state": ("ground", "squeezed"), "--plane": ("xy", "xp")},
+        {"--eta": ("0.5", FLOAT_EDGES), "--half-width": ("2", FLOAT_EDGES), "--step": ("0.25", FLOAT_EDGES)},
+    ),
+}
+
+
+def assert_within_contract(command: str, flags: dict, out: str) -> None:
+    """What an exit 0 promises: the deviation within the tolerance, and only finite numbers."""
+    if command in ("identity-check", "algebra-check", "inner-product"):
+        fields = dict(line.split(" = ", 1) for line in out.splitlines() if " = " in line and "," not in line)
+        if command == "inner-product":
+            dev, tol = float(fields["deviation"]), float(flags["--tol"] or 1e-6)
+        else:
+            dev, tol = float(fields["max_deviation"]), float(fields["tolerance"])
+        assert dev <= tol
+    elif command == "decompose-shear":
+        rotation = json.loads(out, parse_constant=pytest.fail)["squeezed_rotation"]
+        assert rotation["residual_vs_shear"] <= rotation["residual_bound"] + 1e-15
+    else:
+        values = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        assert values.size and np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("command", PROPERTY_COMMANDS)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_cli_property(command, data):
+    """Any flag values: exit 0, 1 or 2, at most one error line, exit 0 only within tolerance, under 2 s.
+
+    A 64 MiB byte budget makes legal but huge inputs cheap to refuse; a
+    RuntimeWarning anywhere fails the test (the suite's filterwarnings).
+    """
+    choices, numeric = PROPERTY_COMMANDS[command]
+    flags = {flag: data.draw(st.sampled_from(values)) for flag, values in choices.items()}
+    edged = data.draw(st.sets(st.sampled_from(sorted(numeric)), max_size=3))
+    for flag, (ordinary, edges) in numeric.items():
+        flags[flag] = data.draw(st.sampled_from(edges)) if flag in edged else ordinary
+    argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+    out, err = io.StringIO(), io.StringIO()
+    started = time.perf_counter()
+    with mock.patch.object(errors, "BYTE_BUDGET", 64 * 2**20):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert time.perf_counter() - started < 2.0, argv
+    assert code in (0, 1, 2)
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == 1:
+        assert len(lines) == 1 and lines[0].startswith(("error: ", "usage error: ")) and lines[0].endswith("\n")
+    else:
+        assert lines == []
+    if code == 0:
+        assert_within_contract(command, flags, out.getvalue())
 
 
 def test_module_entry_runs_without_runpy_warning():

@@ -12,7 +12,6 @@ from entosc import CutoffError, DomainError
 from entosc.cli import main
 from entosc.dirac_algebra import (
     DENSE_FOCK_CUTOFF_MAX,
-    FOCK_BYTE_BUDGET,
     FOCK_CUTOFF_MAX,
     LABELS,
     check_algebra,
@@ -27,6 +26,7 @@ from entosc.dirac_algebra import (
     symplectic_defect,
     two_mode_ladders,
 )
+from entosc.errors import BYTE_BUDGET
 
 
 class TestFockOperators:
@@ -155,8 +155,8 @@ class TestBandedFock:
 
     def test_caps_follow_the_byte_budget(self):
         # about 1 kB per basis state for the banded check, 16 (c + 1)^4 bytes per dense matrix
-        assert 1000 * (FOCK_CUTOFF_MAX + 1) ** 2 <= FOCK_BYTE_BUDGET < 1000 * (FOCK_CUTOFF_MAX + 2) ** 2
-        assert 16 * (DENSE_FOCK_CUTOFF_MAX + 1) ** 4 <= FOCK_BYTE_BUDGET < 16 * (DENSE_FOCK_CUTOFF_MAX + 2) ** 4
+        assert 1000 * (FOCK_CUTOFF_MAX + 1) ** 2 <= BYTE_BUDGET < 1000 * (FOCK_CUTOFF_MAX + 2) ** 2
+        assert 16 * (DENSE_FOCK_CUTOFF_MAX + 1) ** 4 <= BYTE_BUDGET < 16 * (DENSE_FOCK_CUTOFF_MAX + 2) ** 4
 
     def test_dense_cutoff_cap(self):
         a, _ = two_mode_ladders(31)

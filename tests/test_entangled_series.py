@@ -12,7 +12,6 @@ from entosc import CutoffError, DomainError, entangled_series
 from entosc.entangled_series import (
     TERM_CAP,
     EigenvalueResidual,
-    SqueezeParam,
     coefficient,
     coefficient_by_quadrature,
     eigenvalue_residual,
@@ -89,7 +88,7 @@ class TestCoefficient:
         with pytest.raises(DomainError):
             coefficient(-1, 0, 0.5)
         with pytest.raises(DomainError):
-            SqueezeParam(30.0)
+            coefficient(0, 0, 30.0)
 
 
 class TestCoefficientQuadrature:

@@ -124,6 +124,13 @@ class TestChi:
         assert peaks[1] <= 1.05 * peaks[0]
         assert peaks[1] < 6 * plane.nbytes
 
+    def test_far_tails_are_zero_without_overflow(self):
+        # x * x overflows past |x| ~ 1.3e154 and sqrt(2) x past 1.27e308; the seed exp(-x^2/2) is 0 there
+        rows = chi_batch(5, np.array([-1e300, -1e154, 1.0, 1e200, 1.7e308]))
+        assert np.array_equal(rows[:, 2], chi_batch(5, 1.0)[:, 0])
+        assert not rows[:, [0, 1, 3, 4]].any()
+        assert chi(0, 1e300) == 0.0
+
     def test_bare_matches_weighted(self):
         xs = np.linspace(-4, 4, 9)
         assert np.allclose(chi_bare(5, xs) * np.exp(-xs * xs / 2), chi(5, xs), atol=1e-14)
