@@ -399,7 +399,7 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
 
 
 # ---------------------------------------------------------------------------
-# structural validators used by the tests and the CLI
+# structural validators used by the tests
 # ---------------------------------------------------------------------------
 
 

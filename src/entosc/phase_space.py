@@ -13,18 +13,27 @@ axes.  For the Gaussian states of this package the integrand decays below
 1e-15 inside the default half-width of 6, so the lattice sum is accurate to
 far better than the contracted tolerances.
 
-Two point functions and two plane kernels evaluate the same sum:
+One direct sum and two plane kernels evaluate it:
 
-* wigner_transform (one phase-space point) and wigner_section (one (x, y)
-  over a momentum grid) sum the window directly; they serve scattered
-  points such as the flow-covariance samples.
+* wigner_section (one (x, y) over momentum grids) sums the window
+  directly; wigner_transform is that sum at a single momentum pair and
+  serves scattered points such as the flow-covariance samples.
 * wigner_xy (every covered (x, y) at p = q = 0, real psi) is one FFT
   convolution of psi with itself, sampled at even indices; wigner_xp
   (every covered x at fixed y and q = 0, over a momentum grid) contracts
   the y sum once for all x and then gathers anti-diagonals.  Their
   rounding floor is absolute, about 1e-16 of the peak value: far Gaussian
-  tails that the direct sums resolve down to ~1e-39 come out as rounding
+  tails that the direct sum resolves down to ~1e-39 come out as rounding
   noise, tiny negatives of a few 1e-18 included.
+
+All of them raise NumericsError when the imaginary residual of the sum
+passes IMAG_TOL, and DomainError on non-finite momenta before summing.
+
+The reference states are closed forms.  Mehler's formula sums the complex
+Schmidt series sum_k (i tanh(eta/2))^k chi_k(x) chi_k(y) / cosh(eta/2) of
+the K3 flow's cross-squeezed state to
+
+    psi(x, y) = exp(-(x^2 + y^2) / (2 cosh eta) + i tanh(eta) x y) / sqrt(pi cosh eta).
 
 flow_covariance_check is the two-path test of the sp(4) flows: transform
 the wave function, Wigner-transform it numerically, and compare against
@@ -40,13 +49,14 @@ from typing import Callable, Sequence, TextIO
 
 import numpy as np
 
-from . import dirac_algebra, oscillator_basis as basis
+from . import dirac_algebra
 from .entangled_series import squeezed_wavefunction
 from .errors import DomainError, NumericsError, budget, positive, rapidity
 
 DEFAULT_HALF_WIDTH = 6.0
 DEFAULT_SPACING = 0.05
 MIN_COVERAGE = 4.0  # required reach of the correlation integral past the base point
+IMAG_TOL = 1e-9  # largest imaginary residual a Wigner value may carry before it raises
 
 FLOW_LABELS = ("Q3", "K3", "Q3-L2")
 
@@ -88,7 +98,6 @@ class GridFunction2D:
         half_width: float = DEFAULT_HALF_WIDTH,
         spacing: float = DEFAULT_SPACING,
         center: tuple[float, float] = (0.0, 0.0),
-        labels: tuple[str, str] = ("x", "y"),
     ) -> "GridFunction2D":
         steps = positive("half_width", half_width) / positive("spacing", spacing)
         # the package's states peak at 8 planes of the grid (tracemalloc), the mesh included
@@ -97,7 +106,7 @@ class GridFunction2D:
         ax0 = center[0] + spacing * np.arange(-n, n + 1)
         ax1 = center[1] + spacing * np.arange(-n, n + 1)
         X, Y = np.meshgrid(ax0, ax1, indexing="ij")
-        return cls(origin=(ax0[0], ax1[0]), spacing=(spacing, spacing), values=f(X, Y), labels=labels)
+        return cls(origin=(ax0[0], ax1[0]), spacing=(spacing, spacing), values=f(X, Y))
 
     def axis(self, which: int) -> np.ndarray:
         n = self.values.shape[which]
@@ -165,61 +174,58 @@ def _fft_length(n: int) -> int:
         n += 1
 
 
-def _real_part(w: np.ndarray, imag_tol: float) -> np.ndarray:
+def _real_part(w: np.ndarray) -> np.ndarray:
     resid = float(np.abs(w.imag).max(initial=0.0))
-    if resid > imag_tol:
-        raise NumericsError(f"Wigner value has imaginary residual {resid:.3e} above {imag_tol}")
+    if resid > IMAG_TOL:
+        raise NumericsError(f"Wigner value has imaginary residual {resid:.3e} above {IMAG_TOL}")
     return w.real
 
 
-def _correlation(psi: GridFunction2D, at: PhasePoint) -> tuple[np.ndarray, int, int]:
-    """F[j, k] = conj(psi)(x + jh, y + kh) psi(x - jh, y - kh) and the offsets."""
-    h = _lattice_step(psi)
-    ix, iy = psi.index_of(at.x, at.y)
-    nx, ny = psi.values.shape
-    mx = min(ix, nx - 1 - ix)
-    my = min(iy, ny - 1 - iy)
-    if mx * h < MIN_COVERAGE or my * h < MIN_COVERAGE:
+def _window(psi: GridFunction2D, which: int, coord: float) -> tuple[int, int]:
+    """Index of an on-lattice coordinate and the half-width, in steps, of its symmetric window."""
+    i = int(psi.indices(which, coord)[0])
+    m = min(i, psi.values.shape[which] - 1 - i)
+    if m * psi.spacing[which] < MIN_COVERAGE:
         raise DomainError(
-            f"grid covers only {mx * h:.2f} x {my * h:.2f} around {(at.x, at.y)}; "
-            f"need at least {MIN_COVERAGE} in each direction"
+            f"grid covers only {m * psi.spacing[which]:.2f} around {psi.labels[which]} = {coord}; "
+            f"need at least {MIN_COVERAGE}"
         )
-    plus = psi.values[ix - mx : ix + mx + 1, iy - my : iy + my + 1]
-    minus = plus[::-1, ::-1]
-    return np.conj(plus) * minus, mx, my
+    return i, m
 
 
-def wigner_transform(psi: GridFunction2D, at: PhasePoint, imag_tol: float = 1e-9) -> float:
-    """W at one phase-space point from the sampled wave function.
-
-    The result of the lattice sum is real up to rounding for any psi
-    (the correlation product is Hermitian under x' -> -x'); a residual
-    imaginary part above imag_tol raises instead of being discarded.
-    """
-    F, mx, my = _correlation(psi, at)
-    h = psi.spacing[0]
-    ex = np.exp(-2.0j * at.p * h * np.arange(-mx, mx + 1))
-    ey = np.exp(-2.0j * at.q * h * np.arange(-my, my + 1))
-    w = (h * h / np.pi**2) * (ex @ F @ ey)
-    return float(_real_part(np.asarray(w), imag_tol))
-
-
-def wigner_section(psi: GridFunction2D, x: float, y: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """W(x, y; p_i, q_j) over momentum grids, reusing one correlation table."""
-    F, mx, my = _correlation(psi, PhasePoint(x, y, 0.0, 0.0))
-    h = psi.spacing[0]
+def _momenta(p) -> np.ndarray:
     p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
+    if not np.isfinite(p).all():
+        raise DomainError(f"momenta must be finite, got {float(p[~np.isfinite(p)].flat[0])!r}")
+    return p
+
+
+def wigner_section(psi: GridFunction2D, x: float, y: float, p, q) -> np.ndarray:
+    """W(x, y; p_i, q_j) over the momentum grids p and q, summing the window directly.
+
+    The sum is real up to rounding for any psi, as the correlation product
+    is Hermitian under x' -> -x'.
+    """
+    h = _lattice_step(psi)
+    p, q = _momenta(p), _momenta(q)
+    ix, mx = _window(psi, 0, x)
+    iy, my = _window(psi, 1, y)
+    plus = psi.values[ix - mx : ix + mx + 1, iy - my : iy + my + 1]
+    F = np.conj(plus) * plus[::-1, ::-1]  # conj(psi)(x + jh, y + kh) psi(x - jh, y - kh)
     ep = np.exp(-2.0j * np.outer(p, h * np.arange(-mx, mx + 1)))
     eq = np.exp(-2.0j * np.outer(h * np.arange(-my, my + 1), q))
-    w = (h * h / np.pi**2) * (ep @ F @ eq)
-    return np.real(w)
+    return _real_part((h * h / np.pi**2) * (ep @ F @ eq))
+
+
+def wigner_transform(psi: GridFunction2D, at: PhasePoint) -> float:
+    """W at one phase-space point from the sampled wave function: wigner_section at one momentum pair."""
+    return float(wigner_section(psi, at.x, at.y, [at.p], [at.q])[0, 0])
 
 
 def wigner_xy(psi: GridFunction2D) -> GridFunction2D:
     """W(x, y; 0, 0) of a real psi at every covered lattice point (x, y), from one FFT convolution.
 
-    With V = psi.values, the window sum of wigner_transform at lattice
+    With V = psi.values, the window sum of wigner_section at lattice
     point (i, j) and zero momenta is the full convolution (V * V)[2i, 2j]:
     the convolution's terms at an even index are exactly that symmetric
     window.  Even indices take only even-with-even and odd-with-odd
@@ -264,23 +270,19 @@ def wigner_xp(psi: GridFunction2D, y: float, p) -> GridFunction2D:
 
     and then W[i, m] = h^2/pi^2 sum_{|j| <= mx(i)} exp(-2i p_m h j) G[i + j, i - j]
     is an anti-diagonal gather and one matrix product.  The momentum axis
-    takes the spacing of p (the lattice step for a single momentum).  As in
-    wigner_transform, an imaginary residual above 1e-9 raises.
+    takes the spacing of p (the lattice step for a single momentum).
     """
     h = _lattice_step(psi)
-    p = np.asarray(p, dtype=float)
+    p = _momenta(p)
     if p.ndim != 1 or p.size == 0:
         raise DomainError("p must be a non-empty 1-d momentum grid")
     dp = (p[-1] - p[0]) / (p.size - 1) if p.size > 1 else h
     if not dp > 0 or np.abs(np.diff(p) - dp).max(initial=0.0) > 1e-9 * dp:
         raise DomainError("p must be increasing and evenly spaced")
     V = psi.values
-    nx, ny = V.shape
+    nx = V.shape[0]
     rows = _covered(nx, h, psi.labels[0])
-    iy = int(psi.indices(1, y)[0])
-    my = min(iy, ny - 1 - iy)
-    if my * h < MIN_COVERAGE:
-        raise DomainError(f"grid covers only {my * h:.2f} around {psi.labels[1]} = {y}; need at least {MIN_COVERAGE}")
+    iy, my = _window(psi, 1, y)
     band = V[:, iy - my : iy + my + 1]
     G = band.conj() @ band[:, ::-1].T  # conj() returns the array itself when psi is real
     # row i sums j over |j| <= min(i, nx - 1 - i), where both i + j and i - j are on the lattice;
@@ -291,7 +293,7 @@ def wigner_xp(psi: GridFunction2D, y: float, p) -> GridFunction2D:
     D = G.ravel()[np.where(inside, i * (nx + 1) + j * (nx - 1), 0)]
     D[~inside] = 0.0
     ep = np.exp(-2.0j * np.outer(h * j, p))
-    w = _real_part((h * h / np.pi**2) * (D @ ep), 1e-9)
+    w = _real_part((h * h / np.pi**2) * (D @ ep))
     x = psi.axis(0)
     return GridFunction2D(
         origin=(float(x[rows.start]), float(p[0])), spacing=(h, float(dp)), values=w, labels=(psi.labels[0], "p")
@@ -304,9 +306,7 @@ def wigner_xp(psi: GridFunction2D, y: float, p) -> GridFunction2D:
 
 
 def ground_state_grid(half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING) -> GridFunction2D:
-    return GridFunction2D.from_function(
-        lambda X, Y: np.exp(-0.5 * (X * X + Y * Y)) / math.sqrt(math.pi), half_width, spacing
-    )
+    return sheared_state_grid(0.0, half_width, spacing)
 
 
 def squeezed_state_grid(
@@ -332,29 +332,19 @@ def sheared_state_grid(
 def cross_squeezed_state_grid(
     eta, half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING
 ) -> GridFunction2D:
-    """State whose Wigner flow squeezes the (x, q) and (y, p) planes.
+    """State whose Wigner flow squeezes the (x, q) and (y, p) planes: the module docstring's Mehler sum.
 
-    This is the two-mode squeeze generated with a 90-degree phase: its
-    Schmidt coefficients carry (-i)^k, so the wave function is complex
-    even though every closed-form state elsewhere in the package is real.
-    No real wave function produces the position-momentum cross terms this
-    flow creates.
+    No real wave function produces the position-momentum cross terms of this
+    flow.  The +i orients them the same way as exp(eta A_K3); with -i the
+    covariance comparison fails at O(eta).
     """
-    s = 0.5 * rapidity(eta)
-    t = math.tanh(s)
-    kmax = 8
-    while abs(t) > 0 and abs(t) ** kmax > 1e-16:
-        kmax += 8
-    # the +i phase orients the (x, q)/(y, p) cross terms the same way as
-    # exp(eta A_K3); with -i the covariance comparison fails at O(eta)
-    coeffs = (1.0j * t) ** np.arange(kmax + 1) / math.cosh(s)
-
-    def f(X, Y):
-        cx = basis.chi_batch(kmax, X[:, 0])
-        cy = basis.chi_batch(kmax, Y[0, :])
-        return np.einsum("k,ki,kj->ij", coeffs, cx, cy)
-
-    return GridFunction2D.from_function(f, half_width, spacing)
+    eta = rapidity(eta)
+    c, t = math.cosh(eta), math.tanh(eta)
+    return GridFunction2D.from_function(
+        lambda X, Y: np.exp(-(X * X + Y * Y) / (2.0 * c) + 1j * t * X * Y) / math.sqrt(math.pi * c),
+        half_width,
+        spacing,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -112,12 +112,12 @@ def temperature(eta) -> float:
 
 
 def eta_for_temperature(T: float) -> float:
-    """Inverse of temperature: eta = atanh(e^{-1/(2T)})."""
+    """Inverse of temperature, atanh(e^{-1/(2T)}), as -ln tanh(1/(4T)) / 2, finite where e^{-1/(2T)} rounds to 1."""
     if finite("temperature", T) < 0:
         raise DomainError("temperature must be non-negative")
     if T == 0.0:
         return 0.0
-    return math.atanh(math.exp(-1.0 / (2.0 * T)))
+    return rapidity(-_log_tanh(0.25 / T) / 2.0)
 
 
 def thermo_curve(beta_sq_grid: Iterable[float]) -> list[ThermoPoint]:

@@ -11,7 +11,7 @@ from entosc import errors
 from entosc.covariant_inner import CovariantState
 from entosc.entangled_series import coefficient, eigenvalue_residual, schmidt_series, series_sum
 from entosc.errors import DomainError, budget, finite, integer, positive, rapidity
-from entosc.phase_space import GridFunction2D
+from entosc.phase_space import GridFunction2D, PhasePoint, ground_state_grid, wigner_section, wigner_transform, wigner_xp
 from entosc.planar_transforms import bargmann_decompose, shear_as_rotated_squeeze, wigner_decompose
 from entosc.reduced_state import eta_for_temperature, reduced_density
 
@@ -59,10 +59,20 @@ class TestValidators:
             budget(2**20 + 1, "a grid")
 
 
+PSI = ground_state_grid(half_width=5.0, spacing=0.25)
+
 # Inputs that returned nan, or raised ValueError, ZeroDivisionError or
-# OverflowError, or (the last two) would have built meshes of about 1e10 points.
+# OverflowError, or would have built meshes of about 1e10 points, or summed
+# a Wigner window before failing on a non-finite momentum.
 BAD_LIBRARY_CALLS = {
     "eta_for_temperature-nan": lambda: eta_for_temperature(math.nan),
+    "eta_for_temperature-1e22": lambda: eta_for_temperature(1e22),
+    "wigner_transform-p-nan": lambda: wigner_transform(PSI, PhasePoint(0.0, 0.0, math.nan, 0.0)),
+    "wigner_transform-q-inf": lambda: wigner_transform(PSI, PhasePoint(0.0, 0.0, 0.0, math.inf)),
+    "wigner_section-p-nan": lambda: wigner_section(PSI, 0.0, 0.0, [0.0, math.nan], [0.0]),
+    "wigner_section-q--inf": lambda: wigner_section(PSI, 0.0, 0.0, [0.0], [-math.inf]),
+    "wigner_xp-p-nan": lambda: wigner_xp(PSI, 0.0, [math.nan]),
+    "wigner_xp-p-inf": lambda: wigner_xp(PSI, 0.0, [0.0, math.inf]),
     "bargmann_decompose-nan": lambda: bargmann_decompose(math.nan),
     "shear_as_rotated_squeeze-nan": lambda: shear_as_rotated_squeeze(math.nan),
     "wigner_decompose-lam-nan": lambda: wigner_decompose(1.0, math.nan),

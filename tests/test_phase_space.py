@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from entosc import DomainError, NumericsError
+from entosc.oscillator_basis import chi_batch
 from entosc.phase_space import (
     DEFAULT_SAMPLE_POINTS,
     FLOW_LABELS,
@@ -136,9 +137,8 @@ class TestWignerTransform:
         assert abs(marginal - density) < 1e-5
 
     def test_imaginary_residual_is_asserted(self):
-        psi = ground_state_grid(half_width=5.0)
         with pytest.raises(NumericsError):
-            wigner_transform(psi, PhasePoint(0.5, 0.0, 2.0, 0.0), imag_tol=0.0)
+            wigner_transform(loud_cross_squeezed(), PhasePoint(0.0, 0.0, 0.5, 0.7))
 
     def test_coverage_requirement(self):
         psi = ground_state_grid(half_width=3.0)
@@ -149,6 +149,12 @@ class TestWignerTransform:
         psi = ground_state_grid()
         with pytest.raises(DomainError):
             wigner_transform(psi, PhasePoint(0.013, 0.0, 0.0, 0.0))
+
+
+def loud_cross_squeezed():
+    """A complex psi at amplitude 1e8, where rounding leaves imaginary parts far above the absolute IMAG_TOL."""
+    psi = cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25)
+    return GridFunction2D(psi.origin, psi.spacing, 1e8 * psi.values)
 
 
 def direct_wigner(psi, i, j, p, q):
@@ -248,11 +254,12 @@ class TestPlaneKernels:
             wigner_xy(cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25))
 
     def test_imaginary_residual_is_asserted(self):
-        # the residual check is absolute: at amplitude 1e8 rounding leaves imaginary parts far above 1e-9
-        psi = cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25)
-        loud = GridFunction2D(psi.origin, psi.spacing, 1e8 * psi.values)
+        loud = loud_cross_squeezed()
         with pytest.raises(NumericsError, match="imaginary residual"):
             wigner_xp(loud, 0.0, [0.5, 1.0])
+        with pytest.raises(NumericsError, match="imaginary residual"):
+            wigner_section(loud, 0.0, 0.0, [0.5], [0.7])
+        psi = cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25)
         assert np.abs(wigner_xp(psi, 0.0, [0.5, 1.0]).values).max() > 0
 
     @pytest.mark.parametrize("p", [[], [[0.0, 1.0]], [0.0, 0.5, 1.5], [1.0, 0.0]])
@@ -363,6 +370,20 @@ class TestTransformedStates:
         h = psi.spacing[0]
         norm = float(np.sum(np.abs(psi.values) ** 2)) * h * h
         assert norm == pytest.approx(1.0, abs=1e-8)
+
+    @given(st.floats(-1.0, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_cross_squeezed_state_sums_its_schmidt_series(self, eta):
+        # the series the closed form sums: sum_k (i t)^k chi_k(x) chi_k(y) / cosh(eta/2), t = tanh(eta/2)
+        psi = cross_squeezed_state_grid(eta)
+        t = math.tanh(eta / 2.0)
+        kmax = 8
+        while abs(t) > 0 and abs(t) ** kmax > 1e-16:
+            kmax += 8
+        coeffs = (1.0j * t) ** np.arange(kmax + 1) / math.cosh(eta / 2.0)
+        cx, cy = chi_batch(kmax, psi.axis(0)), chi_batch(kmax, psi.axis(1))
+        series = np.einsum("k,ki,kj->ij", coeffs, cx, cy)
+        assert np.abs(psi.values - series).max() <= 1e-15
 
     def test_cross_squeezed_state_reduces_to_ground(self):
         psi = cross_squeezed_state_grid(0.0, half_width=2.0, spacing=0.5)

@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError
 from entosc.entangled_series import TERM_CAP, _log_binom
@@ -200,6 +200,19 @@ class TestTemperature:
     def test_zero_by_continuity(self):
         assert temperature(0.0) == 0.0
         assert eta_for_temperature(0.0) == 0.0
+
+    @given(st.floats(math.log10(0.05), 21.0))
+    @example(math.log10(4.5e15))
+    @example(16.0)
+    @settings(max_examples=60, deadline=None)
+    def test_inverse_matches_decimal_reference(self, log_t):
+        # atanh(u) = ln((1 + u) / (1 - u)) / 2 at u = e^{-1/(2T)}, in 60 digits
+        T = 10.0**log_t
+        with localcontext() as ctx:
+            ctx.prec = 60
+            u = (-1 / (2 * Decimal(T))).exp()
+            ref = float(((1 + u) / (1 - u)).ln() / 2)
+        assert eta_for_temperature(T) == pytest.approx(ref, rel=4e-15)
 
     def test_monotone_in_rapidity(self):
         etas = np.linspace(0.1, 2.5, 12)
