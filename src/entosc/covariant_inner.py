@@ -16,10 +16,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import oscillator_basis as basis
-from .entangled_series import squeezed_wavefunction
+from .entangled_series import _overlap, squeezed_wavefunction
 from .errors import DomainError, integer, rapidity
 
 _INDEX_BUDGET = 12  # quadrature degree budget for the overlap integrals
@@ -56,28 +54,13 @@ class InnerProduct:
 def inner_product(n: int, eta1, m: int, eta2, order: int = basis.DEFAULT_QUAD_ORDER) -> InnerProduct:
     """Overlap of chi_n(z1')chi_0(t1') with chi_m(z2')chi_0(t2') over (z, t).
 
-    Integrated on `oscillator_basis.light_cone_grid`, the Gauss-Hermite grid
-    in the light-cone-adapted normal coordinates u = (z+t)/sqrt2,
-    v = (z-t)/sqrt2, where the combined Gaussian of the two frames is
-    diagonal with scales a = (e^{-2 eta1} + e^{-2 eta2})/2 and
-    b = (e^{2 eta1} + e^{2 eta2})/2.
-    The closed form is cosh(eta1 - eta2)^-(n+1) delta_nm.
+    Integrated by `entangled_series._overlap` on the Gauss-Hermite grid in the
+    light-cone coordinates (z +- t)/sqrt2, where both frames' Gaussians are
+    diagonal.  The closed form is cosh(eta1 - eta2)^-(n+1) delta_nm.
     """
     n, m = integer("n", n, high=_INDEX_BUDGET), integer("m", m, high=_INDEX_BUDGET)
     eta1, eta2 = rapidity(eta1), rapidity(eta2)
-
-    a = 0.5 * (math.exp(-2.0 * eta1) + math.exp(-2.0 * eta2))
-    b = 0.5 * (math.exp(2.0 * eta1) + math.exp(2.0 * eta2))
-    z, t, w2 = basis.light_cone_grid(a, b, order)
-
-    def bare(nn: int, eta: float):
-        # chi_nn(z') chi_0(t') with both Gaussians stripped: they are
-        # accounted for exactly by the a u^2 + b v^2 quadrature weight.
-        zp = math.cosh(eta) * z - math.sinh(eta) * t
-        return basis.chi_bare(nn, zp) * (np.pi**-0.25)
-
-    poly = bare(n, eta1) * bare(m, eta2)
-    value = float(np.sum(w2 * poly) / math.sqrt(a * b))
+    value = _overlap((n, 0, eta1), (m, 0, eta2), order)
     closed = (1.0 / abs(math.cosh(eta1 - eta2))) ** (n + 1) if n == m else 0.0
     return InnerProduct(quadrature=value, closed_form=closed)
 

@@ -10,13 +10,13 @@ entangles the modes into
     A_k(n) = cosh(eta)^-(n+1) sqrt((n+k)!/(n! k!)) tanh(eta)^k.
 
 The module computes the coefficients in closed form and, independently,
-by two-dimensional Gauss-Hermite quadrature, and sums the series with a
-certified tail bound so partial sums can be compared pointwise against
-the squeezed Gaussian itself.  Sums over the probabilities A_k(n)^2, here and
-in `reduced_state`, fix their term count first and raise CutoffError past
-TERM_CAP.  Arguments go through the package's one contract in `errors`
-(`integer`, `positive`, `rapidity` with |eta| <= ETA_MAX, `budget`) before
-any work.
+as the overlap of two squeezed states on one light-cone Gauss-Hermite grid
+(`_overlap`, which `covariant_inner` shares), and sums the series so partial
+sums can be compared pointwise against the squeezed Gaussian itself.  Sums
+over the probabilities A_k(n)^2, here and in `reduced_state`, fix their term
+count first, raise CutoffError past TERM_CAP and bound their tail with one
+`_tail`.  Arguments go through the package's one contract in `errors`
+(`integer`, `positive`, `rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
 """
 
 from __future__ import annotations
@@ -64,15 +64,15 @@ class SchmidtSeries:
     tail_bound: float
 
 
+def _squeezed(n: int, m: int, eta: float, x, y):
+    """chi_n(x') chi_m(y') at the squeezed coordinates of rapidity eta."""
+    c, s = math.cosh(eta), math.sinh(eta)
+    return basis.chi(n, c * x - s * y) * basis.chi(m, c * y - s * x)
+
+
 def squeezed_wavefunction(n: int, eta, x, y):
     """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta."""
-    eta = rapidity(eta)
-    c, s = math.cosh(eta), math.sinh(eta)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xp = c * x - s * y
-    yp = c * y - s * x
-    value = basis.chi(n, xp) * basis.chi(0, yp)
+    value = _squeezed(n, 0, rapidity(eta), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -94,25 +94,33 @@ def coefficient(n: int, k: int, eta) -> float:
     return sign * math.exp(log_binom + k * math.log(t) - (n + 1) * math.log(c))
 
 
-def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QUAD_ORDER) -> float:
-    """A_k(n) as the overlap integral of the squeezed state with chi_{n+k} chi_k.
+def _overlap(bra, ket, order: int) -> float:
+    """Overlap over the (x, y) plane of the squeezed states (n, m, eta) = chi_n(x') chi_m(y').
 
-    The integrand is polynomial times a correlated Gaussian; rotating to
-    normal coordinates u = (x+y)/sqrt2, v = (x-y)/sqrt2 makes the Gaussian
-    diagonal with scales cosh(eta) e^{-+eta}, so the scaled Gauss-Hermite
-    grid `oscillator_basis.light_cone_grid` integrates it exactly up to the
-    rule's degree; the scales' square-root product is cosh(eta).
+    In light-cone coordinates u, v = (x +- y)/sqrt2 the two Gaussians combine
+    to exp(-a u^2 - b v^2), a = (e^-2eta + e^-2eta')/2, b = (e^2eta + e^2eta')/2,
+    so Gauss-Hermite nodes scaled by 1/sqrt(a), 1/sqrt(b) integrate the bare
+    polynomials exactly up to the rule's degree; x', y' = (e^-eta u +- e^eta v)/sqrt2
+    involve no cancellation at any rapidity.
     """
+    (_, _, e1), (_, _, e2) = bra, ket
+    a = 0.5 * (math.exp(-2.0 * e1) + math.exp(-2.0 * e2))
+    b = 0.5 * (math.exp(2.0 * e1) + math.exp(2.0 * e2))
+    rule = basis.quadrature(order)
+    u = rule.nodes[:, None] / math.sqrt(2.0 * a)  # u/sqrt2 and v/sqrt2 at the nodes
+    v = rule.nodes[None, :] / math.sqrt(2.0 * b)
+    poly = rule.weights[:, None] * rule.weights[None, :]
+    for n, m, eta in (bra, ket):
+        eu, ev = math.exp(-eta) * u, math.exp(eta) * v
+        poly = poly * basis.chi_bare(n, eu + ev) * basis.chi_bare(m, eu - ev)
+    return float(np.sum(poly) / math.sqrt(a * b))
+
+
+def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QUAD_ORDER) -> float:
+    """A_k(n) as the overlap of chi_{n+k} chi_k at rest with the squeezed state chi_n(x') chi_0(y')."""
     n, k, eta = integer("n", n), integer("k", k), rapidity(eta)
     integer("n + k", n + k, high=40)  # the quadrature degree budget
-    c, s = math.cosh(eta), math.sinh(eta)
-    # With u~ = u sqrt(cosh e^-eta), v~ = v sqrt(cosh e^eta) the combined
-    # Gaussian (x^2 + y^2 + x'^2 + y'^2)/2 equals u~^2 + v~^2 exactly, so
-    # only the bare polynomials remain under the quadrature weights.
-    x, y, w2 = basis.light_cone_grid(c * math.exp(-eta), c * math.exp(eta), order)
-    xp = c * x - s * y
-    poly = basis.chi_bare(n + k, x) * basis.chi_bare(k, y) * basis.chi_bare(n, xp) * (np.pi**-0.25)
-    return float(np.sum(w2 * poly) / c)
+    return _overlap((n + k, k, 0.0), (n, 0, eta), order)
 
 
 def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> SchmidtSeries:
@@ -152,11 +160,8 @@ def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> 
                 f"series cutoff for n={n}, eta={eta}, tol={tol} exceeds the basis bound {bound}"
             )
         coeffs.append(coefficient(n, k, eta))
-    amps = np.array(coeffs)
-    probs = amps * amps
-    rho = t * t * (n + k + 2.0) / (k + 2.0)
-    tail = float(probs[-1] * rho / (1.0 - rho)) if rho < 1.0 else float("inf")
-    return SchmidtSeries(n=n, eta=eta, coeffs=amps, cutoff=k, tail_bound=tail)
+    tail = _tail(n, t * t, k, coeffs[-1] ** 2)
+    return SchmidtSeries(n=n, eta=eta, coeffs=np.array(coeffs), cutoff=k, tail_bound=tail)
 
 
 def series_sum(n: int, eta, x, y, tol: float = 1e-10, kmax: int | None = None):
@@ -183,15 +188,25 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     return out
 
 
+def _tail(n: int, q: float, k: int, p_k: float) -> float:
+    """Certified bound on sum_{j>k} p_j for p_j = A_j(n)^2 at tanh^2 eta = q, from p_k.
+
+    The ratio p_{j+1}/p_j = q (n+j+1)/(j+1) falls with j, so the tail is below
+    the geometric series p_k rho/(1 - rho) with rho = q (n+k+1)/(k+1); inf
+    when rho >= 1.
+    """
+    rho = q * (n + k + 1.0) / (k + 1.0)
+    return float(p_k * rho / (1.0 - rho)) if rho < 1.0 else math.inf
+
+
 def _prob_cutoff(n: int, eta: float, tol: float) -> int:
     """K with a certified tail of the probabilities A_k(n)^2 below tol (eta > 0); CutoffError past TERM_CAP."""
     q = math.tanh(eta) ** 2
     log_q, log_1mq = 2.0 * _log_tanh(eta), -2.0 * _log_cosh(eta)
     k = max(32, math.ceil((math.log(tol) + (n + 1) * log_1mq) / log_q))
     while (n + 1) * (k + 1) <= TERM_CAP:
-        rho = q * (n + k + 1.0) / (k + 1.0)
         log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
-        if rho < 1.0 and math.exp((n + 1) * log_1mq + log_binom + k * log_q) * rho / (1.0 - rho) <= tol:
+        if _tail(n, q, k, math.exp((n + 1) * log_1mq + log_binom + k * log_q)) <= tol:
             return k
         k = int(1.5 * k) + 8
     raise CutoffError(
@@ -236,6 +251,10 @@ def unnormalized_series_ratio(eta) -> float:
     return math.sqrt(float(np.sum(q ** np.arange(_prob_cutoff(0, eta, 1e-18) + 1, dtype=float))))
 
 
+# central second-difference weights and the denominator they share with h^2, by order of accuracy
+_STENCILS = {2: ((1.0, -2.0, 1.0), 1.0), 4: ((-1.0, 16.0, -30.0, 16.0, -1.0), 12.0)}
+
+
 @dataclass(frozen=True)
 class EigenvalueResidual:
     """Finite-difference residual of the squeeze-invariant eigenvalue relation."""
@@ -268,36 +287,19 @@ def eigenvalue_residual(
     npts = integer("points per axis", round(steps) + 1, low=2 * stencil_order + 1)
     axis = -half_width + spacing * np.arange(npts)
     X, Y = np.meshgrid(axis, axis, indexing="ij")
-    c, s = math.cosh(eta), math.sinh(eta)
-    psi = basis.chi(n, c * X - s * Y) * basis.chi(m, c * Y - s * X)
+    psi = _squeezed(n, m, eta, X, Y)
 
-    h2 = spacing * spacing
-    if stencil_order == 2:
-        lo, hi = 1, npts - 1
-        dxx = (psi[:-2, lo:hi] - 2.0 * psi[1:-1, lo:hi] + psi[2:, lo:hi]) / h2
-        dyy = (psi[lo:hi, :-2] - 2.0 * psi[lo:hi, 1:-1] + psi[lo:hi, 2:]) / h2
-        inner = psi[1:-1, 1:-1]
-        Xi, Yi = X[1:-1, 1:-1], Y[1:-1, 1:-1]
-    else:
-        lo, hi = 2, npts - 2
-        dxx = (
-            -psi[:-4, lo:hi]
-            + 16.0 * psi[1:-3, lo:hi]
-            - 30.0 * psi[2:-2, lo:hi]
-            + 16.0 * psi[3:-1, lo:hi]
-            - psi[4:, lo:hi]
-        ) / (12.0 * h2)
-        dyy = (
-            -psi[lo:hi, :-4]
-            + 16.0 * psi[lo:hi, 1:-3]
-            - 30.0 * psi[lo:hi, 2:-2]
-            + 16.0 * psi[lo:hi, 3:-1]
-            - psi[lo:hi, 4:]
-        ) / (12.0 * h2)
-        inner = psi[2:-2, 2:-2]
-        Xi, Yi = X[2:-2, 2:-2], Y[2:-2, 2:-2]
-
-    applied = 0.5 * ((Xi * Xi * inner - dxx) - (Yi * Yi * inner - dyy))
+    weights, denom = _STENCILS[stencil_order]
+    r = len(weights) // 2
+    core = slice(r, npts - r)
+    shifts = [slice(j, npts - 2 * r + j) for j in range(2 * r + 1)]
+    dxx, dyy = weights[0] * psi[shifts[0], core], weights[0] * psi[core, shifts[0]]
+    for w, shift in zip(weights[1:], shifts[1:]):
+        dxx += w * psi[shift, core]
+        dyy += w * psi[core, shift]
+    h2 = denom * (spacing * spacing)
+    inner, Xi, Yi = psi[core, core], X[core, core], Y[core, core]
+    applied = 0.5 * ((Xi * Xi * inner - dxx / h2) - (Yi * Yi * inner - dyy / h2))
     residual = float(np.abs(applied - (n - m) * inner).max())
     warn = None
     scale = math.exp(abs(eta))

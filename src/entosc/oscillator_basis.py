@@ -10,14 +10,11 @@ overflow occurs for any n up to ``N_MAX``.  The recurrence keeps two rows
 live: `chi` and `chi_bare` hold two arrays the size of x whatever n is, and
 `chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
 factor; it is what Gauss-Hermite quadrature wants, since the e^{-x^2}
-weight is folded into the quadrature weights.  `light_cone_grid` is the one
-scaled two-dimensional Gauss-Hermite grid that the Schmidt-coefficient
-oracle and the covariant overlaps integrate on.
+weight is folded into the quadrature weights.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,19 +105,3 @@ def quadrature(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
         raise NumericsError(f"invalid Gauss-Hermite rule at order {order}")
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
-
-def light_cone_grid(a: float, b: float, order: int):
-    """Gauss-Hermite grid for exp(-a u^2 - b v^2) in x, y = (u +- v)/sqrt(2).
-
-    Returns x, y of shape (order, order) and the weight products w2, so that
-    sum(w2 * f(x, y)) / sqrt(a b) integrates f exp(-a u^2 - b v^2) over the
-    plane, exactly for polynomial f up to the rule's degree.  This is the
-    light-cone normal frame in which a boost, or the combined Gaussian of a
-    squeezed overlap, is diagonal.
-    """
-    rule = quadrature(order)
-    u = rule.nodes[:, None] / math.sqrt(a)
-    v = rule.nodes[None, :] / math.sqrt(b)
-    x = (u + v) / math.sqrt(2.0)
-    y = (u - v) / math.sqrt(2.0)
-    return x, y, rule.weights[:, None] * rule.weights[None, :]

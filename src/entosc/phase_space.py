@@ -26,8 +26,9 @@ One direct sum and two plane kernels evaluate it:
   tails that the direct sum resolves down to ~1e-39 come out as rounding
   noise, tiny negatives of a few 1e-18 included.
 
-All of them raise NumericsError when the imaginary residual of the sum
-passes IMAG_TOL, and DomainError on non-finite momenta before summing.
+All of them raise NumericsError, instead of numpy's floating-point warnings,
+when the imaginary residual of the sum passes IMAG_TOL or the sum
+overflows, and DomainError on non-finite momenta before summing.
 
 The reference states are closed forms.  Mehler's formula sums the complex
 Schmidt series sum_k (i tanh(eta/2))^k chi_k(x) chi_k(y) / cosh(eta/2) of
@@ -175,6 +176,9 @@ def _fft_length(n: int) -> int:
 
 
 def _real_part(w: np.ndarray) -> np.ndarray:
+    """w.real once every value is finite and the imaginary residual is at most IMAG_TOL."""
+    if not np.isfinite(w).all():
+        raise NumericsError("Wigner value is not finite: the window sum overflowed")
     resid = float(np.abs(w.imag).max(initial=0.0))
     if resid > IMAG_TOL:
         raise NumericsError(f"Wigner value has imaginary residual {resid:.3e} above {IMAG_TOL}")
@@ -200,6 +204,7 @@ def _momenta(p) -> np.ndarray:
     return p
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _real_part checks the sum
 def wigner_section(psi: GridFunction2D, x: float, y: float, p, q) -> np.ndarray:
     """W(x, y; p_i, q_j) over the momentum grids p and q, summing the window directly.
 
@@ -222,6 +227,7 @@ def wigner_transform(psi: GridFunction2D, at: PhasePoint) -> float:
     return float(wigner_section(psi, at.x, at.y, [at.p], [at.q])[0, 0])
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _real_part checks the sum
 def wigner_xy(psi: GridFunction2D) -> GridFunction2D:
     """W(x, y; 0, 0) of a real psi at every covered lattice point (x, y), from one FFT convolution.
 
@@ -256,11 +262,12 @@ def wigner_xy(psi: GridFunction2D) -> GridFunction2D:
     return GridFunction2D(
         origin=(float(x[rows.start]), float(y[cols.start])),
         spacing=psi.spacing,
-        values=(h * h / np.pi**2) * C,
+        values=_real_part((h * h / np.pi**2) * C),
         labels=psi.labels,
     )
 
 
+@np.errstate(over="ignore", invalid="ignore")  # _real_part checks the sum
 def wigner_xp(psi: GridFunction2D, y: float, p) -> GridFunction2D:
     """W(x, y; p_m, 0) at every covered lattice x, over the evenly spaced momentum grid p.
 

@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
-from .entangled_series import _log_cosh, _log_tanh, _log_terms
+from .entangled_series import _log_cosh, _log_tanh, _log_terms, _tail
 from .errors import DomainError, finite, positive, rapidity
 
 
@@ -51,8 +51,8 @@ def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
     eta = abs(rapidity(eta))
     probs = np.exp(_log_terms(n, eta, positive("tol", tol))[1])
     n, kmax = int(n), probs.size - 1
-    rho = math.tanh(eta) ** 2 * (n + kmax + 1.0) / (kmax + 1.0)
-    return ReducedDensity(n=n, eta=eta, probs=probs, cutoff=kmax, tail_bound=float(probs[-1] * rho / (1.0 - rho)))
+    tail = _tail(n, math.tanh(eta) ** 2, kmax, probs[-1])
+    return ReducedDensity(n=n, eta=eta, probs=probs, cutoff=kmax, tail_bound=tail)
 
 
 def purity(n: int, eta) -> float:

@@ -270,6 +270,12 @@ class TestInnerProduct:
         assert abs(quad) < 1e-8
 
 
+    def test_far_boosted_frames_agree(self, capsys):
+        # both frames near the rapidity cap: forming cosh(eta) z - sinh(eta) t there gives 0.2656 against 0.1764
+        code, out, _ = run(capsys, "inner-product", "--n", "3", "--eta1", "20", "--m", "3", "--eta2", "19")
+        assert code == 0
+        assert "closed_form = 0.176378447614\n" in out
+
     def test_order_past_cap_exits_one(self, tmp_path, capsys):
         argv = ("inner-product", "--n", "0", "--eta1", "0.5", "--m", "0", "--eta2", "0")
         cfg = tmp_path / "entosc.cfg"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from entosc import DomainError
 from entosc.covariant_inner import (
@@ -51,15 +52,14 @@ class TestInnerProduct:
         result = inner_product(0, LN2, 0, 0.0)
         assert result.closed_form == pytest.approx(0.8, abs=1e-15)
         assert result.quadrature == pytest.approx(0.8, abs=1e-6)
-        # the shared light-cone grid is the hand-built one, bit for bit
-        a, b, rule = 0.5 * (0.25 + 1.0), 0.5 * (4.0 + 1.0), quadrature(64)
-        u = rule.nodes[:, None] / math.sqrt(a)
-        v = rule.nodes[None, :] / math.sqrt(b)
-        z, t = (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
-        zp = math.cosh(LN2) * z - math.sinh(LN2) * t
-        poly = chi_bare(2, zp) * np.pi**-0.25 * chi_bare(2, z) * np.pi**-0.25
+        # the light-cone overlap kernel written out by hand, bit for bit
+        a, b, rule = 0.5 * (math.exp(-2.0 * LN2) + 1.0), 0.5 * (math.exp(2.0 * LN2) + 1.0), quadrature(64)
+        u = rule.nodes[:, None] / math.sqrt(2.0 * a)
+        v = rule.nodes[None, :] / math.sqrt(2.0 * b)
+        eu, ev = math.exp(-LN2) * u, math.exp(LN2) * v
         w2 = rule.weights[:, None] * rule.weights[None, :]
-        assert inner_product(2, LN2, 2, 0.0).quadrature == float(np.sum(w2 * poly) / math.sqrt(a * b))
+        poly = w2 * chi_bare(2, eu + ev) * np.pi**-0.25 * chi_bare(2, u + v) * np.pi**-0.25
+        assert inner_product(2, LN2, 2, 0.0).quadrature == float(np.sum(poly) / math.sqrt(a * b))
 
     def test_orthogonality_across_excitations(self):
         for n in range(5):
@@ -78,6 +78,14 @@ class TestInnerProduct:
             inner_product(n, gap, n, 0.0).deviation for n in range(5) for gap in (0.3, 0.9, 1.5)
         )
         assert worst <= 1e-6
+
+    @given(st.integers(0, 12), st.integers(0, 12), st.floats(-25.0, 25.0), st.floats(-25.0, 25.0))
+    @example(3, 3, 20.0, 19.0)
+    @example(12, 0, -19.0, -25.0)
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_over_the_whole_domain(self, n, m, eta1, eta2):
+        # a grid forming cosh(eta) z - sinh(eta) t cancels: off by 0.09 and 3.9e4 at the two examples
+        assert inner_product(n, eta1, m, eta2).deviation <= 1e-13
 
     def test_budget(self):
         with pytest.raises(DomainError):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError, entangled_series
 from entosc.entangled_series import (
@@ -22,6 +22,7 @@ from entosc.entangled_series import (
     unnormalized_series_ratio,
 )
 from entosc.oscillator_basis import chi_bare, quadrature
+from entosc.reduced_state import reduced_density
 
 LN2 = math.log(2.0)
 
@@ -31,6 +32,16 @@ def gaussian_oracle(eta, x, y):
     return (1.0 / math.sqrt(math.pi)) * np.exp(
         -0.25 * (np.exp(-2 * eta) * (x + y) ** 2 + np.exp(2 * eta) * (x - y) ** 2)
     )
+
+
+def probability_tail(n, eta, k):
+    """sum_{j>k} A_j(n)^2 as a long lgamma sum, stopped once a term falls below 1e-30 of the first."""
+    log_q, log_c = 2.0 * math.log(math.tanh(eta)), -2.0 * (n + 1) * math.log(math.cosh(eta))
+    terms, j = [], k + 1
+    while not terms or terms[-1] >= 1e-30 * terms[0]:
+        terms.append(math.exp(math.lgamma(n + j + 1) - math.lgamma(n + 1) - math.lgamma(j + 1) + j * log_q + log_c))
+        j += 1
+    return math.fsum(terms)
 
 
 class TestSqueezedWavefunction:
@@ -109,14 +120,20 @@ class TestCoefficientQuadrature:
         assert coefficient_by_quadrature(2, 3, 0.9) == pytest.approx(
             coefficient(2, 3, 0.9), abs=1e-8
         )
-        # the shared light-cone grid is the hand-built one, bit for bit
-        c, s, rule = math.cosh(0.9), math.sinh(0.9), quadrature(64)
-        u = rule.nodes[:, None] / math.sqrt(c * math.exp(-0.9))
-        v = rule.nodes[None, :] / math.sqrt(c * math.exp(0.9))
-        x, y = (u + v) / math.sqrt(2.0), (u - v) / math.sqrt(2.0)
-        poly = chi_bare(5, x) * chi_bare(3, y) * chi_bare(2, c * x - s * y) * np.pi**-0.25
+        # the light-cone overlap kernel written out by hand, bit for bit
+        a, b, rule = 0.5 * (1.0 + math.exp(-1.8)), 0.5 * (1.0 + math.exp(1.8)), quadrature(64)
+        u = rule.nodes[:, None] / math.sqrt(2.0 * a)
+        v = rule.nodes[None, :] / math.sqrt(2.0 * b)
+        eu, ev = math.exp(-0.9) * u, math.exp(0.9) * v
         w2 = rule.weights[:, None] * rule.weights[None, :]
-        assert coefficient_by_quadrature(2, 3, 0.9) == float(np.sum(w2 * poly) / c)
+        poly = w2 * chi_bare(5, u + v) * chi_bare(3, u - v) * chi_bare(2, eu + ev) * np.pi**-0.25
+        assert coefficient_by_quadrature(2, 3, 0.9) == float(np.sum(poly) / math.sqrt(a * b))
+
+    @given(st.integers(0, 40), st.integers(0, 40), st.floats(-25.0, 25.0))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_closed_form_over_the_whole_domain(self, n, k, eta):
+        assume(n + k <= 40)
+        assert abs(coefficient(n, k, eta) - coefficient_by_quadrature(n, k, eta)) <= 1e-13
 
     def test_budget(self):
         with pytest.raises(DomainError):
@@ -208,6 +225,15 @@ class TestSchmidtSeries:
             total = float(np.sum(ser.coeffs**2))
             assert total <= 1.0 + 1e-12
             assert total + ser.tail_bound >= 1.0 - 1e-12
+
+    def test_tail_bound_covers_the_tail(self):
+        # the ratio must be p_{K+1}/p_K: p_{K+2}/p_{K+1} gives 0.9917 of the true tail at n = 7, eta = 0.3
+        for n in range(8):
+            for eta in (0.3, 0.6, 1.0, 1.3):
+                ser, rho = schmidt_series(n, eta, tol=1e-10), reduced_density(n, eta)
+                for cutoff, bound in ((ser.cutoff, ser.tail_bound), (rho.cutoff, rho.tail_bound)):
+                    # at n = 0 the bound is the exact geometric tail, so allow the reference's rounding
+                    assert bound >= (1.0 - 1e-9) * probability_tail(n, eta, cutoff), (n, eta, cutoff)
 
     def test_positive_and_decaying_for_ground_state(self):
         ser = schmidt_series(0, 0.9, tol=1e-12)

@@ -253,6 +253,19 @@ class TestPlaneKernels:
         with pytest.raises(DomainError, match="real wave function"):
             wigner_xy(cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25))
 
+    def test_overflowing_sum_raises_numerics_error(self):
+        # finite samples whose products overflow: no nan value, and no blame on the (finite) grid
+        g = ground_state_grid(5.0, 0.25)
+        psi = GridFunction2D(g.origin, g.spacing, 1e160 * g.values)
+        with pytest.raises(NumericsError, match="not finite"):
+            wigner_transform(psi, PhasePoint(0.0, 0.0, 0.0, 0.0))
+        with pytest.raises(NumericsError, match="not finite"):
+            wigner_section(psi, 0.0, 0.0, [0.0, 0.5], [0.0])
+        with pytest.raises(NumericsError, match="not finite"):
+            wigner_xy(psi)
+        with pytest.raises(NumericsError, match="not finite"):
+            wigner_xp(psi, 0.0, [0.0, 0.5])
+
     def test_imaginary_residual_is_asserted(self):
         loud = loud_cross_squeezed()
         with pytest.raises(NumericsError, match="imaginary residual"):
