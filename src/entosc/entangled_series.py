@@ -283,10 +283,10 @@ def eigenvalue_residual(
         raise DomainError("stencil_order must be 2 or 4")
     n, m, eta = integer("n", n), integer("m", m), rapidity(eta)
     steps = 2.0 * positive("half_width", half_width) / positive("spacing", spacing)
-    budget(8.0 * 8 * (steps + 1.0) * (steps + 1.0), f"a residual grid of {steps + 1.0:.6g}^2 points")  # peak: 8 planes
+    budget(6.0 * 8 * (steps + 1.0) * (steps + 1.0), f"a residual grid of {steps + 1.0:.6g}^2 points")  # peak: 6 planes
     npts = integer("points per axis", round(steps) + 1, low=2 * stencil_order + 1)
     axis = -half_width + spacing * np.arange(npts)
-    X, Y = np.meshgrid(axis, axis, indexing="ij")
+    X, Y = axis[:, None], axis[None, :]
     psi = _squeezed(n, m, eta, X, Y)
 
     weights, denom = _STENCILS[stencil_order]
@@ -298,7 +298,7 @@ def eigenvalue_residual(
         dxx += w * psi[shift, core]
         dyy += w * psi[core, shift]
     h2 = denom * (spacing * spacing)
-    inner, Xi, Yi = psi[core, core], X[core, core], Y[core, core]
+    inner, Xi, Yi = psi[core, core], X[core], Y[:, core]
     applied = 0.5 * ((Xi * Xi * inner - dxx / h2) - (Yi * Yi * inner - dyy / h2))
     residual = float(np.abs(applied - (n - m) * inner).max())
     warn = None

@@ -30,9 +30,19 @@ All of them raise NumericsError, instead of numpy's floating-point warnings,
 when the imaginary residual of the sum passes IMAG_TOL or the sum
 overflows, and DomainError on non-finite momenta before summing.
 
-The reference states are closed forms.  Mehler's formula sums the complex
-Schmidt series sum_k (i tanh(eta/2))^k chi_k(x) chi_k(y) / cosh(eta/2) of
-the K3 flow's cross-squeezed state to
+The reference states are closed forms.  A linear canonical map S of
+(x, y, p, q) sends the ground state to a Gaussian whose exponent is a
+Moebius image of the old one (Littlejohn, Phys. Rep. 138 (1986) 193):
+with P S P = [[A, B], [C, D]] in 2x2 blocks and P = diag(1, 1, -1, -1),
+
+    psi(v) = det(A + iB)^(-1/2) pi^(-1/2) exp(i v^T Gamma v / 2),  Gamma = (C + iD)(A + iB)^-1,
+
+has the Wigner function W0(S^-1 (x, y, p, q)).  P is there because the
+kernel above pairs conj psi(x + x') psi(x - x') with exp(-2i p x'), the
+usual convention with p reversed.  psi is real exactly when B = C = 0,
+and the principal branch of the root will do: a constant phase drops out
+of W.  For K3 this is Mehler's sum of the Schmidt series
+sum_k (i tanh(eta/2))^k chi_k(x) chi_k(y) / cosh(eta/2), the cross-squeezed
 
     psi(x, y) = exp(-(x^2 + y^2) / (2 cosh eta) + i tanh(eta) x y) / sqrt(pi cosh eta).
 
@@ -59,7 +69,7 @@ DEFAULT_SPACING = 0.05
 MIN_COVERAGE = 4.0  # required reach of the correlation integral past the base point
 IMAG_TOL = 1e-9  # largest imaginary residual a Wigner value may carry before it raises
 
-FLOW_LABELS = ("Q3", "K3", "Q3-L2")
+FLOW_LABELS = ("Q3", "K3", "Q3-L2")  # the flows the paper discusses; flow_matrix takes all of sp(4)
 
 
 @dataclass(frozen=True)
@@ -126,10 +136,6 @@ class GridFunction2D:
                 f"[{ends[0]:.12g}, {ends[1]:.12g}] at spacing {self.spacing[which]:.12g}"
             )
         return idx.astype(int)
-
-    def index_of(self, x: float, y: float) -> tuple[int, int]:
-        """Indices of an on-lattice point; raises if (x, y) is off the lattice."""
-        return int(self.indices(0, x)[0]), int(self.indices(1, y)[0])
 
     def write_csv(self, stream: TextIO) -> None:
         """Triples <axis0>,<axis1>,value with 12 significant digits."""
@@ -312,46 +318,30 @@ def wigner_xp(psi: GridFunction2D, y: float, p) -> GridFunction2D:
 # ---------------------------------------------------------------------------
 
 
+def _gaussian_state(S: np.ndarray, half_width: float, spacing: float) -> GridFunction2D:
+    """The ground state carried by the linear canonical map S: the module docstring's formula."""
+    A, B, C, D = S[:2, :2], -S[:2, 2:], -S[2:, :2], S[2:, 2:]  # the blocks of P S P
+    Z = A + 1j * B
+    G = (C + 1j * D) @ np.linalg.inv(Z)
+    g0, g1, g2 = G[0, 0], G[0, 1] + G[1, 0], G[1, 1]
+    norm = np.sqrt(np.pi * np.linalg.det(Z))
+
+    def psi(X, Y):
+        v = np.exp(0.5j * (g0 * X * X + g1 * X * Y + g2 * Y * Y)) / norm
+        return v if B.any() or C.any() else v.real
+
+    return GridFunction2D.from_function(psi, half_width, spacing)
+
+
 def ground_state_grid(half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING) -> GridFunction2D:
-    return sheared_state_grid(0.0, half_width, spacing)
+    return _gaussian_state(np.eye(4), half_width, spacing)
 
 
 def squeezed_state_grid(
-    eta, half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING, n: int = 0
-) -> GridFunction2D:
-    eta = rapidity(eta)
-    return GridFunction2D.from_function(
-        lambda X, Y: squeezed_wavefunction(n, eta, X, Y), half_width, spacing
-    )
-
-
-def sheared_state_grid(
-    alpha: float, half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING
-) -> GridFunction2D:
-    """Ground state pushed through the shear x -> x + 2 alpha y."""
-    return GridFunction2D.from_function(
-        lambda X, Y: np.exp(-0.5 * ((X - 2.0 * alpha * Y) ** 2 + Y * Y)) / math.sqrt(math.pi),
-        half_width,
-        spacing,
-    )
-
-
-def cross_squeezed_state_grid(
     eta, half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING
 ) -> GridFunction2D:
-    """State whose Wigner flow squeezes the (x, q) and (y, p) planes: the module docstring's Mehler sum.
-
-    No real wave function produces the position-momentum cross terms of this
-    flow.  The +i orients them the same way as exp(eta A_K3); with -i the
-    covariance comparison fails at O(eta).
-    """
     eta = rapidity(eta)
-    c, t = math.cosh(eta), math.tanh(eta)
-    return GridFunction2D.from_function(
-        lambda X, Y: np.exp(-(X * X + Y * Y) / (2.0 * c) + 1j * t * X * Y) / math.sqrt(math.pi * c),
-        half_width,
-        spacing,
-    )
+    return GridFunction2D.from_function(lambda X, Y: squeezed_wavefunction(0, eta, X, Y), half_width, spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -382,39 +372,27 @@ DEFAULT_SAMPLE_POINTS: tuple[PhasePoint, ...] = tuple(
 
 
 def flow_matrix(label: str) -> np.ndarray:
-    """The sp(4) flow matrix for Q3, K3, or the shear combination Q3-L2."""
+    """The sp(4) flow matrix of a generator in dirac_algebra.LABELS, or of the shear Q3-L2."""
     gens = dirac_algebra.sp4_generators()
-    if label == "Q3-L2":
-        return gens["Q3"] - gens["L2"]
-    if label in ("Q3", "K3"):
-        return gens[label]
-    raise DomainError(f"unsupported flow label {label!r}; expected one of {FLOW_LABELS}")
+    gens["Q3-L2"] = gens["Q3"] - gens["L2"]
+    if label not in gens:
+        raise DomainError(f"unknown flow label {label!r}; expected one of {dirac_algebra.LABELS} or 'Q3-L2'")
+    return gens[label]
 
 
 def flow_exponential(label: str, t: float) -> np.ndarray:
-    """exp(t A) for A = flow_matrix(label): A^2 is I/4 for Q3 and K3, and 0 for Q3-L2."""
+    """exp(t A) for A = flow_matrix(label): A^2 is I/4 (boosts), -I/4 (L1-L3, S3) or 0 (Q3-L2)."""
     A = flow_matrix(label)
-    if label == "Q3-L2":
+    square = (A @ A)[0, 0]  # exact, as the entries are 0 and +/- 1/2
+    if square == 0:
         return np.eye(4) + t * A
-    return math.cosh(t / 2.0) * np.eye(4) + 2.0 * math.sinh(t / 2.0) * A
+    c, s = (math.cosh, math.sinh) if square > 0 else (math.cos, math.sin)
+    return c(t / 2.0) * np.eye(4) + 2.0 * s(t / 2.0) * A
 
 
 def transformed_state_grid(label: str, eta: float, half_width: float, spacing: float) -> GridFunction2D:
-    """The wave function whose Wigner function is W0(exp(eta A_label)^-1 v).
-
-    exp(eta A) acts on positions through its (x, y) block; for Q3 that
-    block is the symmetric squeeze of rapidity eta/2 and for Q3-L2 the
-    shear with alpha = eta/2, so the matching wave functions transform
-    their arguments by the inverse block.  K3 has no invariant position
-    block and needs the complex cross-squeezed state instead.
-    """
-    if label == "Q3":
-        return squeezed_state_grid(eta / 2.0, half_width, spacing)
-    if label == "Q3-L2":
-        return sheared_state_grid(eta / 2.0, half_width, spacing)
-    if label == "K3":
-        return cross_squeezed_state_grid(eta, half_width, spacing)
-    raise DomainError(f"unsupported flow label {label!r}; expected one of {FLOW_LABELS}")
+    """The wave function whose Wigner function is W0(exp(eta A_label)^-1 v)."""
+    return _gaussian_state(flow_exponential(label, rapidity(eta)), half_width, spacing)
 
 
 def flow_covariance_check(
@@ -430,11 +408,8 @@ def flow_covariance_check(
     numerically; path two moves the closed-form ground-state Wigner
     function along the flow.  Agreement is the covariance statement.
     """
-    minv = flow_exponential(label, -float(eta))
-    psi = transformed_state_grid(label, float(eta), half_width, spacing)
-    worst = 0.0
-    for pt in sample_points:
-        w_num = wigner_transform(psi, pt)
-        w_ref = wigner_ground_closed(minv @ pt.as_array())
-        worst = max(worst, abs(w_num - w_ref))
-    return worst
+    eta = rapidity(eta)
+    minv = flow_exponential(label, -eta)
+    psi = transformed_state_grid(label, eta, half_width, spacing)
+    deviations = (abs(wigner_transform(psi, pt) - wigner_ground_closed(minv @ pt.as_array())) for pt in sample_points)
+    return max(deviations, default=0.0)

@@ -532,9 +532,13 @@ def test_cli_property(command, data):
         assert_within_contract(command, flags, out.getvalue())
 
 
-def test_module_entry_runs_without_runpy_warning():
+def source_env():
     src = str(Path(entosc.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_runs_without_runpy_warning():
+    env = source_env()
     run_module = [sys.executable, "-W", "error::RuntimeWarning", "-m", "entosc.cli", "--help"]
     result = subprocess.run(run_module, capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
@@ -544,3 +548,28 @@ def test_module_entry_runs_without_runpy_warning():
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == "main\n"
+
+
+README_EXAMPLES = [
+    ["identity-check", "--n", "0", "--eta", "0.5"],
+    ["algebra-check", "--rep", "sp4", "--json", "report.json"],
+    ["thermo-curve", "--beta-sq-min", "0", "--beta-sq-max", "0.99", "--steps", "200", "--out", "curve.csv"],
+    ["decompose-shear", "--alpha", "1"],
+    ["inner-product", "--n", "0", "--eta1", "0.6931", "--m", "0", "--eta2", "0"],
+    ["wigner-grid", "--state", "ground", "--plane", "xy", "--out", "wigner.csv"],
+]
+
+
+def test_readme_examples_run_without_scipy(tmp_path):
+    # numpy is the only runtime dependency; scipy is a test extra
+    probe = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import entosc\n"
+        f"sys.exit(max(entosc.cli.main(argv) for argv in {README_EXAMPLES!r}))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert {p.name for p in tmp_path.iterdir()} == {"report.json", "curve.csv", "wigner.csv"}

@@ -328,3 +328,14 @@ class TestEigenvalueResidual:
     def test_stencil_validation(self):
         with pytest.raises(DomainError):
             eigenvalue_residual(0, 0.0, stencil_order=3)
+
+    def test_peak_memory_is_six_planes(self):
+        # the budget charges 6 planes of the default 1001^2 grid; dense coordinate meshes would add two
+        eigenvalue_residual(2, 0.5, spacing=0.1)  # load the lazy imports outside the trace
+        tracemalloc.start()
+        try:
+            eigenvalue_residual(2, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6.5 * 8 * 1001**2

@@ -1,5 +1,6 @@
 """Numerical Wigner transform: values, marginals, normalization, flows."""
 
+import functools
 import io
 import math
 
@@ -9,26 +10,28 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from entosc import DomainError, NumericsError
+from entosc.dirac_algebra import LABELS
 from entosc.oscillator_basis import chi_batch
 from entosc.phase_space import (
     DEFAULT_SAMPLE_POINTS,
-    FLOW_LABELS,
     MIN_COVERAGE,
     GridFunction2D,
     PhasePoint,
-    cross_squeezed_state_grid,
     flow_covariance_check,
     flow_exponential,
     flow_matrix,
     ground_state_grid,
-    sheared_state_grid,
     squeezed_state_grid,
+    transformed_state_grid,
     wigner_ground_closed,
     wigner_section,
     wigner_transform,
     wigner_xp,
     wigner_xy,
 )
+
+ALL_LABELS = LABELS + ("Q3-L2",)
+cross_squeezed = functools.partial(transformed_state_grid, "K3")
 
 
 class TestClosedForm:
@@ -53,9 +56,9 @@ class TestGridFunction:
     def test_axis_and_index(self):
         grid = ground_state_grid(half_width=1.0, spacing=0.25)
         assert np.allclose(grid.axis(0), np.arange(-1.0, 1.01, 0.25))
-        assert grid.index_of(0.0, 0.25) == (4, 5)
+        assert (grid.indices(0, 0.0)[0], grid.indices(1, 0.25)[0]) == (4, 5)
         with pytest.raises(DomainError):
-            grid.index_of(0.1, 0.0)
+            grid.indices(0, 0.1)
 
     def test_csv_roundtrip_stability(self):
         grid = ground_state_grid(half_width=0.5, spacing=0.25)
@@ -91,7 +94,7 @@ class TestGridFunction:
 
     @pytest.mark.parametrize("complex_values", [False, True])
     def test_csv_matches_pointwise_formula(self, complex_values):
-        state = cross_squeezed_state_grid(0.4, 1.0, 0.25) if complex_values else ground_state_grid(1.0, 0.25)
+        state = cross_squeezed(0.4, 1.0, 0.25) if complex_values else ground_state_grid(1.0, 0.25)
         grid = GridFunction2D(state.origin, state.spacing, state.values[:, :-2] * 1e-7, ("x", "p"))
         expected = io.StringIO()
         expected.write("x,p,value\n")
@@ -133,7 +136,7 @@ class TestWignerTransform:
         pgrid = np.arange(-6.0, 6.0001, 0.15)
         W = wigner_section(psi, 0.3, 0.3, pgrid, pgrid)
         marginal = np.trapezoid(np.trapezoid(W, pgrid, axis=1), pgrid)
-        density = abs(psi.values[psi.index_of(0.3, 0.3)]) ** 2
+        density = abs(psi.values[psi.indices(0, 0.3)[0], psi.indices(1, 0.3)[0]]) ** 2
         assert abs(marginal - density) < 1e-5
 
     def test_imaginary_residual_is_asserted(self):
@@ -153,7 +156,7 @@ class TestWignerTransform:
 
 def loud_cross_squeezed():
     """A complex psi at amplitude 1e8, where rounding leaves imaginary parts far above the absolute IMAG_TOL."""
-    psi = cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25)
+    psi = cross_squeezed(0.5, half_width=5.0, spacing=0.25)
     return GridFunction2D(psi.origin, psi.spacing, 1e8 * psi.values)
 
 
@@ -203,7 +206,7 @@ class TestPlaneKernels:
         assert np.abs(plane.values - ref).max() <= 1e-15
 
     @given(
-        st.one_of(small_lattice(squeezed_state_grid), small_lattice(cross_squeezed_state_grid)),
+        st.one_of(small_lattice(squeezed_state_grid), small_lattice(cross_squeezed)),
         st.floats(-1.5, 1.5),
         st.integers(1, 7),
     )
@@ -224,7 +227,7 @@ class TestPlaneKernels:
     def test_planes_agree_with_point_functions(self):
         psi = squeezed_state_grid(0.5, half_width=6.0, spacing=0.1)
         xy = wigner_xy(psi)
-        i, j = xy.index_of(1.0, -0.5)
+        i, j = xy.indices(0, 1.0)[0], xy.indices(1, -0.5)[0]
         assert abs(xy.values[i, j] - wigner_transform(psi, PhasePoint(1.0, -0.5, 0.0, 0.0))) <= 1e-15
         p = np.linspace(-1.0, 1.0, 9)
         xp = wigner_xp(psi, 0.3, p)
@@ -251,7 +254,7 @@ class TestPlaneKernels:
 
     def test_wigner_xy_takes_real_psi_only(self):
         with pytest.raises(DomainError, match="real wave function"):
-            wigner_xy(cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25))
+            wigner_xy(cross_squeezed(0.5, half_width=5.0, spacing=0.25))
 
     def test_overflowing_sum_raises_numerics_error(self):
         # finite samples whose products overflow: no nan value, and no blame on the (finite) grid
@@ -272,7 +275,7 @@ class TestPlaneKernels:
             wigner_xp(loud, 0.0, [0.5, 1.0])
         with pytest.raises(NumericsError, match="imaginary residual"):
             wigner_section(loud, 0.0, 0.0, [0.5], [0.7])
-        psi = cross_squeezed_state_grid(0.5, half_width=5.0, spacing=0.25)
+        psi = cross_squeezed(0.5, half_width=5.0, spacing=0.25)
         assert np.abs(wigner_xp(psi, 0.0, [0.5, 1.0]).values).max() > 0
 
     @pytest.mark.parametrize("p", [[], [[0.0, 1.0]], [0.0, 0.5, 1.5], [1.0, 0.0]])
@@ -334,7 +337,17 @@ class TestFlowCovariance:
 
     def test_unknown_label(self):
         with pytest.raises(DomainError):
-            flow_covariance_check("L1", 0.5)
+            flow_covariance_check("Q4", 0.5)
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_one_rapidity_domain(self, label):
+        with pytest.raises(DomainError, match="rapidity"):
+            flow_covariance_check(label, 1000.0)
+
+    @given(st.sampled_from(ALL_LABELS), st.floats(-0.5, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_every_generator_is_covariant(self, label, eta):
+        assert flow_covariance_check(label, eta) <= 1e-10
 
     def test_q3_squeezes_positions_and_momenta_oppositely(self):
         M = expm(0.5 * flow_matrix("Q3"))
@@ -353,18 +366,18 @@ class TestFlowCovariance:
         assert len(DEFAULT_SAMPLE_POINTS) == 16
 
     def test_symplectic_volume(self):
-        for label in ("Q3", "K3", "Q3-L2"):
+        for label in ALL_LABELS:
             assert abs(np.linalg.det(expm(0.7 * flow_matrix(label))) - 1.0) < 1e-12
 
 
 class TestFlowExponential:
     def test_flow_matrices_square_to_quarter_identity_or_zero(self):
-        for label in FLOW_LABELS:
+        for label in ALL_LABELS:
             A = flow_matrix(label)
-            expected = np.zeros((4, 4)) if label == "Q3-L2" else np.eye(4) / 4.0
-            assert np.array_equal(A @ A, expected)
+            sign = 0.0 if label == "Q3-L2" else -1.0 if label in ("L1", "L2", "L3", "S3") else 1.0
+            assert np.array_equal(A @ A, sign * np.eye(4) / 4.0)
 
-    @given(st.sampled_from(FLOW_LABELS), st.floats(-2.0, 3.0, allow_nan=False))
+    @given(st.sampled_from(ALL_LABELS), st.floats(-2.0, 3.0, allow_nan=False))
     def test_closed_form_matches_expm(self, label, t):
         assert np.abs(flow_exponential(label, t) - expm(t * flow_matrix(label))).max() <= 1e-14
 
@@ -372,14 +385,14 @@ class TestFlowExponential:
 class TestTransformedStates:
     def test_sheared_state_matches_pushforward(self):
         alpha = 0.3
-        grid = sheared_state_grid(alpha, half_width=2.0, spacing=0.5)
+        grid = transformed_state_grid("Q3-L2", 2 * alpha, half_width=2.0, spacing=0.5)
         x, y = 1.0, -0.5
-        i, j = grid.index_of(x, y)
+        i, j = grid.indices(0, x)[0], grid.indices(1, y)[0]
         expected = math.exp(-0.5 * ((x - 2 * alpha * y) ** 2 + y**2)) / math.sqrt(math.pi)
         assert grid.values[i, j] == pytest.approx(expected, rel=1e-13)
 
     def test_cross_squeezed_state_is_normalized(self):
-        psi = cross_squeezed_state_grid(0.5, half_width=6.0, spacing=0.05)
+        psi = cross_squeezed(0.5, half_width=6.0, spacing=0.05)
         h = psi.spacing[0]
         norm = float(np.sum(np.abs(psi.values) ** 2)) * h * h
         assert norm == pytest.approx(1.0, abs=1e-8)
@@ -388,7 +401,7 @@ class TestTransformedStates:
     @settings(max_examples=25, deadline=None)
     def test_cross_squeezed_state_sums_its_schmidt_series(self, eta):
         # the series the closed form sums: sum_k (i t)^k chi_k(x) chi_k(y) / cosh(eta/2), t = tanh(eta/2)
-        psi = cross_squeezed_state_grid(eta)
+        psi = cross_squeezed(eta, 6.0, 0.05)
         t = math.tanh(eta / 2.0)
         kmax = 8
         while abs(t) > 0 and abs(t) ** kmax > 1e-16:
@@ -399,6 +412,31 @@ class TestTransformedStates:
         assert np.abs(psi.values - series).max() <= 1e-15
 
     def test_cross_squeezed_state_reduces_to_ground(self):
-        psi = cross_squeezed_state_grid(0.0, half_width=2.0, spacing=0.5)
+        psi = cross_squeezed(0.0, half_width=2.0, spacing=0.5)
         ref = ground_state_grid(half_width=2.0, spacing=0.5)
         assert np.abs(psi.values - ref.values).max() < 1e-14
+
+    @pytest.mark.parametrize("eta", [-1.0, -0.55, -0.1, 0.0, 0.35, 0.7, 1.0])
+    def test_matches_the_hand_built_states(self, eta):
+        # the closed forms the three flows used before one metaplectic state served every label
+        c, t = math.cosh(eta), math.tanh(eta)
+        cross = GridFunction2D.from_function(
+            lambda X, Y: np.exp(-(X * X + Y * Y) / (2.0 * c) + 1j * t * X * Y) / math.sqrt(math.pi * c)
+        )
+        shear = GridFunction2D.from_function(
+            lambda X, Y: np.exp(-0.5 * ((X - eta * Y) ** 2 + Y * Y)) / math.sqrt(math.pi)
+        )
+        hand_built = {"Q3": squeezed_state_grid(eta / 2.0), "K3": cross, "Q3-L2": shear}
+        for label, ref in hand_built.items():
+            psi = transformed_state_grid(label, eta, 6.0, 0.05)
+            assert np.abs(psi.values - ref.values).max() <= 1e-15
+            assert np.iscomplexobj(psi.values) == (label == "K3" and eta != 0.0)
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_real_exactly_without_position_momentum_blocks(self, label):
+        M = flow_exponential(label, 0.4)
+        psi = transformed_state_grid(label, 0.4, 7.0, 0.25)
+        assert np.iscomplexobj(psi.values) == bool(M[:2, 2:].any() or M[2:, :2].any())
+        assert np.sum(np.abs(psi.values) ** 2) * 0.25**2 == pytest.approx(1.0, abs=1e-12)
+        if not np.iscomplexobj(psi.values):
+            assert wigner_xy(psi).values.max() > 0
