@@ -6,29 +6,9 @@ entropy and entanglement temperature, Lorentz-covariant oscillator inner
 products, and a numerical Wigner transform with flow-covariance checks.
 """
 
-from . import (
-    covariant_inner,
-    dirac_algebra,
-    entangled_series,
-    oscillator_basis,
-    phase_space,
-    planar_transforms,
-    reduced_state,
-)
 from .errors import CutoffError, DomainError, NumericsError
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name):
-    # `cli` loads on first access, so `python -m entosc.cli` runs a module
-    # that the package import has not already executed.
-    if name == "cli":
-        import importlib
-
-        return importlib.import_module(f"{__name__}.cli")
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 __all__ = [
     "CutoffError",
@@ -43,3 +23,13 @@ __all__ = [
     "planar_transforms",
     "reduced_state",
 ]
+
+
+def __getattr__(name):
+    # Submodules load on first access (PEP 562): `import entosc` loads no numpy,
+    # and `python -m entosc.cli` runs a module the package import has not executed.
+    if name in __all__:
+        import importlib
+
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

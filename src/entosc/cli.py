@@ -3,7 +3,8 @@
 Exit codes are contractual across subcommands: 0 success, 1 usage or
 domain error, 2 tolerance breach, 3 I/O failure.  All numeric output is
 printed with 12 significant digits, decimal point, newline-delimited,
-so repeated runs are byte-stable.
+so repeated runs are byte-stable.  Each subcommand imports only the
+modules it runs.
 """
 
 from __future__ import annotations
@@ -18,15 +19,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import (
-    covariant_inner,
-    dirac_algebra,
-    entangled_series,
-    oscillator_basis,
-    phase_space,
-    planar_transforms,
-    reduced_state,
-)
 from .errors import CutoffError, DomainError, NumericsError, budget, finite, integer, positive
 
 
@@ -102,6 +94,7 @@ def _output(path: str):
 
 
 def _cmd_identity_check(args, cfg: RunConfig) -> int:
+    from . import entangled_series, oscillator_basis
     tol = positive("--tol", args.tol if args.tol is not None else cfg.identity_tol)
     series_tol = positive("--series-tol", args.series_tol if args.series_tol is not None else cfg.series_tol)
     n, xmin, xmax = integer("--n", args.n), finite("--xmin", args.xmin), finite("--xmax", args.xmax)
@@ -129,6 +122,7 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_algebra_check(args, cfg: RunConfig) -> int:
+    from . import dirac_algebra
     tol = positive("--tol", args.tol if args.tol is not None else cfg.algebra_tol)
     cutoff = None
     if args.rep == "fock":
@@ -137,8 +131,12 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
         raise DomainError("--cutoff applies only to --rep fock")
     report = dirac_algebra.check_algebra(args.rep, cutoff)
     if args.json is not None:
+        pairs = [
+            {"pair": f"[{p.left},{p.right}]", "expected": p.expected, "deviation": p.deviation} for p in report.pairs
+        ]
         with _output(args.json) as stream:
-            stream.write(report.to_json() + "\n")
+            json.dump({"rep": report.rep, "pairs": pairs, "max_deviation": report.max_deviation}, stream, indent=2)
+            stream.write("\n")
     print(f"rep = {report.rep}" + (f", cutoff = {cutoff}" if cutoff is not None else ""))
     print(f"pairs = {len(report.pairs)}")
     if args.verbose:
@@ -154,6 +152,7 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
 
 
 def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
+    from . import reduced_state
     steps = integer("--steps", args.steps, low=2, high=THERMO_CURVE_MAX_STEPS)
     grid = np.linspace(finite("--beta-sq-min", args.beta_sq_min), finite("--beta-sq-max", args.beta_sq_max), steps)
     points = reduced_state.thermo_curve(grid)
@@ -165,6 +164,7 @@ def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
 
 
 def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
+    from . import planar_transforms
     alpha, lam = positive("--alpha", args.alpha), finite("--lam", args.lam)
     # the two factorizations that check their domains go first, so a refused input computes nothing
     theta_rs, eta_rs = planar_transforms.shear_as_rotated_squeeze(alpha)
@@ -207,6 +207,7 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
 
 
 def _cmd_inner_product(args, cfg: RunConfig) -> int:
+    from . import covariant_inner
     tol = positive("--tol", args.tol if args.tol is not None else cfg.inner_tol)
     order = args.order if args.order is not None else cfg.quadrature_order
     result = covariant_inner.inner_product(args.n, args.eta1, args.m, args.eta2, order=order)
@@ -229,6 +230,7 @@ THERMO_CURVE_MAX_STEPS = 10**6
 
 
 def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
+    from . import phase_space
     if args.state == "squeezed":
         if args.eta is None:
             raise DomainError("--eta is required for --state squeezed")

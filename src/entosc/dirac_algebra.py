@@ -33,27 +33,15 @@ fock_generators and two_mode_ladders are materialised from the same bands.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BYTE_BUDGET, CutoffError, DomainError, integer
+from . import errors
+from .errors import CutoffError, DomainError, integer
 
 LABELS = ("L1", "L2", "L3", "S3", "K1", "K2", "K3", "Q1", "Q2", "Q3")
-
-O32_METRIC = np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
-
-# Symplectic form on (x, y, p, q) with conjugate pairs (x, p) and (y, q).
-SYMPLECTIC_FORM = np.array(
-    [
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-    ]
-)
 
 
 # ---------------------------------------------------------------------------
@@ -230,25 +218,24 @@ class _Banded:
         return out
 
 
-# A Fock cutoff whose arrays would pass the package's byte budget
-# (errors.BYTE_BUDGET) fails fast with CutoffError instead of exhausting memory.
-# The banded check peaks at about 1 kB per basis state, of which there are
-# (cutoff + 1)^2 (measured peak RSS 71 MB at cutoff 200, 190 MB at 400, 392 MB
-# at 600, taking 3.8 s); one dense matrix takes 16 (cutoff + 1)^4 bytes, and
-# fock_generators returns ten.
-FOCK_CUTOFF_MAX = math.isqrt(BYTE_BUDGET // 1000) - 1  # 2071
-DENSE_FOCK_CUTOFF_MAX = math.isqrt(math.isqrt(BYTE_BUDGET // 16)) - 1  # 127
+def _check_cutoff(cutoff, dense: bool = False) -> int:
+    """cutoff, if the arrays it needs fit the package's byte budget (errors.BYTE_BUDGET), else CutoffError.
 
-
-def _check_cutoff(cutoff, cap: int) -> int:
+    The banded check peaks at about 1 kB per basis state, of which there are
+    (cutoff + 1)^2 (measured peak RSS 71 MB at cutoff 200, 190 MB at 400, 392 MB
+    at 600, taking 3.8 s); one dense matrix takes 16 (cutoff + 1)^4 bytes, and
+    fock_generators returns ten.  At the default 4 GiB the caps are 2071 and 127.
+    """
     cutoff = integer("fock cutoff", cutoff, low=2)
+    nbytes = errors.BYTE_BUDGET
+    cap = math.isqrt(math.isqrt(nbytes // 16)) - 1 if dense else math.isqrt(nbytes // 1000) - 1
     if cutoff > cap:
-        raise CutoffError(f"fock cutoff {cutoff} is above the cap of {cap} (a {BYTE_BUDGET // 2**30} GiB budget)")
+        raise CutoffError(f"fock cutoff {cutoff} is above the cap of {cap} (a {nbytes / 2**30:.3g} GiB budget)")
     return cutoff
 
 
 def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
-    cutoff = _check_cutoff(cutoff, FOCK_CUTOFF_MAX)
+    cutoff = _check_cutoff(cutoff)
     dim = cutoff + 1
     n, m = np.divmod(np.arange(dim * dim), dim)
     # a|n+1, m> = sqrt(n+1)|n, m> sits one a-mode block (dim columns) right of the diagonal
@@ -259,8 +246,8 @@ def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
 
 
 def two_mode_ladders(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff <= DENSE_FOCK_CUTOFF_MAX, a-mode outer."""
-    a, b = _ladder_bands(_check_cutoff(cutoff, DENSE_FOCK_CUTOFF_MAX))
+    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff, a-mode outer, as dense arrays."""
+    a, b = _ladder_bands(_check_cutoff(cutoff, dense=True))
     return a.dense(), b.dense()
 
 
@@ -270,7 +257,7 @@ def safe_sector_mask(cutoff: int) -> np.ndarray:
     Creation bilinears leak one excitation per factor, so commutators on a
     cutoff-truncated space are only exact on columns drawn from this sector.
     """
-    cutoff = _check_cutoff(cutoff, FOCK_CUTOFF_MAX)
+    cutoff = _check_cutoff(cutoff)
     dim = cutoff + 1
     n, m = np.divmod(np.arange(dim * dim), dim)
     return (n + m) <= (cutoff - 2)
@@ -303,9 +290,9 @@ def _fock_bands(cutoff: int) -> dict[str, _Banded]:
 def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
     """The ten Hermitian bilinears on the truncated two-mode basis, as dense matrices.
 
-    Each takes 16 (cutoff + 1)^4 bytes, so cutoff is capped at DENSE_FOCK_CUTOFF_MAX.
+    Each takes 16 (cutoff + 1)^4 bytes, so the byte budget caps cutoff (at 127 by default).
     """
-    gens = _fock_bands(_check_cutoff(cutoff, DENSE_FOCK_CUTOFF_MAX))
+    gens = _fock_bands(_check_cutoff(cutoff, dense=True))
     return {lab: gens[lab].dense().astype(complex) for lab in LABELS}
 
 
@@ -328,23 +315,6 @@ class AlgebraReport:
     pairs: tuple[PairCheck, ...]
     max_deviation: float
 
-    def as_dict(self) -> dict:
-        return {
-            "rep": self.rep,
-            "pairs": [
-                {
-                    "pair": f"[{p.left},{p.right}]",
-                    "expected": p.expected,
-                    "deviation": p.deviation,
-                }
-                for p in self.pairs
-            ],
-            "max_deviation": self.max_deviation,
-        }
-
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent)
-
 
 def _expected_string(entry: tuple[int, str] | None) -> str:
     if entry is None:
@@ -356,7 +326,7 @@ def _expected_string(entry: tuple[int, str] | None) -> str:
 def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
     """Verify all 45 commutators of one representation against the table.
 
-    fock requires a cutoff (at most FOCK_CUTOFF_MAX) and is compared in
+    fock requires a cutoff (at most 2071 at the default byte budget) and is compared in
     floating point, band by band, on columns from the truncation-safe sector.
     matrix5 and sp4 are compared exactly on their integer tables (a deviation
     of exactly 0.0 is expected):
@@ -397,25 +367,3 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
         checks.append(PairCheck(left, right, _expected_string(entry), deviation(diff)))
     return AlgebraReport(rep=rep, pairs=tuple(checks), max_deviation=max(c.deviation for c in checks))
 
-
-# ---------------------------------------------------------------------------
-# structural validators used by the tests
-# ---------------------------------------------------------------------------
-
-
-def metric_defect(G: np.ndarray) -> float:
-    """max |B g + g B^T| with B = -iG: zero iff B generates O(3,2) flows."""
-    B = np.real(-1j * np.asarray(G, dtype=complex))
-    return float(np.abs(B @ O32_METRIC + O32_METRIC @ B.T).max())
-
-
-def symplectic_defect(A: np.ndarray) -> float:
-    """max |A^T J + J A|: zero iff the flow of A is canonical."""
-    A = np.asarray(A, dtype=float)
-    J = SYMPLECTIC_FORM
-    return float(np.abs(A.T @ J + J @ A).max())
-
-
-def hermiticity_defect(G: np.ndarray) -> float:
-    G = np.asarray(G, dtype=complex)
-    return float(np.abs(G - G.conj().T).max())

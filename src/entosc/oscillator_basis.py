@@ -80,11 +80,6 @@ def chi_bare(n: int, x):
     return _last_row(n, x, gaussian=False)
 
 
-def generating_function(r: float, z: float) -> float:
-    """exp(-r^2 + 2 r z), whose Taylor coefficients in r are H_m(z)/m!."""
-    return float(np.exp(-r * r + 2.0 * r * z))
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Gauss-Hermite nodes and weights for the weight e^{-x^2}."""

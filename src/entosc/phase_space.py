@@ -407,8 +407,26 @@ def flow_covariance_check(
     Path one transforms the wave function first and Wigner-transforms it
     numerically; path two moves the closed-form ground-state Wigner
     function along the flow.  Agreement is the covariance statement.
+    The sampled state must die out before the lattice cuts it: DomainError,
+    before anything is sampled, unless the lattice reaches 6 sigma of the
+    state's widest position spread past every sample position, and its
+    momentum period pi / spacing reaches 7 sigma of the widest momentum
+    spread past every sample momentum (a narrower state aliases).
     """
     eta = rapidity(eta)
+    S = flow_exponential(label, eta)
+    cov = S @ S.T / 2.0  # the Wigner covariance of the moved ground state
+    far = np.abs([pt.as_array() for pt in sample_points]).reshape(-1, 4).max(axis=0, initial=0.0)
+    for what, block, reach, sigmas in (
+        ("position", slice(0, 2), half_width - far[:2].max(), 6.0),
+        ("momentum", slice(2, 4), math.pi / positive("spacing", spacing) - far[2:].max(), 7.0),
+    ):
+        sigma = math.sqrt(float(np.linalg.eigvalsh(cov[block, block])[-1]))
+        if not reach >= sigmas * sigma:
+            raise DomainError(
+                f"flow {label} at eta = {eta}: the lattice reaches {reach:.6g} in {what} past the samples, "
+                f"short of {sigmas:g} sigma = {sigmas * sigma:.6g} of the transformed state"
+            )
     minv = flow_exponential(label, -eta)
     psi = transformed_state_grid(label, eta, half_width, spacing)
     deviations = (abs(wigner_transform(psi, pt) - wigner_ground_closed(minv @ pt.as_array())) for pt in sample_points)

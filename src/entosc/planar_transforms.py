@@ -1,9 +1,9 @@
 """Area-preserving linear maps of the plane and their shear factorizations.
 
-All group elements are unimodular 2x2 arrays: rotations, axis squeezes,
-the 45-degree squeeze in its symmetric (boost) form, and the shear.  The
-shear is triangular and cannot be diagonalized, but it admits two
-factorizations through rotations and squeezes:
+All group elements are unimodular 2x2 arrays: rotations, the 45-degree
+squeeze in its symmetric (boost) form, and the shear.  The shear is
+triangular and cannot be diagonalized, but it admits two factorizations
+through rotations and squeezes:
 
   * bargmann_decompose: rotation * boost * rotation with equal angles,
   * wigner_decompose:   axis squeeze * rotation * inverse squeeze, which
@@ -19,24 +19,12 @@ import numpy as np
 
 from .errors import DomainError, finite, positive
 
-# 2x2 generators: exp(-i eta K) is the symmetric squeeze, exp(-i theta J)
-# the rotation, and S = K - J is nilpotent (S @ S = 0), so exp(-i alpha S)
-# truncates to the triangular shear matrix.
-ROTATION_GEN = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-BOOST_GEN = np.array([[0.0, 1.0j], [1.0j, 0.0]])
-SHEAR_GEN = BOOST_GEN - ROTATION_GEN
-
 _EXP_ARG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows past this argument
 
 
 def rotation(theta: float) -> np.ndarray:
     c, s = np.cos(theta), np.sin(theta)
     return np.array([[c, -s], [s, c]])
-
-
-def squeeze_axis(eta: float) -> np.ndarray:
-    """diag(e^eta, e^-eta): squeeze along the coordinate axes."""
-    return np.diag([np.exp(eta), np.exp(-eta)])
 
 
 def boost(eta: float) -> np.ndarray:
@@ -123,17 +111,3 @@ def rotated_squeeze_form(theta: float, eta: float) -> np.ndarray:
     u2 = np.array([np.sin(theta), -np.cos(theta)])
     return np.exp(-2.0 * eta) * np.outer(u1, u1) + np.exp(2.0 * eta) * np.outer(u2, u2)
 
-
-def transform_quadratic_form(Q: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """Push the Gaussian exponent -(1/2) v^T Q v forward through v -> M v.
-
-    The transformed state psi'(v) = psi(M^-1 v) has exponent form
-    Q' = M^-T Q M^-1.
-    """
-    Q = np.asarray(Q, dtype=float)
-    M = np.asarray(M, dtype=float)
-    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det) < 1e-12:
-        raise DomainError("transformation matrix is singular")
-    Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
-    return Minv.T @ Q @ Minv

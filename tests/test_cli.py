@@ -440,8 +440,8 @@ class TestConfig:
 # the rest to their ordinary values.
 FLOAT_EDGES = ("0", "-1.5", "1e-300", "1e300", "nan", "inf", "-inf", None)
 INT_EDGES = FLOAT_EDGES + (str(2**31),)
-# the patched budget does not move the Fock caps, so only cutoffs they refuse, or <= 30
-CUTOFF_EDGES = ("0", "-1", "1e-300", "1e300", "nan", "inf", str(2**31), None)
+PROPERTY_BUDGET = 64 * 2**20
+FOCK_CAP = math.isqrt(PROPERTY_BUDGET // 1000) - 1  # 258, the banded check's cutoff cap under that budget
 
 # command -> (choice flags, {numeric flag: (ordinary value, edge values)})
 PROPERTY_COMMANDS = {
@@ -459,7 +459,7 @@ PROPERTY_COMMANDS = {
     ),
     "algebra-check": (
         {"--rep": ("fock", "matrix5", "sp4")},
-        {"--tol": ("1e-10", FLOAT_EDGES), "--cutoff": (None, CUTOFF_EDGES + ("10",))},
+        {"--tol": ("1e-10", FLOAT_EDGES), "--cutoff": (None, INT_EDGES + (str(FOCK_CAP), str(FOCK_CAP + 1), "10"))},
     ),
     "thermo-curve": (
         {"--out": ("-",)},
@@ -518,7 +518,7 @@ def test_cli_property(command, data):
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
     out, err = io.StringIO(), io.StringIO()
     started = time.perf_counter()
-    with mock.patch.object(errors, "BYTE_BUDGET", 64 * 2**20):
+    with mock.patch.object(errors, "BYTE_BUDGET", PROPERTY_BUDGET):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert time.perf_counter() - started < 2.0, argv
@@ -537,19 +537,6 @@ def source_env():
     return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
-def test_module_entry_runs_without_runpy_warning():
-    env = source_env()
-    run_module = [sys.executable, "-W", "error::RuntimeWarning", "-m", "entosc.cli", "--help"]
-    result = subprocess.run(run_module, capture_output=True, text=True, env=env, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout.startswith("usage: entosc")
-    # `import entosc` leaves cli unloaded, and entosc.cli still resolves
-    probe = "import sys, entosc; assert 'entosc.cli' not in sys.modules; print(entosc.cli.main.__name__)"
-    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "main\n"
-
-
 README_EXAMPLES = [
     ["identity-check", "--n", "0", "--eta", "0.5"],
     ["algebra-check", "--rep", "sp4", "--json", "report.json"],
@@ -558,6 +545,46 @@ README_EXAMPLES = [
     ["inner-product", "--n", "0", "--eta1", "0.6931", "--m", "0", "--eta2", "0"],
     ["wigner-grid", "--state", "ground", "--plane", "xy", "--out", "wigner.csv"],
 ]
+
+# the submodules each command loads besides cli and errors: those it imports, and theirs
+COMMAND_MODULES = {
+    "identity-check": {"entangled_series", "oscillator_basis"},
+    "algebra-check": {"dirac_algebra"},
+    "thermo-curve": {"reduced_state", "entangled_series", "oscillator_basis"},
+    "decompose-shear": {"planar_transforms"},
+    "inner-product": {"covariant_inner", "entangled_series", "oscillator_basis"},
+    "wigner-grid": {"phase_space", "dirac_algebra", "entangled_series", "oscillator_basis"},
+}
+
+
+def test_module_entry_runs_without_runpy_warning(tmp_path):
+    env = source_env()
+    run_module = [sys.executable, "-W", "error::RuntimeWarning", "-m", "entosc.cli", "--help"]
+    result = subprocess.run(run_module, capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("usage: entosc")
+    # `import entosc` loads errors alone and no numpy, and every name in __all__ resolves on first access
+    probe = (
+        "import sys, entosc\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('entosc.', 'numpy'))))\n"
+        "from entosc import *\n"
+        "print(all(globals()[name] is getattr(entosc, name) for name in entosc.__all__))\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "['entosc.errors']\nTrue\n"
+    # each command loads only the modules it runs
+    for argv in README_EXAMPLES:
+        probe = (
+            "import sys, entosc.cli\n"
+            f"assert entosc.cli.main({argv!r}) == 0\n"
+            "print(sorted(m.split('.')[1] for m in sys.modules if m.startswith('entosc.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == str(sorted(COMMAND_MODULES[argv[0]] | {"cli", "errors"})), argv
 
 
 def test_readme_examples_run_without_scipy(tmp_path):

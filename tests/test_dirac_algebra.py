@@ -2,31 +2,47 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from entosc import CutoffError, DomainError
+from entosc import CutoffError, DomainError, errors
 from entosc.cli import main
 from entosc.dirac_algebra import (
-    DENSE_FOCK_CUTOFF_MAX,
-    FOCK_CUTOFF_MAX,
     LABELS,
     check_algebra,
     canonical_pairs,
     fock_generators,
-    hermiticity_defect,
     matrix5_generators,
-    metric_defect,
     safe_sector_mask,
     sp4_generators,
     structure_constant,
-    symplectic_defect,
     two_mode_ladders,
 )
-from entosc.errors import BYTE_BUDGET
+
+FOCK_CUTOFF_MAX, DENSE_FOCK_CUTOFF_MAX = 2071, 127  # the caps at the default 4 GiB byte budget
+
+O32_METRIC = np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
+# symplectic form on (x, y, p, q) with conjugate pairs (x, p) and (y, q)
+SYMPLECTIC_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+
+
+def metric_defect(G):
+    """max |B g + g B^T| with B = -iG: zero iff B generates O(3,2) flows."""
+    B = np.real(-1j * np.asarray(G, dtype=complex))
+    return float(np.abs(B @ O32_METRIC + O32_METRIC @ B.T).max())
+
+
+def symplectic_defect(A):
+    """max |A^T J + J A|: zero iff the flow of A is canonical."""
+    return float(np.abs(A.T @ SYMPLECTIC_FORM + SYMPLECTIC_FORM @ A).max())
+
+
+def hermiticity_defect(G):
+    return float(np.abs(G - G.conj().T).max())
 
 
 class TestFockOperators:
@@ -153,10 +169,24 @@ class TestBandedFock:
         with pytest.raises(CutoffError):
             safe_sector_mask(cutoff)
 
-    def test_caps_follow_the_byte_budget(self):
-        # about 1 kB per basis state for the banded check, 16 (c + 1)^4 bytes per dense matrix
-        assert 1000 * (FOCK_CUTOFF_MAX + 1) ** 2 <= BYTE_BUDGET < 1000 * (FOCK_CUTOFF_MAX + 2) ** 2
-        assert 16 * (DENSE_FOCK_CUTOFF_MAX + 1) ** 4 <= BYTE_BUDGET < 16 * (DENSE_FOCK_CUTOFF_MAX + 2) ** 4
+    def test_caps_follow_the_byte_budget(self, monkeypatch):
+        # about 1 kB per basis state for the banded check, 16 (c + 1)^4 bytes per dense matrix;
+        # the caps are read at call time, so a patched budget moves them
+        for budget in (errors.BYTE_BUDGET, 2**20):
+            monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
+            with pytest.raises(CutoffError) as banded:
+                check_algebra("fock", cutoff=10**6)
+            with pytest.raises(CutoffError) as dense:
+                fock_generators(10**6)
+            cap, dense_cap = (int(re.search(r"cap of (\d+)", str(e.value))[1]) for e in (banded, dense))
+            assert 1000 * (cap + 1) ** 2 <= budget < 1000 * (cap + 2) ** 2
+            assert 16 * (dense_cap + 1) ** 4 <= budget < 16 * (dense_cap + 2) ** 4
+        # the 1 MiB caps, 31 and 15, admit their own cutoff and refuse the next
+        assert check_algebra("fock", cutoff=cap).max_deviation <= 1e-10
+        assert set(fock_generators(dense_cap)) == set(LABELS)
+        for call, refused in ((safe_sector_mask, cap + 1), (two_mode_ladders, dense_cap + 1)):
+            with pytest.raises(CutoffError, match=f"cap of {refused - 1} "):
+                call(refused)
 
     def test_dense_cutoff_cap(self):
         a, _ = two_mode_ladders(31)
@@ -237,12 +267,14 @@ class TestAlgebraTable:
         for left, right in pairs:
             structure_constant(left, right)  # raises on any gap
 
-    def test_report_serialization(self):
-        payload = json.loads(check_algebra("sp4").to_json())
+    def test_report_serialization(self, tmp_path):
+        # the JSON report is the CLI's; the library returns the AlgebraReport it serializes
+        assert main(["algebra-check", "--rep", "sp4", "--json", str(tmp_path / "report.json")]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["rep"] == "sp4"
         assert payload["max_deviation"] == 0.0
         assert len(payload["pairs"]) == 45
-        assert {"pair", "expected", "deviation"} <= set(payload["pairs"][0])
+        assert payload["pairs"][0] == {"pair": "[L1,L2]", "expected": "i*L3", "deviation": 0.0}
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):

@@ -15,7 +15,6 @@ from entosc.oscillator_basis import (
     chi,
     chi_bare,
     chi_batch,
-    generating_function,
     quadrature,
 )
 
@@ -144,6 +143,11 @@ class TestChi:
         table = chi_batch(N_MAX, x)
         gram = h * table @ table.T
         assert np.abs(gram - np.eye(N_MAX + 1)).max() < 1e-12
+
+
+def generating_function(r, z):
+    """exp(-r^2 + 2 r z), whose Taylor coefficients in r are H_m(z)/m!."""
+    return math.exp(-r * r + 2.0 * r * z)
 
 
 class TestGeneratingFunction:

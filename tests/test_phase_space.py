@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
 from entosc import DomainError, NumericsError
@@ -344,10 +344,18 @@ class TestFlowCovariance:
         with pytest.raises(DomainError, match="rapidity"):
             flow_covariance_check(label, 1000.0)
 
-    @given(st.sampled_from(ALL_LABELS), st.floats(-0.5, 0.5))
-    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(ALL_LABELS), st.floats(-25.0, 25.0))
+    # deviations of 1.0e-4, 3.5e-5 and 5.2e-6 when the lattice was not checked against the state
+    @example("K2", 2.0)
+    @example("Q1", 2.0)
+    @example("Q3-L2", 2.0)
+    @settings(max_examples=50, deadline=None)
     def test_every_generator_is_covariant(self, label, eta):
-        assert flow_covariance_check(label, eta) <= 1e-10
+        """Over the whole rapidity domain: within 1e-10, or refused because the lattice is too narrow."""
+        try:
+            assert flow_covariance_check(label, eta) <= 1e-10
+        except DomainError as exc:
+            assert " sigma = " in str(exc)
 
     def test_q3_squeezes_positions_and_momenta_oppositely(self):
         M = expm(0.5 * flow_matrix("Q3"))

@@ -9,9 +9,6 @@ from scipy.linalg import expm
 
 from entosc import DomainError
 from entosc.planar_transforms import (
-    BOOST_GEN,
-    ROTATION_GEN,
-    SHEAR_GEN,
     bargmann_decompose,
     bargmann_reconstruct,
     boost,
@@ -20,10 +17,32 @@ from entosc.planar_transforms import (
     shear,
     shear_as_rotated_squeeze,
     sheared_gaussian_form,
-    squeeze_axis,
-    transform_quadratic_form,
     wigner_decompose,
 )
+
+# 2x2 generators: exp(-i eta K) is the symmetric squeeze, exp(-i theta J)
+# the rotation, and S = K - J is nilpotent (S @ S = 0), so exp(-i alpha S)
+# truncates to the triangular shear matrix.
+ROTATION_GEN = np.array([[0.0, -1.0j], [1.0j, 0.0]])
+BOOST_GEN = np.array([[0.0, 1.0j], [1.0j, 0.0]])
+SHEAR_GEN = BOOST_GEN - ROTATION_GEN
+
+
+def squeeze_axis(eta):
+    """diag(e^eta, e^-eta): squeeze along the coordinate axes."""
+    return np.diag([np.exp(eta), np.exp(-eta)])
+
+
+def transform_quadratic_form(Q, M):
+    """Push the Gaussian exponent -(1/2) v^T Q v forward through v -> M v: Q' = M^-T Q M^-1.
+
+    The transformed state psi'(v) = psi(M^-1 v) has that exponent form.
+    """
+    det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
+    if abs(det) < 1e-12:
+        raise DomainError("transformation matrix is singular")
+    Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]]) / det
+    return Minv.T @ Q @ Minv
 
 ANGLES = st.floats(-3.0, 3.0, allow_nan=False)
 RAPIDITIES = st.floats(-2.0, 2.0, allow_nan=False)
