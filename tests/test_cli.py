@@ -559,10 +559,21 @@ COMMAND_MODULES = {
 
 def test_module_entry_runs_without_runpy_warning(tmp_path):
     env = source_env()
-    run_module = [sys.executable, "-W", "error::RuntimeWarning", "-m", "entosc.cli", "--help"]
-    result = subprocess.run(run_module, capture_output=True, text=True, env=env, timeout=60)
+    # -X importtime lists every module the process imports on stderr: help and usage errors load no numpy
+    run_module = [sys.executable, "-W", "error::RuntimeWarning", "-X", "importtime", "-m", "entosc.cli"]
+    result = subprocess.run([*run_module, "--help"], capture_output=True, text=True, env=env, timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout.startswith("usage: entosc")
+    assert "numpy" not in result.stderr
+    result = subprocess.run([*run_module, "wigner-grid"], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 1, result.stderr
+    assert "usage error: the following arguments are required: --out" in result.stderr
+    assert "numpy" not in result.stderr
+    # nor does importing the CLI module
+    probe = "import sys, entosc.cli\nprint([m for m in sys.modules if m.startswith('numpy')])\n"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
     # `import entosc` loads errors alone and no numpy, and every name in __all__ resolves on first access
     probe = (
         "import sys, entosc\n"
@@ -600,3 +611,22 @@ def test_readme_examples_run_without_scipy(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert {p.name for p in tmp_path.iterdir()} == {"report.json", "curve.csv", "wigner.csv"}
+
+
+@pytest.mark.parametrize("settings, printed", [({}, "4"), ({"OPENBLAS_THREAD_TIMEOUT": "8"}, "8")])
+def test_console_entry_sets_blas_idle_timeout_unless_user_did(settings, printed):
+    # the console entry sets the minimum idle timeout before numpy loads; importing the module sets nothing
+    probe = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "from entosc import cli\n"
+        "assert dict(os.environ) == before\n"
+        "cli.main = lambda: print(os.environ.get('OPENBLAS_THREAD_TIMEOUT'))\n"
+        "cli.entry()\n"
+    )
+    env = {k: v for k, v in source_env().items() if k != "OPENBLAS_THREAD_TIMEOUT"}
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**env, **settings}, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == printed + "\n"
