@@ -33,7 +33,6 @@ class RunConfig:
     series_tol: float = 1e-10
     quadrature_order: int = 64
     fock_cutoff: int = 10
-    series_kmax: int = 256
 
     def __post_init__(self):
         for name, kind in _CONFIG_TYPES.items():
@@ -87,6 +86,15 @@ def _output(path: str):
             yield stream
 
 
+def _verdict(ok: bool, failure: str) -> int:
+    """Print OK and return 0, or FAIL: <failure> and 2; `ok = deviation <= tol` fails a nan deviation."""
+    if ok:
+        print("OK")
+        return 0
+    print(f"FAIL: {failure}")
+    return 2
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -100,25 +108,20 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
     n, xmin, xmax = integer("--n", args.n), finite("--xmin", args.xmin), finite("--xmax", args.xmax)
     if xmax <= xmin:
         raise DomainError("grid requires xmax > xmin")
-    # series_sum's chi tables hold (n + 2K + 2) doubles per axis point, K <= the series bound;
+    # series_sum's chi tables hold (n + 2K + 2) doubles per axis point, K <= the basis bound N_MAX;
     # the series, the Gaussian side and the deviation peak at 7 doubles per grid point for any n
     side = (xmax - xmin) / positive("--spacing", args.spacing) + 1.0
-    kmax = min(cfg.series_kmax, oscillator_basis.N_MAX)
-    budget(8.0 * ((n + 2 * kmax + 2) * side + 7 * side * side), f"a grid of {side:.6g}^2 points")
+    budget(8.0 * ((n + 2 * oscillator_basis.N_MAX + 2) * side + 7 * side * side), f"a grid of {side:.6g}^2 points")
     axis = np.arange(xmin, finite("--xmax + --spacing / 2", xmax + 0.5 * args.spacing), args.spacing)
     X, Y = np.meshgrid(axis, axis, indexing="ij", sparse=True)
-    series = entangled_series.series_sum(args.n, args.eta, X, Y, series_tol, kmax=cfg.series_kmax)
+    series = entangled_series.series_sum(args.n, args.eta, X, Y, series_tol)
     gauss = entangled_series.squeezed_wavefunction(args.n, args.eta, X, Y)
     dev = float(np.abs(series - gauss).max())
     print(f"n = {args.n}, eta = {_fmt(args.eta)}")
     print(f"grid = [{_fmt(args.xmin)}, {_fmt(args.xmax)}] step {_fmt(args.spacing)} ({axis.size}^2 points)")
     print(f"max_deviation = {_fmt(dev)}")
     print(f"tolerance = {_fmt(tol)}")
-    if not dev <= tol:  # a nan deviation fails too
-        print("FAIL: series does not reproduce the squeezed Gaussian at tolerance")
-        return 2
-    print("OK")
-    return 0
+    return _verdict(dev <= tol, "series does not reproduce the squeezed Gaussian at tolerance")
 
 
 def _cmd_algebra_check(args, cfg: RunConfig) -> int:
@@ -144,11 +147,7 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
             print(f"  [{p.left},{p.right}] -> {p.expected}: deviation {_fmt(p.deviation)}")
     print(f"max_deviation = {_fmt(report.max_deviation)}")
     print(f"tolerance = {_fmt(tol)}")
-    if not report.max_deviation <= tol:
-        print("FAIL: commutator table not satisfied at tolerance")
-        return 2
-    print("OK")
-    return 0
+    return _verdict(report.max_deviation <= tol, "commutator table not satisfied at tolerance")
 
 
 def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
@@ -217,11 +216,7 @@ def _cmd_inner_product(args, cfg: RunConfig) -> int:
     print(f"quadrature = {_fmt(result.quadrature)}")
     print(f"closed_form = {_fmt(result.closed_form)}")
     print(f"deviation = {_fmt(result.deviation)}")
-    if not result.deviation <= tol:
-        print("FAIL: quadrature and closed form disagree at tolerance")
-        return 2
-    print("OK")
-    return 0
+    return _verdict(result.deviation <= tol, "quadrature and closed form disagree at tolerance")
 
 
 # Points per axis of the lattice wigner-grid samples; at the cap the lattice

@@ -1,12 +1,12 @@
 """Lorentz-covariant oscillator states and frame-to-frame inner products.
 
-The boosted bound-state wave function chi_n(z') chi_0(t') is the same
-object as the squeezed two-mode state with (x, y) read as the space and
-time separations (z, t); excitations along t are forbidden, so the t
-mode stays in its ground state.  Boosting preserves the normalization
-(dz dt is invariant), while the overlap of states whose frames differ
-by rapidity d collapses each of the n + 1 probability humps by the
-Lorentz contraction factor:
+The boosted bound-state wave function chi_n(z') chi_0(t') is
+`entangled_series.squeezed_wavefunction(n, eta, z, t)`: the squeezed
+two-mode state with (x, y) read as the space and time separations (z, t).
+Excitations along t are forbidden, so the t mode stays in its ground
+state.  Boosting preserves the normalization (dz dt is invariant), while
+the overlap of states whose frames differ by rapidity d collapses each of
+the n + 1 probability humps by the Lorentz contraction factor:
 
     <n, eta1 | m, eta2> = cosh(eta1 - eta2)^-(n+1) delta_nm.
 """
@@ -17,26 +17,10 @@ import math
 from dataclasses import dataclass
 
 from . import oscillator_basis as basis
-from .entangled_series import _overlap, squeezed_wavefunction
+from .entangled_series import _overlap
 from .errors import DomainError, integer, rapidity
 
 _INDEX_BUDGET = 12  # quadrature degree budget for the overlap integrals
-
-
-@dataclass(frozen=True)
-class CovariantState:
-    """Longitudinal excitation n boosted to rapidity eta; t mode unexcited."""
-
-    n: int
-    eta: float
-
-    def __post_init__(self):
-        integer("excitation number", self.n)
-
-
-def boosted_wavefunction(state: CovariantState, z, t):
-    """psi_eta^n(z, t) = chi_n(z') chi_0(t'), same numerics as the (x, y) squeeze."""
-    return squeezed_wavefunction(state.n, state.eta, z, t)
 
 
 @dataclass(frozen=True)

@@ -320,7 +320,7 @@ def _expected_string(entry: tuple[int, str] | None) -> str:
     if entry is None:
         return "0"
     lam, target = entry
-    return f"i*{target}" if lam == 1 else f"-i*{target}" if lam == -1 else f"{lam}i*{target}"
+    return f"i*{target}" if lam == 1 else f"-i*{target}"
 
 
 def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:

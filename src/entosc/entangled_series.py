@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oscillator_basis as basis
-from .errors import CutoffError, DomainError, budget, integer, positive, rapidity
+from .errors import CutoffError, budget, integer, positive, rapidity
 
 # sup_x |chi_j(x)| <= pi^(-1/4), so any product of two factors is below this.
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
@@ -123,30 +123,27 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
     return _overlap((n + k, k, 0.0), (n, 0, eta), order)
 
 
-def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> SchmidtSeries:
+def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
     """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol.
 
     The cutoff starts from the geometric estimate
-    K0 = ceil(log(tol (1 - t^2)) / (2 log t)), t = tanh|eta|, and is then
-    extended until A_K sup|chi chi| r / (1 - r) <= tol with the ratio bound
+    K0 = ceil((log tol - 2 log cosh eta) / (2 log t)), t = tanh|eta|, in logs
+    that stay accurate where t rounds to one, and is then extended until
+    A_K sup|chi chi| r / (1 - r) <= tol with the ratio bound
     r = t sqrt((n+K+1)/(K+1)); the plain geometric seed undershoots the
     pointwise tolerance once t is close to one.  CutoffError is raised
     before any coefficient is built when n + K0 already passes the basis
-    bound, tanh|eta| rounding to one included.
+    bound N_MAX, tanh|eta| rounding to one included.
     """
     tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
-    bound = basis.N_MAX if kmax is None else min(integer("kmax", kmax), basis.N_MAX)
     t = math.tanh(abs(eta))
     if t == 0.0:
         return SchmidtSeries(n=n, eta=eta, coeffs=np.array([1.0]), cutoff=0, tail_bound=0.0)
-    if t == 1.0:  # |eta| >~ 19: estimate K0 from logs that do not round
-        k0 = (math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))
-    else:
-        k0 = max(math.ceil(math.log(tol * (1.0 - t * t)) / (2.0 * math.log(t))), 8)
-    if k0 + n > bound:
+    k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))), 8)
+    if k0 + n > basis.N_MAX:
         raise CutoffError(
             f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {k0:.4g}, "
-            f"so n + K exceeds the basis bound {bound}"
+            f"so n + K exceeds the basis bound {basis.N_MAX}"
         )
     coeffs = [coefficient(n, k, eta) for k in range(k0 + 1)]
     k = k0
@@ -155,16 +152,16 @@ def schmidt_series(n: int, eta, tol: float = 1e-12, kmax: int | None = None) -> 
         if r < 1.0 and abs(coeffs[k]) * _CHI_PAIR_SUP * r / (1.0 - r) <= tol:
             break
         k += 1
-        if k + n > bound:
+        if k + n > basis.N_MAX:
             raise CutoffError(
-                f"series cutoff for n={n}, eta={eta}, tol={tol} exceeds the basis bound {bound}"
+                f"series cutoff for n={n}, eta={eta}, tol={tol} exceeds the basis bound {basis.N_MAX}"
             )
         coeffs.append(coefficient(n, k, eta))
     tail = _tail(n, t * t, k, coeffs[-1] ** 2)
     return SchmidtSeries(n=n, eta=eta, coeffs=np.array(coeffs), cutoff=k, tail_bound=tail)
 
 
-def series_sum(n: int, eta, x, y, tol: float = 1e-10, kmax: int | None = None):
+def series_sum(n: int, eta, x, y, tol: float = 1e-10):
     """Partial sum sum_k A_k(n) chi_{n+k}(x) chi_k(y), accurate to tol pointwise.
 
     x and y are broadcast against each other like numpy operands, and each chi
@@ -173,7 +170,7 @@ def series_sum(n: int, eta, x, y, tol: float = 1e-10, kmax: int | None = None):
     touches all N M points.
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    ser = schmidt_series(n, eta, tol, kmax)
+    ser = schmidt_series(n, eta, tol)
     cx = basis.chi_batch(ser.n + ser.cutoff, x)
     cy = basis.chi_batch(ser.cutoff, y)
     total = np.einsum("k,k...,k...->...", ser.coeffs, cx[ser.n :], cy)
@@ -251,10 +248,6 @@ def unnormalized_series_ratio(eta) -> float:
     return math.sqrt(float(np.sum(q ** np.arange(_prob_cutoff(0, eta, 1e-18) + 1, dtype=float))))
 
 
-# central second-difference weights and the denominator they share with h^2, by order of accuracy
-_STENCILS = {2: ((1.0, -2.0, 1.0), 1.0), 4: ((-1.0, 16.0, -30.0, 16.0, -1.0), 12.0)}
-
-
 @dataclass(frozen=True)
 class EigenvalueResidual:
     """Finite-difference residual of the squeeze-invariant eigenvalue relation."""
@@ -271,25 +264,23 @@ def eigenvalue_residual(
     m: int = 0,
     half_width: float = 5.0,
     spacing: float = 0.01,
-    stencil_order: int = 4,
 ) -> EigenvalueResidual:
     """max |D psi - (n - m) psi| for D = ((x^2 - dxx) - (y^2 - dyy)) / 2.
 
     psi = chi_n(x') chi_m(y') with squeezed coordinates of rapidity eta;
     the eigenvalue n - m is squeeze-invariant, so the residual measures
-    only the finite-difference error, O(spacing^stencil_order).
+    only the finite-difference error, O(spacing^4).
     """
-    if stencil_order not in (2, 4):
-        raise DomainError("stencil_order must be 2 or 4")
     n, m, eta = integer("n", n), integer("m", m), rapidity(eta)
     steps = 2.0 * positive("half_width", half_width) / positive("spacing", spacing)
     budget(6.0 * 8 * (steps + 1.0) * (steps + 1.0), f"a residual grid of {steps + 1.0:.6g}^2 points")  # peak: 6 planes
-    npts = integer("points per axis", round(steps) + 1, low=2 * stencil_order + 1)
+    npts = integer("points per axis", round(steps) + 1, low=9)  # a core of 5 points inside the stencil's reach
     axis = -half_width + spacing * np.arange(npts)
     X, Y = axis[:, None], axis[None, :]
     psi = _squeezed(n, m, eta, X, Y)
 
-    weights, denom = _STENCILS[stencil_order]
+    # central second-difference weights of 4th-order accuracy and the denominator they share with h^2
+    weights, denom = (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0
     r = len(weights) // 2
     core = slice(r, npts - r)
     shifts = [slice(j, npts - 2 * r + j) for j in range(2 * r + 1)]

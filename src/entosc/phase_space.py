@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, TextIO
+from typing import Callable, TextIO
 
 import numpy as np
 
@@ -194,11 +194,12 @@ def _real_part(w: np.ndarray) -> np.ndarray:
 def _window(psi: GridFunction2D, which: int, coord: float) -> tuple[int, int]:
     """Index of an on-lattice coordinate and the half-width, in steps, of its symmetric window."""
     i = int(psi.indices(which, coord)[0])
-    m = min(i, psi.values.shape[which] - 1 - i)
-    if m * psi.spacing[which] < MIN_COVERAGE:
+    n, h = psi.values.shape[which], psi.spacing[which]
+    m = min(i, n - 1 - i)
+    covered = _covered(n, h, psi.labels[which])
+    if not covered.start <= i < covered.stop:
         raise DomainError(
-            f"grid covers only {m * psi.spacing[which]:.2f} around {psi.labels[which]} = {coord}; "
-            f"need at least {MIN_COVERAGE}"
+            f"grid covers only {m * h:.2f} around {psi.labels[which]} = {coord}; need at least {MIN_COVERAGE}"
         )
     return i, m
 
@@ -348,6 +349,7 @@ def squeezed_state_grid(
 # flow covariance
 # ---------------------------------------------------------------------------
 
+FLOW_HALF_WIDTH = 8.0  # lattice half-width of flow_covariance_check's transformed states
 DEFAULT_SAMPLE_POINTS: tuple[PhasePoint, ...] = tuple(
     PhasePoint(x, y, p, q)
     for x, y, p, q in [
@@ -395,31 +397,26 @@ def transformed_state_grid(label: str, eta: float, half_width: float, spacing: f
     return _gaussian_state(flow_exponential(label, rapidity(eta)), half_width, spacing)
 
 
-def flow_covariance_check(
-    label: str,
-    eta: float,
-    sample_points: Sequence[PhasePoint] = DEFAULT_SAMPLE_POINTS,
-    half_width: float = 8.0,
-    spacing: float = DEFAULT_SPACING,
-) -> float:
-    """max |W_transformed(v) - W_ground(exp(eta A)^-1 v)| over the samples.
+def flow_covariance_check(label: str, eta: float) -> float:
+    """max |W_transformed(v) - W_ground(exp(eta A)^-1 v)| over DEFAULT_SAMPLE_POINTS.
 
     Path one transforms the wave function first and Wigner-transforms it
     numerically; path two moves the closed-form ground-state Wigner
     function along the flow.  Agreement is the covariance statement.
-    The sampled state must die out before the lattice cuts it: DomainError,
-    before anything is sampled, unless the lattice reaches 6 sigma of the
-    state's widest position spread past every sample position, and its
-    momentum period pi / spacing reaches 7 sigma of the widest momentum
-    spread past every sample momentum (a narrower state aliases).
+    The state is sampled at DEFAULT_SPACING out to FLOW_HALF_WIDTH and
+    must die out before the lattice cuts it: DomainError, before anything
+    is sampled, unless the lattice reaches 6 sigma of the state's widest
+    position spread past every sample position, and its momentum period
+    pi / spacing reaches 7 sigma of the widest momentum spread past every
+    sample momentum (a narrower state aliases).
     """
     eta = rapidity(eta)
     S = flow_exponential(label, eta)
     cov = S @ S.T / 2.0  # the Wigner covariance of the moved ground state
-    far = np.abs([pt.as_array() for pt in sample_points]).reshape(-1, 4).max(axis=0, initial=0.0)
+    far = np.abs([pt.as_array() for pt in DEFAULT_SAMPLE_POINTS]).max(axis=0)
     for what, block, reach, sigmas in (
-        ("position", slice(0, 2), half_width - far[:2].max(), 6.0),
-        ("momentum", slice(2, 4), math.pi / positive("spacing", spacing) - far[2:].max(), 7.0),
+        ("position", slice(0, 2), FLOW_HALF_WIDTH - far[:2].max(), 6.0),
+        ("momentum", slice(2, 4), math.pi / DEFAULT_SPACING - far[2:].max(), 7.0),
     ):
         sigma = math.sqrt(float(np.linalg.eigvalsh(cov[block, block])[-1]))
         if not reach >= sigmas * sigma:
@@ -428,6 +425,8 @@ def flow_covariance_check(
                 f"short of {sigmas:g} sigma = {sigmas * sigma:.6g} of the transformed state"
             )
     minv = flow_exponential(label, -eta)
-    psi = transformed_state_grid(label, eta, half_width, spacing)
-    deviations = (abs(wigner_transform(psi, pt) - wigner_ground_closed(minv @ pt.as_array())) for pt in sample_points)
-    return max(deviations, default=0.0)
+    psi = transformed_state_grid(label, eta, FLOW_HALF_WIDTH, DEFAULT_SPACING)
+    deviations = (
+        abs(wigner_transform(psi, pt) - wigner_ground_closed(minv @ pt.as_array())) for pt in DEFAULT_SAMPLE_POINTS
+    )
+    return max(deviations)

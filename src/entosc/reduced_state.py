@@ -50,9 +50,9 @@ def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
     """Probabilities p_k with sum within tol of one."""
     eta = abs(rapidity(eta))
     probs = np.exp(_log_terms(n, eta, positive("tol", tol))[1])
-    n, kmax = int(n), probs.size - 1
-    tail = _tail(n, math.tanh(eta) ** 2, kmax, probs[-1])
-    return ReducedDensity(n=n, eta=eta, probs=probs, cutoff=kmax, tail_bound=tail)
+    n, cutoff = int(n), probs.size - 1
+    tail = _tail(n, math.tanh(eta) ** 2, cutoff, probs[-1])
+    return ReducedDensity(n=n, eta=eta, probs=probs, cutoff=cutoff, tail_bound=tail)
 
 
 def purity(n: int, eta) -> float:

@@ -49,6 +49,13 @@ class TestIdentityCheck:
         assert code == 2
         assert "FAIL" in out
 
+    def test_nan_deviation_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(entangled_series, "series_sum", lambda n, eta, x, y, tol: np.full((x.size, y.size), np.nan))
+        code, out, _ = run(capsys, "identity-check", "--eta", "0.5")
+        assert code == 2
+        assert "max_deviation = nan" in out
+        assert out.strip().splitlines()[-1].startswith("FAIL:")
+
     def test_missing_argument_exits_one(self, capsys):
         code, _, err = run(capsys, "identity-check")
         assert code == 1
@@ -429,10 +436,12 @@ class TestConfig:
 
     def test_unknown_key_exits_one(self, tmp_path, capsys):
         cfg = tmp_path / "entosc.cfg"
-        cfg.write_text("no_such_key = 3\n")
-        code, _, err = run(capsys, "--config", str(cfg), "identity-check", "--eta", "0.5")
-        assert code == 1
-        assert "unknown config key" in err
+        # series_kmax is not a key: the basis bound N_MAX is the only series ceiling
+        for line in ("no_such_key = 3\n", "series_kmax = 64\n"):
+            cfg.write_text(line)
+            code, _, err = run(capsys, "--config", str(cfg), "identity-check", "--eta", "0.5")
+            assert code == 1
+            assert "unknown config key" in err
 
 
 # Each example sets up to three numeric flags to one of these edge values (None

@@ -7,12 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entosc import DomainError
-from entosc.covariant_inner import (
-    CovariantState,
-    boosted_wavefunction,
-    contraction_factor,
-    inner_product,
-)
+from entosc.covariant_inner import contraction_factor, inner_product
 from entosc.entangled_series import squeezed_wavefunction
 from entosc.oscillator_basis import chi, chi_bare, quadrature
 
@@ -20,22 +15,17 @@ LN2 = math.log(2.0)
 
 
 class TestBoostedWavefunction:
+    # the boosted state chi_n(z') chi_0(t') is the squeezed state with (x, y) read as (z, t)
     def test_rest_frame_factorizes(self):
-        state = CovariantState(n=2, eta=0.0)
         z, t = 0.8, -0.4
-        assert boosted_wavefunction(state, z, t) == pytest.approx(chi(2, z) * chi(0, t), rel=1e-14)
+        assert squeezed_wavefunction(2, 0.0, z, t) == pytest.approx(chi(2, z) * chi(0, t), rel=1e-14)
 
     def test_ground_state_boost_matches_gaussian(self):
-        state = CovariantState(n=0, eta=1.0)
         z = t = 0.5
         expected = (1.0 / math.sqrt(math.pi)) * math.exp(
             -0.25 * (math.exp(-2.0) * (z + t) ** 2 + math.exp(2.0) * (z - t) ** 2)
         )
-        assert boosted_wavefunction(state, z, t) == pytest.approx(expected, rel=1e-13)
-
-    def test_same_numerics_as_two_mode_squeeze(self):
-        state = CovariantState(n=3, eta=0.6)
-        assert boosted_wavefunction(state, 0.9, 0.1) == squeezed_wavefunction(3, 0.6, 0.9, 0.1)
+        assert squeezed_wavefunction(0, 1.0, z, t) == pytest.approx(expected, rel=1e-13)
 
     def test_lorentz_invariant_normalization(self):
         # dz dt = dz' dt', so the same-frame overlap is one at any rapidity
@@ -93,7 +83,7 @@ class TestInnerProduct:
 
     def test_negative_excitation_rejected(self):
         with pytest.raises(DomainError):
-            CovariantState(n=-1, eta=0.0)
+            squeezed_wavefunction(-1, 0.0, 0.0, 0.0)
 
 
 class TestContractionFactor:

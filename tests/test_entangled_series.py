@@ -317,17 +317,9 @@ class TestEigenvalueResidual:
         assert res.eigenvalue == 0
         assert res.value < 1e-5
 
-    def test_second_order_stencil(self):
-        res = eigenvalue_residual(1, 0.0, half_width=4.0, spacing=0.005, stencil_order=2)
-        assert res.value < 1e-3
-
     def test_coarse_grid_warning(self):
         res = eigenvalue_residual(0, 2.0, half_width=4.0, spacing=0.1)
         assert res.warning is not None
-
-    def test_stencil_validation(self):
-        with pytest.raises(DomainError):
-            eigenvalue_residual(0, 0.0, stencil_order=3)
 
     def test_peak_memory_is_six_planes(self):
         # the budget charges 6 planes of the default 1001^2 grid; dense coordinate meshes would add two

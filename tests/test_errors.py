@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from entosc import errors
-from entosc.covariant_inner import CovariantState
-from entosc.entangled_series import coefficient, eigenvalue_residual, schmidt_series, series_sum
+from entosc.entangled_series import coefficient, eigenvalue_residual, schmidt_series, series_sum, squeezed_wavefunction
 from entosc.errors import DomainError, budget, finite, integer, positive, rapidity
 from entosc.phase_space import GridFunction2D, PhasePoint, ground_state_grid, wigner_section, wigner_transform, wigner_xp
 from entosc.planar_transforms import bargmann_decompose, shear_as_rotated_squeeze, wigner_decompose
@@ -81,7 +80,7 @@ BAD_LIBRARY_CALLS = {
     "series_sum-tol-nan": lambda: series_sum(0, 0.5, 0.0, 0.0, tol=math.nan),
     "reduced_density-tol-nan": lambda: reduced_density(0, 0.5, tol=math.nan),
     "coefficient-n-nan": lambda: coefficient(math.nan, 0, 0.5),
-    "CovariantState-n-nan": lambda: CovariantState(math.nan, 0.0),
+    "squeezed_wavefunction-n-nan": lambda: squeezed_wavefunction(math.nan, 0.0, 0.0, 0.0),
     "eigenvalue_residual-spacing-0": lambda: eigenvalue_residual(0, 0.5, spacing=0.0),
     "eigenvalue_residual-spacing-nan": lambda: eigenvalue_residual(0, 0.5, spacing=math.nan),
     "eigenvalue_residual-half_width-inf": lambda: eigenvalue_residual(0, 0.5, half_width=math.inf),
