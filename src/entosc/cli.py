@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import gc
 import math
 import os
 import sys
 import typing
-from dataclasses import dataclass, replace
 
 from .errors import CutoffError, DomainError, NumericsError, budget, finite, integer, positive
 
@@ -25,21 +24,13 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(typing.NamedTuple):
     identity_tol: float = 1e-8
     algebra_tol: float = 1e-10
     inner_tol: float = 1e-6
     series_tol: float = 1e-10
     quadrature_order: int = 64
     fock_cutoff: int = 10
-
-    def __post_init__(self):
-        for name, kind in _CONFIG_TYPES.items():
-            if kind is float:
-                positive(name, getattr(self, name))
-            else:
-                integer(name, getattr(self, name), low=2)
 
 
 _CONFIG_TYPES = typing.get_type_hints(RunConfig)
@@ -63,7 +54,13 @@ def load_config(path: str) -> RunConfig:
                 overrides[key] = kind(value)
             except ValueError:
                 raise DomainError(f"{path}:{lineno}: {key} = {value!r} is not a valid {kind.__name__}") from None
-    return replace(RunConfig(), **overrides)
+    cfg = RunConfig(**overrides)
+    for name, kind in _CONFIG_TYPES.items():
+        if kind is float:
+            positive(name, getattr(cfg, name))
+        else:
+            integer(name, getattr(cfg, name), low=2)
+    return cfg
 
 
 class _UsageError(Exception):
@@ -134,6 +131,7 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
         raise DomainError("--cutoff applies only to --rep fock")
     report = dirac_algebra.check_algebra(args.rep, cutoff)
     if args.json is not None:
+        import json
         pairs = [
             {"pair": f"[{p.left},{p.right}]", "expected": p.expected, "deviation": p.deviation} for p in report.pairs
         ]
@@ -164,6 +162,7 @@ def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
 
 
 def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
+    import json
     import numpy as np
     from . import planar_transforms
     alpha, lam = positive("--alpha", args.alpha), finite("--lam", args.lam)
@@ -183,8 +182,11 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
     bound = 2.0 * alpha * math.exp(-2.0 * lam) + (1.0 - math.cos(omega))
     payload = {
         "alpha": alpha,
+        # the residuals are absolute; this is the scale they are judged against
+        "shear_max_entry": max(1.0, 2.0 * alpha),
         "bargmann": {
-            "theta": theta_prime + math.pi / 4.0,
+            # theta_prime + pi/4 is the rotated squeeze's angle, which keeps its digits at large alpha
+            "theta": theta_rs,
             "theta_prime": theta_prime,
             "eta": eta_b,
             "reconstruction_residual": float(np.abs(recon - target).max()),
@@ -357,7 +359,13 @@ def entry() -> None:
     # numpy's OpenBLAS otherwise spins an idle worker for ~0.1 s of CPU per process;
     # the minimum timeout makes idle workers sleep at once.  It must be set before numpy loads.
     os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
-    sys.exit(main())
+    # A command's cyclic garbage is a few hundred objects (mostly the parser) whatever its input, so
+    # collecting only costs time: none runs during the command, and the frozen heap keeps the
+    # interpreter's exit-time collection from walking every object numpy created.
+    gc.disable()
+    code = main()
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -25,18 +25,18 @@ realizations:
     [G, G'] = i c G'' becomes the matrix bracket [A, A'] = c A''.
 
 matrix5 and sp4 are stored as integer tables and checked exactly with
-integer matrix products; only the fock check uses floating point.  The Fock
-generators are defined once, by band (G[i, i + k] = v[i] on the flat
-basis index), and the check composes bands directly; the dense matrices of
-fock_generators and two_mode_ladders are materialised from the same bands.
+plain-Python integer products, so they load no numpy; only the fock check
+uses floating point.  The Fock generators are defined once, by band
+(G[i, i + k] = v[i] on the flat basis index), and the check composes bands
+directly; the dense matrices of fock_generators are materialised from the
+same bands.  numpy loads on first use, in the Fock functions and
+sp4_generators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple
 
 from . import errors
 from .errors import CutoffError, DomainError, integer
@@ -139,13 +139,9 @@ def _matrix5_im(label: str) -> list[list[int]]:
     return mat
 
 
-def matrix5_generators() -> dict[str, np.ndarray]:
-    """The ten 5x5 generators as complex arrays (entries 0, +/- i)."""
-    return {lab: 1j * np.array(_matrix5_im(lab), dtype=float) for lab in LABELS}
-
-
 def sp4_generators() -> dict[str, np.ndarray]:
     """The ten phase-space flow matrices (entries 0, +/- 1/2)."""
+    import numpy as np
     return {lab: np.array(_SP4_TWICE[lab], dtype=float) / 2.0 for lab in LABELS}
 
 
@@ -156,6 +152,7 @@ def sp4_generators() -> dict[str, np.ndarray]:
 
 def _shift(v: np.ndarray, s: int) -> np.ndarray:
     """u[i] = v[i + s], zero where i + s falls outside v."""
+    import numpy as np
     u = np.zeros_like(v)
     if s >= 0:
         u[: max(v.size - s, 0)] = v[s:]
@@ -206,9 +203,10 @@ class _Banded:
     @property
     def H(self) -> "_Banded":
         """Conjugate transpose: band -k holds conj(v[i - k])."""
-        return _Banded({-k: np.conj(_shift(v, -k)) for k, v in self.bands.items()})
+        return _Banded({-k: _shift(v, -k).conj() for k, v in self.bands.items()})
 
     def dense(self) -> np.ndarray:
+        import numpy as np
         d = next(iter(self.bands.values())).size
         out = np.zeros((d, d), dtype=np.result_type(*self.bands.values()))
         rows = np.arange(d)
@@ -235,6 +233,7 @@ def _check_cutoff(cutoff, dense: bool = False) -> int:
 
 
 def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
+    import numpy as np
     cutoff = _check_cutoff(cutoff)
     dim = cutoff + 1
     n, m = np.divmod(np.arange(dim * dim), dim)
@@ -245,18 +244,13 @@ def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
     )
 
 
-def two_mode_ladders(cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff, a-mode outer, as dense arrays."""
-    a, b = _ladder_bands(_check_cutoff(cutoff, dense=True))
-    return a.dense(), b.dense()
-
-
 def safe_sector_mask(cutoff: int) -> np.ndarray:
     """Boolean mask of basis states with total excitation n + m <= cutoff - 2.
 
     Creation bilinears leak one excitation per factor, so commutators on a
     cutoff-truncated space are only exact on columns drawn from this sector.
     """
+    import numpy as np
     cutoff = _check_cutoff(cutoff)
     dim = cutoff + 1
     n, m = np.divmod(np.arange(dim * dim), dim)
@@ -264,6 +258,7 @@ def safe_sector_mask(cutoff: int) -> np.ndarray:
 
 
 def _fock_bands(cutoff: int) -> dict[str, _Banded]:
+    import numpy as np
     a, b = _ladder_bands(cutoff)
     ad, bd = a.H, b.H
     eye = _Banded({0: np.ones((int(cutoff) + 1) ** 2)})
@@ -301,16 +296,14 @@ def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PairCheck:
+class PairCheck(NamedTuple):
     left: str
     right: str
     expected: str
     deviation: float
 
 
-@dataclass(frozen=True)
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     rep: str
     pairs: tuple[PairCheck, ...]
     max_deviation: float
@@ -337,10 +330,15 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
     if rep == "fock":
         if cutoff is None:
             raise DomainError("rep='fock' requires a cutoff")
-        gens, scale = _fock_bands(cutoff), 1j
+        import numpy as np
+        gens = _fock_bands(cutoff)
         mask = safe_sector_mask(cutoff)
 
-        def deviation(diff: _Banded) -> float:
+        def deviation(left: str, right: str, entry: tuple[int, str] | None) -> float:
+            diff = gens[left] @ gens[right] - gens[right] @ gens[left]
+            if entry is not None:
+                lam, target = entry
+                diff = diff - 1j * lam * gens[target]
             # band k reaches column i + k from row i
             cols = (v[_shift(mask, k)] for k, v in diff.bands.items())
             return max((float(np.abs(c).max(initial=0.0)) for c in cols), default=0.0)
@@ -349,21 +347,23 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
         if cutoff is not None:
             raise DomainError(f"cutoff applies only to rep='fock', not {rep!r}")
         table = {lab: _matrix5_im(lab) for lab in LABELS} if rep == "matrix5" else _SP4_TWICE
-        gens = {lab: np.array(table[lab], dtype=np.int64) for lab in LABELS}
         scale = 1 if rep == "matrix5" else 2
 
-        def deviation(diff: np.ndarray) -> float:
-            return float(np.abs(diff).max()) / scale**2
+        def deviation(left: str, right: str, entry: tuple[int, str] | None) -> float:
+            a, b = table[left], table[right]
+            lam, target = entry if entry is not None else (0, left)  # a zero bracket subtracts nothing
+            c, dim = table[target], range(len(a))
+            worst = max(
+                abs(sum(a[i][k] * b[k][j] - b[i][k] * a[k][j] for k in dim) - scale * lam * c[i][j])
+                for i in dim
+                for j in dim
+            )
+            return worst / scale**2
 
     else:
         raise DomainError(f"unknown representation {rep!r}; expected fock, matrix5, or sp4")
     checks = []
     for left, right in canonical_pairs():
         entry = structure_constant(left, right)
-        diff = gens[left] @ gens[right] - gens[right] @ gens[left]
-        if entry is not None:
-            lam, target = entry
-            diff = diff - scale * lam * gens[target]
-        checks.append(PairCheck(left, right, _expected_string(entry), deviation(diff)))
+        checks.append(PairCheck(left, right, _expected_string(entry), deviation(left, right, entry)))
     return AlgebraReport(rep=rep, pairs=tuple(checks), max_deviation=max(c.deviation for c in checks))
-

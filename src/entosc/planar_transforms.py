@@ -15,6 +15,8 @@ exponent reproduces the sheared Gaussian exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError, finite, positive
@@ -42,20 +44,27 @@ def shear(alpha: float) -> np.ndarray:
     return np.array([[1.0, 2.0 * alpha], [0.0, 1.0]])
 
 
+def _shear_angles(alpha: float) -> tuple[float, float]:
+    """(theta_prime, eta) = (-atan(alpha) / 2, asinh(alpha)), shared by both factorizations of shear(alpha).
+
+    Neither formula cancels, so both keep full relative accuracy for every alpha >= 0
+    (0.5 arccos(tanh eta) - pi/4 gives theta_prime = -pi/4 once tanh eta rounds to one).
+    """
+    return -0.5 * math.atan(alpha), math.asinh(alpha)
+
+
 def bargmann_decompose(alpha: float) -> tuple[float, float]:
     """Angles (theta_prime, eta) of the rotation-boost-rotation form of shear(alpha).
 
     eta = asinh(alpha) and cos(2 theta) = tanh(eta) with theta in (0, pi/4];
-    theta_prime = theta - pi/4 is the angle of the two equal outer rotations:
+    theta_prime = theta - pi/4 = -atan(alpha) / 2 is the angle of the two equal outer rotations:
 
         rotation(theta_prime) @ [[cosh eta, sinh eta], [sinh eta, cosh eta]]
             @ rotation(theta_prime) == shear(alpha).
     """
     if finite("alpha", alpha) < 0:
         raise DomainError("bargmann_decompose expects alpha >= 0; conjugate by rotation(pi/2) for alpha < 0")
-    eta = float(np.arcsinh(alpha))
-    theta = 0.5 * float(np.arccos(np.tanh(eta)))
-    return theta - np.pi / 4.0, eta
+    return _shear_angles(alpha)
 
 
 def bargmann_reconstruct(theta_prime: float, eta: float) -> np.ndarray:
@@ -85,15 +94,16 @@ def wigner_decompose(alpha: float, lam: float) -> np.ndarray:
 def shear_as_rotated_squeeze(alpha: float) -> tuple[float, float]:
     """Parameters (theta, eta) of the rotated squeezed Gaussian equal to the sheared one.
 
-    tan(2 theta) = 1/alpha and e^{2 eta} = 1 + 2 alpha^2 + 2 alpha sqrt(alpha^2 + 1);
+    tan(2 theta) = 1/alpha and e^{2 eta} = 1 + 2 alpha^2 + 2 alpha sqrt(alpha^2 + 1), so eta = asinh(alpha)
+    and theta = theta_prime + pi/4 are the Bargmann parameters;
     then rotated_squeeze_form(theta, eta) == sheared_gaussian_form(alpha).
     """
     alpha = positive("alpha", alpha)
     # the sheared form's largest entry; e^{2 eta} overflows with it
     finite(f"1 + 4 alpha^2 at alpha = {alpha!r}", 1.0 + 4.0 * alpha * alpha)
-    theta = 0.5 * float(np.arctan2(1.0, alpha))
-    eta = 0.5 * float(np.log(1.0 + 2.0 * alpha * alpha + 2.0 * alpha * np.sqrt(alpha * alpha + 1.0)))
-    return theta, eta
+    _, eta = _shear_angles(alpha)
+    # atan2(1, alpha) / 2 is theta_prime + pi/4 without that sum's cancellation at large alpha
+    return 0.5 * float(np.arctan2(1.0, alpha)), eta
 
 
 def sheared_gaussian_form(alpha: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Exit-code contract, CSV/JSON formats, and config handling of the CLI."""
 
 import contextlib
+import gc
 import io
 import json
 import math
@@ -220,6 +221,19 @@ class TestDecomposeShear:
         payload = json.loads(out)
         assert abs(payload["bargmann"]["eta"]) < 2e-6
         assert abs(payload["bargmann"]["theta_prime"]) < 1e-6
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e8])
+    def test_far_shears_keep_their_digits(self, alpha, capsys):
+        # theta used to print 0.0 and the residual 0.99999998 at 1e8, the rotated-squeeze eta 9.9998e-13 at 1e-12
+        code, out, _ = run(capsys, "decompose-shear", "--alpha", str(alpha), "--lam", "30")
+        assert code == 0
+        payload = json.loads(out)
+        b, rs = payload["bargmann"], payload["rotated_squeeze"]
+        assert payload["shear_max_entry"] == max(1.0, 2.0 * alpha)
+        assert b["theta"] == rs["theta"] == pytest.approx(math.atan2(1.0, alpha) / 2, rel=1e-15)
+        assert b["theta_prime"] == pytest.approx(-math.atan(alpha) / 2, rel=1e-15)
+        assert b["eta"] == rs["eta"] == pytest.approx(math.asinh(alpha), rel=1e-15)
+        assert b["reconstruction_residual"] <= 1e-13 * payload["shear_max_entry"]
 
     def test_nonpositive_alpha_exits_one(self, capsys):
         code, _, _ = run(capsys, "decompose-shear", "--alpha", "-1")
@@ -555,7 +569,8 @@ README_EXAMPLES = [
     ["wigner-grid", "--state", "ground", "--plane", "xy", "--out", "wigner.csv"],
 ]
 
-# the submodules each command loads besides cli and errors: those it imports, and theirs
+# the submodules each command loads besides cli and errors: those it imports, and theirs;
+# every command loads numpy except algebra-check --rep matrix5|sp4, whose exact checks are plain Python
 COMMAND_MODULES = {
     "identity-check": {"entangled_series", "oscillator_basis"},
     "algebra-check": {"dirac_algebra"},
@@ -607,6 +622,20 @@ def test_module_entry_runs_without_runpy_warning(tmp_path):
         assert result.stdout.splitlines()[-1] == str(sorted(COMMAND_MODULES[argv[0]] | {"cli", "errors"})), argv
 
 
+def test_exact_algebra_checks_load_no_numpy():
+    # -X importtime lists every module the process imports; the Fock check is the control that loads numpy
+    run_module = [sys.executable, "-X", "importtime", "-m", "entosc.cli", "algebra-check", "--rep"]
+    for rep in ("sp4", "matrix5"):
+        for flags in ((), ("--json", "-"), ("--verbose",)):
+            result = subprocess.run([*run_module, rep, *flags], capture_output=True, text=True, env=source_env(), timeout=60)
+            assert result.returncode == 0, result.stderr
+            assert "max_deviation = 0\n" in result.stdout
+            assert "numpy" not in result.stderr, (rep, flags)
+    result = subprocess.run([*run_module, "fock", "--cutoff", "2"], capture_output=True, text=True, env=source_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert "numpy" in result.stderr
+
+
 def test_readme_examples_run_without_scipy(tmp_path):
     # numpy is the only runtime dependency; scipy is a test extra
     probe = (
@@ -639,3 +668,52 @@ def test_console_entry_sets_blas_idle_timeout_unless_user_did(settings, printed)
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout == printed + "\n"
+
+
+def test_console_entry_runs_main_without_the_cyclic_collector():
+    # importing the module leaves the collector on; the console entry turns it off for main and freezes before exit
+    probe = (
+        "import atexit, gc\n"
+        "from entosc import cli\n"
+        "assert gc.isenabled()\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        "cli.main = lambda: print(gc.isenabled())\n"
+        "cli.entry()\n"
+    )
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=source_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\nTrue\n"
+
+
+def garbage_left_by(argv) -> int:
+    """Objects the cyclic collector finds after main(argv) runs with the collector off, on a warm second run."""
+    for _ in range(2):  # a first run also leaves the garbage of the imports it triggers
+        gc.collect()
+        gc.disable()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 0, argv
+        finally:
+            found = gc.collect()
+            gc.enable()
+    return found
+
+
+# each README example beside the same command on a larger input (the sp4 example has no size: --verbose prints more)
+GROWN_EXAMPLES = [
+    (README_EXAMPLES[0], README_EXAMPLES[0] + ["--spacing", "0.05"]),  # 33^2 -> 161^2 grid points
+    (README_EXAMPLES[1], README_EXAMPLES[1] + ["--verbose"]),
+    (["algebra-check", "--rep", "fock", "--cutoff", "10"], ["algebra-check", "--rep", "fock", "--cutoff", "60"]),
+    (README_EXAMPLES[2], README_EXAMPLES[2][:-4] + ["--steps", "20000", "--out", "curve.csv"]),
+    (README_EXAMPLES[3], ["decompose-shear", "--alpha", "1e100", "--lam", "400"]),
+    (README_EXAMPLES[4], README_EXAMPLES[4] + ["--order", "300"]),
+    (README_EXAMPLES[5], README_EXAMPLES[5] + ["--half-width", "6"]),
+]
+
+
+@pytest.mark.parametrize("small, large", GROWN_EXAMPLES, ids=[small[0] for small, _ in GROWN_EXAMPLES])
+def test_command_garbage_does_not_grow_with_input(small, large, tmp_path, monkeypatch):
+    # why the console entry may run a command with the collector off: the cyclic garbage a command
+    # leaves is a fixed few hundred objects (mostly the parser), however large its input
+    monkeypatch.chdir(tmp_path)
+    assert garbage_left_by(small) == garbage_left_by(large)

@@ -3,24 +3,23 @@
 import json
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from entosc import CutoffError, DomainError, errors
+from entosc import CutoffError, DomainError, dirac_algebra, errors
 from entosc.cli import main
 from entosc.dirac_algebra import (
     LABELS,
     check_algebra,
     canonical_pairs,
     fock_generators,
-    matrix5_generators,
     safe_sector_mask,
     sp4_generators,
     structure_constant,
-    two_mode_ladders,
 )
 
 FOCK_CUTOFF_MAX, DENSE_FOCK_CUTOFF_MAX = 2071, 127  # the caps at the default 4 GiB byte budget
@@ -28,6 +27,17 @@ FOCK_CUTOFF_MAX, DENSE_FOCK_CUTOFF_MAX = 2071, 127  # the caps at the default 4 
 O32_METRIC = np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
 # symplectic form on (x, y, p, q) with conjugate pairs (x, p) and (y, q)
 SYMPLECTIC_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
+
+
+def two_mode_ladders(cutoff):
+    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff, a-mode outer, as dense arrays."""
+    a, b = dirac_algebra._ladder_bands(dirac_algebra._check_cutoff(cutoff, dense=True))
+    return a.dense(), b.dense()
+
+
+def matrix5_generators():
+    """The ten 5x5 generators as complex arrays (entries 0, +/- i), from the checker's integer table."""
+    return {lab: 1j * np.array(dirac_algebra._matrix5_im(lab), dtype=float) for lab in LABELS}
 
 
 def metric_defect(G):
@@ -275,6 +285,31 @@ class TestAlgebraTable:
         assert payload["max_deviation"] == 0.0
         assert len(payload["pairs"]) == 45
         assert payload["pairs"][0] == {"pair": "[L1,L2]", "expected": "i*L3", "deviation": 0.0}
+
+    @given(st.sampled_from(LABELS), st.integers(0, 3), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_sp4_check_sees_one_flipped_entry(self, label, i, j):
+        # any one changed entry breaks the table; the plain-Python products must see it
+        flipped = [row[:] for row in dirac_algebra._SP4_TWICE[label]]
+        flipped[i][j] = -flipped[i][j] if flipped[i][j] else 1
+        with mock.patch.dict(dirac_algebra._SP4_TWICE, {label: flipped}):
+            assert check_algebra("sp4").max_deviation > 0.0
+
+    @pytest.mark.parametrize("label", LABELS)
+    def test_exact_matrix5_check_sees_one_flipped_plane(self, label):
+        # the flipped sign turns a rotation into a boost or back
+        a, b, sign = dirac_algebra._M5_PLANES[label]
+        with mock.patch.dict(dirac_algebra._M5_PLANES, {label: (a, b, -sign)}):
+            assert check_algebra("matrix5").max_deviation > 0.0
+
+    @pytest.mark.parametrize("rep, table, label, flipped", [
+        ("sp4", "_SP4_TWICE", "L1", [[0, 0, 0, 1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]),
+        ("matrix5", "_M5_PLANES", "K1", (0, 3, -1)),  # (x, t) rotation in place of the boost
+    ], ids=["sp4", "matrix5"])
+    def test_flipped_entry_exits_two(self, rep, table, label, flipped, capsys):
+        with mock.patch.dict(getattr(dirac_algebra, table), {label: flipped}):
+            assert main(["algebra-check", "--rep", rep]) == 2
+        assert capsys.readouterr().out.endswith("FAIL: commutator table not satisfied at tolerance\n")
 
     def test_argument_validation(self):
         with pytest.raises(DomainError):

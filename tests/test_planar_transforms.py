@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -125,6 +126,21 @@ class TestBargmann:
     def test_negative_alpha_rejected(self):
         with pytest.raises(DomainError):
             bargmann_decompose(-0.5)
+
+    @given(st.floats(-12.0, 150.0))
+    def test_parameters_across_the_domain(self, log10_alpha):
+        # the whole accepted domain: decompose-shear refuses alpha past ~6.7e153
+        alpha = 10.0**log10_alpha
+        theta_prime, eta = bargmann_decompose(alpha)
+        with mpmath.workdps(40):
+            assert abs(eta - mpmath.asinh(alpha)) <= 1e-15 * eta
+            assert abs(theta_prime + mpmath.atan(alpha) / 2) <= 1e-15 * abs(theta_prime)
+        # the shear's largest entry sets the scale of the reconstruction's rounding
+        residual = np.abs(bargmann_reconstruct(theta_prime, eta) - shear(alpha)).max()
+        assert residual <= 1e-13 * max(1.0, 2.0 * alpha)
+        theta, eta_rs = shear_as_rotated_squeeze(alpha)
+        assert eta_rs == eta
+        assert theta == pytest.approx(math.atan2(1.0, alpha) / 2, rel=1e-15)
 
 
 class TestWignerDecomposition:
