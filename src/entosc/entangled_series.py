@@ -1,17 +1,20 @@
 """Two-mode squeezing of oscillator states as Schmidt series.
 
-Squeezing chi_n(x) chi_0(y) through the symmetric coordinate squeeze
+Squeezing chi_n(x) chi_0(y) through the symmetric coordinate squeeze, the
+Lorentz boost that only rescales the light-cone variables s, d = (x +- y)/2,
 
-    x' = cosh(eta) x - sinh(eta) y,   y' = cosh(eta) y - sinh(eta) x
+    x', y' = e^-eta s +- e^eta d = cosh(eta) x - sinh(eta) y, cosh(eta) y - sinh(eta) x
 
 entangles the modes into
 
     chi_n(x') chi_0(y') = sum_k A_k(n) chi_{n+k}(x) chi_k(y),
     A_k(n) = cosh(eta)^-(n+1) sqrt((n+k)!/(n! k!)) tanh(eta)^k.
 
-The module computes the coefficients in closed form and, independently,
-as the overlap of two squeezed states on one light-cone Gauss-Hermite grid
-(`_overlap`, which `covariant_inner` shares), and sums the series so partial
+Every squeezed state and overlap forms x', y' in that light-cone form, without
+cancellation at any rapidity, through one helper, `_light_cone`.  The module
+computes the coefficients in closed form and, independently, as the overlap
+of two squeezed states on one light-cone Gauss-Hermite grid (`_overlap`,
+which `covariant_inner` shares), and sums the series so partial
 sums can be compared pointwise against the squeezed Gaussian itself.  Sums
 over the probabilities A_k(n)^2, here and in `reduced_state`, fix their term
 count first, raise CutoffError past TERM_CAP and bound their tail with one
@@ -64,10 +67,16 @@ class SchmidtSeries:
     tail_bound: float
 
 
+def _light_cone(eta: float, s, d):
+    """The package's one squeeze map: x', y' = e^-eta s +- e^eta d from light-cone s, d = (x +- y)/2."""
+    es, ed = math.exp(-eta) * s, math.exp(eta) * d
+    return es + ed, es - ed
+
+
 def _squeezed(n: int, m: int, eta: float, x, y):
     """chi_n(x') chi_m(y') at the squeezed coordinates of rapidity eta."""
-    c, s = math.cosh(eta), math.sinh(eta)
-    return basis.chi(n, c * x - s * y) * basis.chi(m, c * y - s * x)
+    xp, yp = _light_cone(eta, 0.5 * (x + y), 0.5 * (x - y))
+    return basis.chi(n, xp) * basis.chi(m, yp)
 
 
 def squeezed_wavefunction(n: int, eta, x, y):
@@ -100,8 +109,7 @@ def _overlap(bra, ket, order: int) -> float:
     In light-cone coordinates u, v = (x +- y)/sqrt2 the two Gaussians combine
     to exp(-a u^2 - b v^2), a = (e^-2eta + e^-2eta')/2, b = (e^2eta + e^2eta')/2,
     so Gauss-Hermite nodes scaled by 1/sqrt(a), 1/sqrt(b) integrate the bare
-    polynomials exactly up to the rule's degree; x', y' = (e^-eta u +- e^eta v)/sqrt2
-    involve no cancellation at any rapidity.
+    polynomials exactly up to the rule's degree; `_light_cone` forms x', y' from u/sqrt2, v/sqrt2.
     """
     (_, _, e1), (_, _, e2) = bra, ket
     a = 0.5 * (math.exp(-2.0 * e1) + math.exp(-2.0 * e2))
@@ -111,8 +119,8 @@ def _overlap(bra, ket, order: int) -> float:
     v = rule.nodes[None, :] / math.sqrt(2.0 * b)
     poly = rule.weights[:, None] * rule.weights[None, :]
     for n, m, eta in (bra, ket):
-        eu, ev = math.exp(-eta) * u, math.exp(eta) * v
-        poly = poly * basis.chi_bare(n, eu + ev) * basis.chi_bare(m, eu - ev)
+        xp, yp = _light_cone(eta, u, v)
+        poly = poly * basis.chi_bare(n, xp) * basis.chi_bare(m, yp)
     return float(np.sum(poly) / math.sqrt(a * b))
 
 

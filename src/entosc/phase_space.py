@@ -111,13 +111,16 @@ class GridFunction2D:
         center: tuple[float, float] = (0.0, 0.0),
     ) -> "GridFunction2D":
         steps = positive("half_width", half_width) / positive("spacing", spacing)
-        # the package's states peak at 8 planes of the grid (tracemalloc), the mesh included
+        # 8 planes of the grid; the package's states peak below 6 on the open mesh (tracemalloc)
         budget(8.0 * 8 * (2 * steps + 1) * (2 * steps + 1), f"a grid of {2 * steps + 1:.6g}^2 points")
         n = round(steps)
         ax0 = center[0] + spacing * np.arange(-n, n + 1)
         ax1 = center[1] + spacing * np.arange(-n, n + 1)
-        X, Y = np.meshgrid(ax0, ax1, indexing="ij")
-        return cls(origin=(ax0[0], ax1[0]), spacing=(spacing, spacing), values=f(X, Y))
+        # f sees an open mesh, (N, 1) and (1, N); a result that spans one axis only is broadcast to the lattice
+        values = f(*np.meshgrid(ax0, ax1, indexing="ij", sparse=True))
+        if np.shape(values) != (ax0.size, ax1.size):
+            values = np.broadcast_to(values, (ax0.size, ax1.size)).copy()
+        return cls(origin=(ax0[0], ax1[0]), spacing=(spacing, spacing), values=values)
 
     def axis(self, which: int) -> np.ndarray:
         n = self.values.shape[which]

@@ -59,8 +59,7 @@ def bargmann_decompose(alpha: float) -> tuple[float, float]:
     eta = asinh(alpha) and cos(2 theta) = tanh(eta) with theta in (0, pi/4];
     theta_prime = theta - pi/4 = -atan(alpha) / 2 is the angle of the two equal outer rotations:
 
-        rotation(theta_prime) @ [[cosh eta, sinh eta], [sinh eta, cosh eta]]
-            @ rotation(theta_prime) == shear(alpha).
+        rotation(theta_prime) @ boost(-eta) @ rotation(theta_prime) == shear(alpha).
     """
     if finite("alpha", alpha) < 0:
         raise DomainError("bargmann_decompose expects alpha >= 0; conjugate by rotation(pi/2) for alpha < 0")
@@ -68,11 +67,9 @@ def bargmann_decompose(alpha: float) -> tuple[float, float]:
 
 
 def bargmann_reconstruct(theta_prime: float, eta: float) -> np.ndarray:
-    """Multiply the three Bargmann factors back together."""
-    c, s = np.cosh(eta), np.sinh(eta)
-    middle = np.array([[c, s], [s, c]])
+    """Multiply the three Bargmann factors back together; the middle one is boost(-eta)."""
     outer = rotation(theta_prime)
-    return outer @ middle @ outer
+    return outer @ boost(-eta) @ outer
 
 
 def wigner_decompose(alpha: float, lam: float) -> np.ndarray:

@@ -4,6 +4,7 @@ import math
 import time
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -34,6 +35,12 @@ def gaussian_oracle(eta, x, y):
     )
 
 
+def chi_mp(n, x):
+    """chi_n(x) in mpmath arithmetic at the working precision."""
+    norm = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
+    return mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm
+
+
 def probability_tail(n, eta, k):
     """sum_{j>k} A_j(n)^2 as a long lgamma sum, stopped once a term falls below 1e-30 of the first."""
     log_q, log_c = 2.0 * math.log(math.tanh(eta)), -2.0 * (n + 1) * math.log(math.cosh(eta))
@@ -60,6 +67,23 @@ class TestSqueezedWavefunction:
         assert squeezed_wavefunction(0, 0.5, 1.0, 0.3) == pytest.approx(
             float(gaussian_oracle(0.5, 1.0, 0.3)), rel=1e-13
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 10),
+        st.floats(-25.0, 25.0),
+        st.booleans(),
+        st.floats(-4.0, 4.0),
+        st.floats(-4.0, 4.0),
+    )
+    def test_matches_mpmath_across_the_domain(self, n, eta, long_axis, a, b):
+        # on the long axis (x + y)/2 = a e^eta and (x - y)/2 = b e^-eta, so x' = a + b and y' = a - b stay O(1)
+        # while cosh(eta) x and sinh(eta) y are of size e^{2|eta|}; past |eta| ~ 18 only x == y stays on it in floats
+        x, y = (a * math.exp(eta) + b * math.exp(-eta), a * math.exp(eta) - b * math.exp(-eta)) if long_axis else (a, b)
+        with mpmath.workdps(60):
+            c, s, X, Y = mpmath.cosh(eta), mpmath.sinh(eta), mpmath.mpf(x), mpmath.mpf(y)
+            exact = chi_mp(n, c * X - s * Y) * chi_mp(0, c * Y - s * X)
+            assert abs(squeezed_wavefunction(n, eta, x, y) - exact) <= 1e-15
 
 
 class TestCoefficient:
