@@ -99,20 +99,19 @@ def _verdict(ok: bool, failure: str) -> int:
 
 def _cmd_identity_check(args, cfg: RunConfig) -> int:
     import numpy as np
-    from . import entangled_series, oscillator_basis
+    from . import entangled_series
     tol = positive("--tol", args.tol if args.tol is not None else cfg.identity_tol)
     series_tol = positive("--series-tol", args.series_tol if args.series_tol is not None else cfg.series_tol)
     n, xmin, xmax = integer("--n", args.n), finite("--xmin", args.xmin), finite("--xmax", args.xmax)
     if xmax <= xmin:
         raise DomainError("grid requires xmax > xmin")
-    # series_sum's chi tables hold (n + 2K + 2) doubles per axis point, K <= the basis bound N_MAX;
-    # the series, the Gaussian side and the deviation peak at 7 doubles per grid point for any n
+    # the series, the Gaussian side and the deviation peak at 7 doubles per grid point; series_sum charges its tables
     side = (xmax - xmin) / positive("--spacing", args.spacing) + 1.0
-    budget(8.0 * ((n + 2 * oscillator_basis.N_MAX + 2) * side + 7 * side * side), f"a grid of {side:.6g}^2 points")
+    budget(8.0 * 7 * side * side, f"a grid of {side:.6g}^2 points")
     axis = np.arange(xmin, finite("--xmax + --spacing / 2", xmax + 0.5 * args.spacing), args.spacing)
     X, Y = np.meshgrid(axis, axis, indexing="ij", sparse=True)
-    series = entangled_series.series_sum(args.n, args.eta, X, Y, series_tol)
-    gauss = entangled_series.squeezed_wavefunction(args.n, args.eta, X, Y)
+    series = entangled_series.series_sum(n, args.eta, X, Y, series_tol)
+    gauss = entangled_series.squeezed_wavefunction(n, args.eta, X, Y)
     dev = float(np.abs(series - gauss).max())
     print(f"n = {args.n}, eta = {_fmt(args.eta)}")
     print(f"grid = [{_fmt(args.xmin)}, {_fmt(args.xmax)}] step {_fmt(args.spacing)} ({axis.size}^2 points)")

@@ -14,11 +14,12 @@ Every squeezed state and overlap forms x', y' in that light-cone form, without
 cancellation at any rapidity, through one helper, `_light_cone`.  The module
 computes the coefficients in closed form and, independently, as the overlap
 of two squeezed states on one light-cone Gauss-Hermite grid (`_overlap`,
-which `covariant_inner` shares), and sums the series so partial
-sums can be compared pointwise against the squeezed Gaussian itself.  Sums
-over the probabilities A_k(n)^2, here and in `reduced_state`, fix their term
-count first, raise CutoffError past TERM_CAP and bound their tail with one
-`_tail`.  Arguments go through the package's one contract in `errors`
+which `covariant_inner` shares), and sums the series so partial sums can be
+compared pointwise against the squeezed Gaussian itself.  The series and the
+sums over the probabilities A_k(n)^2, here and in `reduced_state`, read one
+table of log-domain terms (`_log_terms_to`) and bound their tail with one
+`_tail`; the sums fix their term count first and raise CutoffError past
+TERM_CAP.  Arguments go through the package's one contract in `errors`
 (`integer`, `positive`, `rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
 """
 
@@ -134,39 +135,33 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
 def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
     """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol.
 
-    The cutoff starts from the geometric estimate
-    K0 = ceil((log tol - 2 log cosh eta) / (2 log t)), t = tanh|eta|, in logs
-    that stay accurate where t rounds to one, and is then extended until
-    A_K sup|chi chi| r / (1 - r) <= tol with the ratio bound
-    r = t sqrt((n+K+1)/(K+1)); the plain geometric seed undershoots the
-    pointwise tolerance once t is close to one.  CutoffError is raised
-    before any coefficient is built when n + K0 already passes the basis
-    bound N_MAX, tanh|eta| rounding to one included.
+    One vector pass over the log-domain terms log A_k(n)^2 for every k the
+    basis holds (n + k <= N_MAX) gives the coefficients (-1)^k [eta < 0]
+    exp(log A_k^2 / 2) and K, the first k >= K0 with A_k sup|chi chi| r / (1 - r)
+    <= tol, r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|.  The seed
+    K0 = max(8, ceil((log tol - 2 log cosh eta) / (2 log t))) is the geometric
+    estimate, in logs accurate where t rounds to one; it undershoots the
+    pointwise tolerance once t is close to one.  CutoffError names the least K
+    needed where no k fits, before any term is built when n + K0 passes N_MAX.
     """
     tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
     t = math.tanh(abs(eta))
     if t == 0.0:
         return SchmidtSeries(n=n, eta=eta, coeffs=np.array([1.0]), cutoff=0, tail_bound=0.0)
     k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))), 8)
-    if k0 + n > basis.N_MAX:
+    last = basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
+    if k0 <= last:
+        k = np.arange(last + 1.0)
+        coeffs = math.copysign(1.0, eta) ** k * np.exp(0.5 * _log_terms_to(n, abs(eta), last)[1])
+        r = t * np.sqrt((n + k + 1.0) / (k + 1.0))
+        fits = np.flatnonzero((k >= k0) & (r < 1.0) & (np.abs(coeffs) * _CHI_PAIR_SUP * r <= tol * (1.0 - r)))
+    if k0 > last or not fits.size:
         raise CutoffError(
-            f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {k0:.4g}, "
+            f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
             f"so n + K exceeds the basis bound {basis.N_MAX}"
         )
-    coeffs = [coefficient(n, k, eta) for k in range(k0 + 1)]
-    k = k0
-    while True:
-        r = t * math.sqrt((n + k + 1.0) / (k + 1.0))
-        if r < 1.0 and abs(coeffs[k]) * _CHI_PAIR_SUP * r / (1.0 - r) <= tol:
-            break
-        k += 1
-        if k + n > basis.N_MAX:
-            raise CutoffError(
-                f"series cutoff for n={n}, eta={eta}, tol={tol} exceeds the basis bound {basis.N_MAX}"
-            )
-        coeffs.append(coefficient(n, k, eta))
-    tail = _tail(n, t * t, k, coeffs[-1] ** 2)
-    return SchmidtSeries(n=n, eta=eta, coeffs=np.array(coeffs), cutoff=k, tail_bound=tail)
+    K = int(fits[0])
+    return SchmidtSeries(n=n, eta=eta, coeffs=coeffs[: K + 1], cutoff=K, tail_bound=_tail(n, t * t, K, coeffs[K] ** 2))
 
 
 def series_sum(n: int, eta, x, y, tol: float = 1e-10):
@@ -179,6 +174,7 @@ def series_sum(n: int, eta, x, y, tol: float = 1e-10):
     """
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     ser = schmidt_series(n, eta, tol)
+    budget(8.0 * np.broadcast(x, y).size, "the series sum's result")
     cx = basis.chi_batch(ser.n + ser.cutoff, x)
     cy = basis.chi_batch(ser.cutoff, y)
     total = np.einsum("k,k...,k...->...", ser.coeffs, cx[ser.n :], cy)
@@ -220,17 +216,20 @@ def _prob_cutoff(n: int, eta: float, tol: float) -> int:
     )
 
 
-def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K, K from _prob_cutoff (0 at eta = 0)."""
-    n = integer("n", n)
-    if eta == 0.0:
-        return np.zeros(1), np.zeros(1)
-    log_p = np.arange(_prob_cutoff(n, eta, tol) + 1, dtype=float)  # k, made log p_k in place
+def _log_terms_to(n: int, eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..kmax at eta > 0."""
+    log_p = np.arange(kmax + 1, dtype=float)  # k, made log p_k in place
     log_binom = _log_binom(n, log_p)
     log_p *= 2.0 * _log_tanh(eta)
     log_p += log_binom
     log_p -= 2.0 * (n + 1) * _log_cosh(eta)
     return log_binom, log_p
+
+
+def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K, K from _prob_cutoff (0 at eta = 0)."""
+    n = integer("n", n)
+    return _log_terms_to(n, eta, _prob_cutoff(n, eta, tol)) if eta else (np.zeros(1), np.zeros(1))
 
 
 def normalization_check(n: int, eta) -> float:

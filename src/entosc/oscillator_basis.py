@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CutoffError, NumericsError, integer
+from .errors import CutoffError, NumericsError, budget, integer
 
 N_MAX = 256
 DEFAULT_QUAD_ORDER = 64
@@ -53,10 +53,12 @@ def _chi_rows(nmax: int, x, gaussian: bool):
 
 
 def chi_batch(nmax: int, x) -> np.ndarray:
-    """All chi_0..chi_nmax at x, stacked along the leading axis."""
+    """All chi_0..chi_nmax at x, stacked along the leading axis; DomainError first if the table passes the budget."""
+    nmax = _check_index(nmax, "nmax")
+    budget(8.0 * (nmax + 1) * np.size(x), f"a table of chi_0..chi_{nmax} at {np.size(x)} points")
     rows = _chi_rows(nmax, x, gaussian=True)
     first = next(rows)
-    out = np.empty((int(nmax) + 1,) + first.shape)
+    out = np.empty((nmax + 1,) + first.shape)
     out[0] = first
     for k, row in enumerate(rows, 1):
         out[k] = row

@@ -21,8 +21,11 @@ from entosc.entangled_series import (
     series_sum,
     squeezed_wavefunction,
     unnormalized_series_ratio,
+    _CHI_PAIR_SUP,
+    _log_cosh,
+    _log_tanh,
 )
-from entosc.oscillator_basis import chi_bare, quadrature
+from entosc.oscillator_basis import N_MAX, chi_bare, quadrature
 from entosc.reduced_state import reduced_density
 
 LN2 = math.log(2.0)
@@ -39,6 +42,28 @@ def chi_mp(n, x):
     """chi_n(x) in mpmath arithmetic at the working precision."""
     norm = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
     return mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm
+
+
+def walk_cutoff(n, eta, tol):
+    """Reference K for schmidt_series: one closed-form `coefficient` per k from the seed K0, None past N_MAX."""
+    t = math.tanh(abs(eta))
+    k = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))), 8)
+    while n + k <= N_MAX:
+        r = t * math.sqrt((n + k + 1.0) / (k + 1.0))
+        if r < 1.0 and abs(coefficient(n, k, eta)) * _CHI_PAIR_SUP * r / (1.0 - r) <= tol:
+            return k
+        k += 1
+    return None
+
+
+def coefficients_mp(n, eta, kmax):
+    """A_0(n)..A_kmax(n) at eta in 50-digit arithmetic, by the exact ratio A_{k+1}/A_k = t sqrt((n+k+1)/(k+1))."""
+    with mpmath.workdps(50):
+        t, a, out = mpmath.tanh(eta), mpmath.cosh(eta) ** -(n + 1), []
+        for k in range(kmax + 1):
+            out.append(a)
+            a *= t * mpmath.sqrt(mpmath.mpf(n + k + 1) / (k + 1))
+    return out
 
 
 def probability_tail(n, eta, k):
@@ -235,6 +260,18 @@ class TestSeriesSum:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
+    def test_result_plane_is_charged_before_the_tables(self):
+        # 1e5 points per axis: the tables fit (K = 29), the 1e10-point result would need 74.5 GiB
+        x, y = np.broadcast_to(0.0, (10**5, 1)), np.broadcast_to(0.0, (1, 10**5))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"the series sum's result needs up to 74\.5 GiB"):
+                series_sum(0, 0.5, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
     @pytest.mark.parametrize("eta", [20.0, -20.0, 25.0])
     def test_rounded_tanh_raises_cutoff_error(self, eta):
         # tanh|eta| rounds to 1.0, which used to end in log(0)
@@ -258,6 +295,27 @@ class TestSchmidtSeries:
                 for cutoff, bound in ((ser.cutoff, ser.tail_bound), (rho.cutoff, rho.tail_bound)):
                     # at n = 0 the bound is the exact geometric tail, so allow the reference's rounding
                     assert bound >= (1.0 - 1e-9) * probability_tail(n, eta, cutoff), (n, eta, cutoff)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 10), st.floats(-1.5, 1.5).filter(bool), st.floats(-14.0, -4.0))
+    def test_vector_pass_matches_the_walk_and_mpmath(self, n, eta, log_tol):
+        # past the reach (|eta| >~ 1.4 at the small tolerances) both must refuse
+        tol = 10.0**log_tol
+        cutoff = walk_cutoff(n, eta, tol)
+        if cutoff is None:
+            with pytest.raises(CutoffError):
+                schmidt_series(n, eta, tol)
+            return
+        ser = schmidt_series(n, eta, tol)
+        assert ser.cutoff == cutoff
+        for got, exact in zip(ser.coeffs, coefficients_mp(n, eta, cutoff), strict=True):
+            assert got == pytest.approx(float(exact), rel=3e-14, abs=1e-15)
+
+    def test_cutoff_error_names_the_least_k_past_the_seed(self):
+        # K0 = 153 fits the basis at eta = 1.6, but the amplitude bound holds only past k = 256
+        assert walk_cutoff(0, 1.6, 1e-10) is None
+        with pytest.raises(CutoffError, match=r"needs K >= 257, so n \+ K exceeds the basis bound 256"):
+            schmidt_series(0, 1.6, 1e-10)
 
     def test_positive_and_decaying_for_ground_state(self):
         ser = schmidt_series(0, 0.9, tol=1e-12)

@@ -3,9 +3,10 @@
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError
 from entosc.oscillator_basis import (
@@ -133,6 +134,29 @@ class TestChi:
     def test_bare_matches_weighted(self):
         xs = np.linspace(-4, 4, 9)
         assert np.allclose(chi_bare(5, xs) * np.exp(-xs * xs / 2), chi(5, xs), atol=1e-14)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(11, N_MAX), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+    @example(N_MAX, [0.0, 0.5, 1.0])
+    def test_matches_mpmath_up_to_the_basis_bound(self, n, fractions):
+        # 0 to 6 past the turning point sqrt(2n + 1), where chi_n falls below 1e-16 (n = 11) to 1e-30 (n = 256)
+        xs = np.array(fractions) * (math.sqrt(2 * n + 1) + 6.0)
+        with mpmath.workdps(40):
+            norm = mpmath.sqrt(mpmath.sqrt(mpmath.pi) * 2**n * mpmath.factorial(n))
+            exact = [float(mpmath.hermite(n, x) * mpmath.exp(-x * x / 2) / norm) for x in map(mpmath.mpf, xs)]
+        assert np.abs(chi(n, xs) - exact).max() <= 1e-14
+
+    def test_table_is_charged_before_the_first_row(self):
+        # 101 rows of 1e8 points would be 75 GiB; the guard must refuse before the seed row exists
+        x = np.broadcast_to(0.0, (10**8,))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=r"chi_100 at 100000000 points needs up to 75\.3 GiB"):
+                chi_batch(100, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_orthonormal_up_to_cutoff(self):
         # chi_256 turns at sqrt(513) ~ 22.6 and is below 1e-100 by |x| = 32; products
