@@ -147,12 +147,24 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
     return _verdict(report.max_deviation <= tol, "commutator table not satisfied at tolerance")
 
 
+def _linspace(lo: float, hi: float, steps: int) -> list[float]:
+    """np.linspace(lo, hi, steps) bit for bit, for steps >= 2, as a list of floats."""
+    div, delta = steps - 1, hi - lo
+    step = delta / div
+    if step == 0:  # numpy's order for a span so small that delta / div underflows
+        grid = [i / div * delta + lo for i in range(steps)]
+    else:
+        grid = [i * step + lo for i in range(steps)]
+    grid[-1] = hi
+    return grid
+
+
 def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
-    import numpy as np
     from . import reduced_state
     steps = integer("--steps", args.steps, low=2, high=THERMO_CURVE_MAX_STEPS)
-    grid = np.linspace(finite("--beta-sq-min", args.beta_sq_min), finite("--beta-sq-max", args.beta_sq_max), steps)
-    points = reduced_state.thermo_curve(grid)
+    lo, hi = finite("--beta-sq-min", args.beta_sq_min), finite("--beta-sq-max", args.beta_sq_max)
+    # every grid point lies between the two ends, so checking them refuses a bad range before any row
+    points = reduced_state.thermo_curve(_linspace(reduced_state._beta_sq(lo), reduced_state._beta_sq(hi), steps))
     with _output(args.out) as stream:
         reduced_state.write_thermo_csv(points, stream)
     if args.out != "-":
@@ -195,6 +207,8 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
             "eta": eta_rs,
             "exp_2eta": math.exp(2.0 * eta_rs),
             "form_residual": form_dev,
+            # the form's largest entry, the scale form_residual is judged against
+            "form_max_entry": 1.0 + 4.0 * alpha * alpha,
         },
         "squeezed_rotation": {
             "lambda": lam,
@@ -223,7 +237,7 @@ def _cmd_inner_product(args, cfg: RunConfig) -> int:
 # Points per axis of the lattice wigner-grid samples; at the cap the lattice
 # is 34 MB and the xy plane's FFT work arrays take a few times that.
 WIGNER_GRID_MAX_SIDE = 2049
-# Rows of thermo-curve; at the cap a run takes about 4.4 s and 244 MB end to end.
+# Rows of thermo-curve; at the cap a run takes about 5 s and 198 MB end to end (2 CPUs, Python 3.11).
 THERMO_CURVE_MAX_STEPS = 10**6
 
 

@@ -14,7 +14,7 @@ the n + 1 probability humps by the Lorentz contraction factor:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import oscillator_basis as basis
 from .entangled_series import _overlap
@@ -23,8 +23,7 @@ from .errors import DomainError, integer, rapidity
 _INDEX_BUDGET = 12  # quadrature degree budget for the overlap integrals
 
 
-@dataclass(frozen=True)
-class InnerProduct:
+class InnerProduct(NamedTuple):
     """Quadrature value and closed form of a frame-to-frame overlap."""
 
     quadrature: float

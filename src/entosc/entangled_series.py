@@ -26,39 +26,23 @@ TERM_CAP.  Arguments go through the package's one contract in `errors`
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
 import numpy as np
 
 from . import oscillator_basis as basis
 from .errors import CutoffError, budget, integer, positive, rapidity
+from .reduced_state import _log_cosh, _log_tanh
 
 # sup_x |chi_j(x)| <= pi^(-1/4), so any product of two factors is below this.
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
 
+_LOG1P_TERMS = 10**4  # the longest log1p sum `coefficient` takes for log binom(n + k, k), ~30 ms
 TERM_CAP = 2**23  # (n + 1)(K + 1) terms, ~30 B each at the peak; n = 0 at tanh^2 eta = 0.99999 fits
 
 
-def _log_cosh(eta: float) -> float:
-    """ln cosh(eta), accurate for small eta too (cosh - 1 = 2 sinh^2(eta/2))."""
-    return math.log1p(2.0 * math.sinh(0.5 * eta) ** 2)
-
-
-def _log_tanh(eta: float) -> float:
-    """ln tanh(eta) for eta > 0, accurate where tanh(eta) rounds to one.
-
-    For eta >= 0.5, ln tanh = log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) keeps the
-    relative precision of a value near -2 e^{-2 eta}; below, e^{-2 eta} is too
-    close to one and ln(tanh) itself is the accurate form.
-    """
-    if eta < 0.5:
-        return math.log(math.tanh(eta))
-    x = math.exp(-2.0 * eta)
-    return math.log1p(-x) - math.log1p(x)
-
-
-@dataclass(frozen=True)
-class SchmidtSeries:
+class SchmidtSeries(NamedTuple):
     """Truncated Schmidt coefficients A_0..A_K with a probability tail bound."""
 
     n: int
@@ -89,19 +73,30 @@ def squeezed_wavefunction(n: int, eta, x, y):
 def coefficient(n: int, k: int, eta) -> float:
     """Closed-form Schmidt coefficient A_k(n).
 
-    Log-domain for large indices, exact binomials below 20!; a negative
-    rapidity enters through A_k(n, -eta) = (-1)^k A_k(n, eta).
+    Exact binomials below 20!.  Above, log binom(n + k, k) is `_log_binom`'s
+    log1p sum over the smaller index (lgamma's difference past _LOG1P_TERMS
+    terms, to bound the cost), and tanh(eta)^k one pow of its mantissa, with
+    exp of the whole log only where a factor would leave the double range.  A
+    negative rapidity enters through A_k(n, -eta) = (-1)^k A_k(n, eta).
     """
     n, k, eta = integer("n", n), integer("k", k), rapidity(eta)
     sign = (-1.0) ** k if eta < 0 else 1.0
     eta = abs(eta)
     if eta == 0.0:
         return 1.0 if k == 0 else 0.0
-    t, c = math.tanh(eta), math.cosh(eta)
     if n + k < 20:
-        return sign * math.sqrt(math.comb(n + k, k)) * t**k / c ** (n + 1)
-    log_binom = 0.5 * (math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1))
-    return sign * math.exp(log_binom + k * math.log(t) - (n + 1) * math.log(c))
+        return sign * math.sqrt(math.comb(n + k, k)) * math.tanh(eta) ** k / math.cosh(eta) ** (n + 1)
+    if min(n, k) <= _LOG1P_TERMS:
+        log_binom = float(_log_binom(min(n, k), max(n, k)))  # prod_{i <= min} (1 + max / i)
+    else:
+        log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
+    log_scale = 0.5 * log_binom - (n + 1) * _log_cosh(eta)  # ln(A_k / t^k)
+    # t^k = m^k 2^(e k): pow rounds m^k once, where exp(k ln t) carries the rounding of ln t k times
+    m, e = math.frexp(math.tanh(eta))
+    m_k = m**k
+    if m_k >= sys.float_info.min and log_scale < 700.0:
+        return sign * math.ldexp(math.exp(log_scale) * m_k, e * k)
+    return sign * math.exp(log_scale + k * _log_tanh(eta))
 
 
 def _overlap(bra, ket, order: int) -> float:
@@ -255,8 +250,7 @@ def unnormalized_series_ratio(eta) -> float:
     return math.sqrt(float(np.sum(q ** np.arange(_prob_cutoff(0, eta, 1e-18) + 1, dtype=float))))
 
 
-@dataclass(frozen=True)
-class EigenvalueResidual:
+class EigenvalueResidual(NamedTuple):
     """Finite-difference residual of the squeeze-invariant eigenvalue relation."""
 
     value: float

@@ -15,7 +15,7 @@ weight is folded into the quadrature weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ def chi_bare(n: int, x):
     return _last_row(n, x, gaussian=False)
 
 
-@dataclass(frozen=True)
-class QuadratureRule:
+class QuadratureRule(NamedTuple):
     """Gauss-Hermite nodes and weights for the weight e^{-x^2}."""
 
     nodes: np.ndarray

@@ -55,12 +55,10 @@ by the inverse flow matrix exp(eta A)^-1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from . import dirac_algebra
 from .entangled_series import squeezed_wavefunction
 from .errors import DomainError, NumericsError, budget, positive, rapidity
 
@@ -72,8 +70,7 @@ IMAG_TOL = 1e-9  # largest imaginary residual a Wigner value may carry before it
 FLOW_LABELS = ("Q3", "K3", "Q3-L2")  # the flows the paper discusses; flow_matrix takes all of sp(4)
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(NamedTuple):
     x: float
     y: float
     p: float
@@ -83,7 +80,6 @@ class PhasePoint:
         return np.array([self.x, self.y, self.p, self.q])
 
 
-@dataclass(frozen=True)
 class GridFunction2D:
     """Function sampled on a uniform rectangular grid.
 
@@ -91,16 +87,20 @@ class GridFunction2D:
     origin[1] + j*spacing[1]).
     """
 
-    origin: tuple[float, float]
-    spacing: tuple[float, float]
-    values: np.ndarray
-    labels: tuple[str, str] = ("x", "y")
+    __slots__ = ("origin", "spacing", "values", "labels")
 
-    def __post_init__(self):
-        for h in self.spacing:
+    def __init__(
+        self,
+        origin: tuple[float, float],
+        spacing: tuple[float, float],
+        values: np.ndarray,
+        labels: tuple[str, str] = ("x", "y"),
+    ):
+        for h in spacing:
             positive("grid spacing", h)
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise DomainError("grid values must be finite")
+        self.origin, self.spacing, self.values, self.labels = origin, spacing, values, labels
 
     @classmethod
     def from_function(
@@ -378,6 +378,7 @@ DEFAULT_SAMPLE_POINTS: tuple[PhasePoint, ...] = tuple(
 
 def flow_matrix(label: str) -> np.ndarray:
     """The sp(4) flow matrix of a generator in dirac_algebra.LABELS, or of the shear Q3-L2."""
+    from . import dirac_algebra
     gens = dirac_algebra.sp4_generators()
     gens["Q3-L2"] = gens["Q3"] - gens["L2"]
     if label not in gens:

@@ -14,22 +14,40 @@ which the tests require to agree.  The probabilities come from
 `entangled_series`, whose sums over the K ~ 46 / (1 - tanh^2 eta) terms raise
 `CutoffError`, naming K, before allocating when (n + 1)(K + 1) passes
 `entangled_series.TERM_CAP` or tanh^2 eta rounds to one (|eta| >~ 18.7).
+
+The closed forms, the temperature and the thermal curve need only `math`:
+the series routes import numpy and `entangled_series` when they run, so
+`thermo-curve` loads neither.  The cancellation-free ln cosh and ln tanh
+that both modules use live here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, NamedTuple, Sequence, TextIO
 
-import numpy as np
-
-from .entangled_series import _log_cosh, _log_tanh, _log_terms, _tail
 from .errors import DomainError, finite, positive, rapidity
 
 
-@dataclass(frozen=True)
-class ReducedDensity:
+def _log_cosh(eta: float) -> float:
+    """ln cosh(eta), accurate for small eta too (cosh - 1 = 2 sinh^2(eta/2))."""
+    return math.log1p(2.0 * math.sinh(0.5 * eta) ** 2)
+
+
+def _log_tanh(eta: float) -> float:
+    """ln tanh(eta) for eta > 0, accurate where tanh(eta) rounds to one.
+
+    For eta >= 0.5, ln tanh = log1p(-e^{-2 eta}) - log1p(e^{-2 eta}) keeps the
+    relative precision of a value near -2 e^{-2 eta}; below, e^{-2 eta} is too
+    close to one and ln(tanh) itself is the accurate form.
+    """
+    if eta < 0.5:
+        return math.log(math.tanh(eta))
+    x = math.exp(-2.0 * eta)
+    return math.log1p(-x) - math.log1p(x)
+
+
+class ReducedDensity(NamedTuple):
     """Schmidt probabilities of the reduced state, with a tail bound."""
 
     n: int
@@ -39,15 +57,24 @@ class ReducedDensity:
     tail_bound: float
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
     beta_sq: float
     entropy: float
     temperature: float
 
 
+def _beta_sq(q: float) -> float:
+    """q as a float if it lies in [0, 1), the range of beta^2 = tanh(eta)^2, else DomainError."""
+    q = float(q)
+    if not 0.0 <= q < 1.0:
+        raise DomainError(f"beta_sq must lie in [0, 1), got {q}")
+    return q
+
+
 def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
     """Probabilities p_k with sum within tol of one."""
+    import numpy as np
+    from .entangled_series import _log_terms, _tail
     eta = abs(rapidity(eta))
     probs = np.exp(_log_terms(n, eta, positive("tol", tol))[1])
     n, cutoff = int(n), probs.size - 1
@@ -57,11 +84,14 @@ def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
 
 def purity(n: int, eta) -> float:
     """Tr rho^2 = sum p_k^2; equals 1/cosh(2 eta) when n = 0."""
+    import numpy as np
     return float(np.sum(reduced_density(n, eta, tol=1e-18).probs ** 2))
 
 
 def entropy(n: int, eta) -> float:
     """Von Neumann entropy -sum p_k ln p_k in nats (0 ln 0 = 0), from the probabilities."""
+    import numpy as np
+    from .entangled_series import _log_terms
     eta = abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
@@ -82,12 +112,15 @@ def entropy_closed_form(n: int, eta) -> float:
     lead = 2.0 * (n + 1) * (_log_cosh(eta) - math.sinh(eta) ** 2 * _log_tanh(eta))
     if n == 0:
         return lead
+    import numpy as np
+    from .entangled_series import _log_terms
     log_binom, log_p = _log_terms(n, eta, 1e-20)
     return lead - float(np.sum(np.exp(log_p) * log_binom))
 
 
 def position_density(eta, x, r):
     """Reduced coordinate-space density matrix rho(x, r) for n = 0."""
+    import numpy as np
     eta = rapidity(eta)
     c2 = math.cosh(2.0 * eta)
     x = np.asarray(x, dtype=float)
@@ -124,9 +157,7 @@ def thermo_curve(beta_sq_grid: Iterable[float]) -> list[ThermoPoint]:
     """Entropy (closed form, O(1) a point) and temperature along a grid of beta^2 = tanh(eta)^2 values."""
     points = []
     for q in beta_sq_grid:
-        q = float(q)
-        if not 0.0 <= q < 1.0:
-            raise DomainError(f"beta_sq must lie in [0, 1), got {q}")
+        q = _beta_sq(q)
         eta = math.atanh(math.sqrt(q))
         points.append(ThermoPoint(beta_sq=q, entropy=entropy_closed_form(0, eta), temperature=temperature(eta)))
     return points

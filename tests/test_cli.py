@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import entosc
 from entosc import entangled_series, errors, phase_space
-from entosc.cli import THERMO_CURVE_MAX_STEPS, main
+from entosc.cli import THERMO_CURVE_MAX_STEPS, _linspace, main
 from entosc.reduced_state import ThermoPoint, entropy, temperature, write_thermo_csv
 
 
@@ -192,6 +192,32 @@ class TestThermoCurve:
         code, _, _ = run(capsys, "thermo-curve", "--beta-sq-max", "1.5", "--out", "-")
         assert code == 1
 
+    def test_bad_range_is_refused_before_any_row(self):
+        # every point used to be computed first: 999 999 rows and about 5 s before the exit
+        argv = ["thermo-curve", "--beta-sq-max", "1.0", "--steps", str(THERMO_CURVE_MAX_STEPS), "--out", "-"]
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "entosc.cli", *argv], capture_output=True, text=True, env=source_env(), timeout=60
+        )
+        assert time.perf_counter() - started < 2.0
+        assert (result.returncode, result.stdout) == (1, "")
+        assert result.stderr == "error: beta_sq must lie in [0, 1), got 1.0\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.integers(2, 10**4),
+    )
+    def test_grid_is_numpy_linspace_bit_for_bit(self, lo, hi, steps):
+        assert np.array(_linspace(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
+
+    @pytest.mark.parametrize("lo, hi, steps", [(0.0, 5e-324, 3), (0.0, 1e-320, 10**4), (5e-323, 0.0, 1000)])
+    def test_grid_of_a_subnormal_span_is_numpy_linspace(self, lo, hi, steps):
+        # (hi - lo) / (steps - 1) rounds to zero, so numpy scales i / (steps - 1) by the span instead
+        assert (hi - lo) / (steps - 1) == 0.0
+        assert np.array(_linspace(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
+
     @pytest.mark.parametrize("steps", [THERMO_CURVE_MAX_STEPS + 1, 2_000_000_000])
     def test_step_cap_exits_one(self, steps, capsys):
         code, out, err = run(capsys, "thermo-curve", "--steps", str(steps), "--out", "-")
@@ -234,6 +260,14 @@ class TestDecomposeShear:
         assert b["theta_prime"] == pytest.approx(-math.atan(alpha) / 2, rel=1e-15)
         assert b["eta"] == rs["eta"] == pytest.approx(math.asinh(alpha), rel=1e-15)
         assert b["reconstruction_residual"] <= 1e-13 * payload["shear_max_entry"]
+
+    @pytest.mark.parametrize("alpha, lam", [(1e-12, "30"), (0.3, "4"), (1.0, "4"), (1e8, "30"), (1e150, "400")])
+    def test_form_residual_is_small_against_its_printed_scale(self, alpha, lam, capsys):
+        code, out, _ = run(capsys, "decompose-shear", "--alpha", str(alpha), "--lam", lam)
+        assert code == 0
+        rs = json.loads(out)["rotated_squeeze"]
+        assert rs["form_max_entry"] == 1.0 + 4.0 * alpha * alpha
+        assert rs["form_residual"] <= 1e-13 * rs["form_max_entry"]
 
     def test_nonpositive_alpha_exits_one(self, capsys):
         code, _, _ = run(capsys, "decompose-shear", "--alpha", "-1")
@@ -571,13 +605,14 @@ README_EXAMPLES = [
 
 # the submodules each command loads besides cli and errors: those it imports, and theirs;
 # every command loads numpy except algebra-check --rep matrix5|sp4, whose exact checks are plain Python
+# entangled_series reads ln cosh and ln tanh from reduced_state, so every series command loads it
 COMMAND_MODULES = {
-    "identity-check": {"entangled_series", "oscillator_basis"},
+    "identity-check": {"entangled_series", "oscillator_basis", "reduced_state"},
     "algebra-check": {"dirac_algebra"},
-    "thermo-curve": {"reduced_state", "entangled_series", "oscillator_basis"},
+    "thermo-curve": {"reduced_state"},
     "decompose-shear": {"planar_transforms"},
-    "inner-product": {"covariant_inner", "entangled_series", "oscillator_basis"},
-    "wigner-grid": {"phase_space", "dirac_algebra", "entangled_series", "oscillator_basis"},
+    "inner-product": {"covariant_inner", "entangled_series", "oscillator_basis", "reduced_state"},
+    "wigner-grid": {"phase_space", "entangled_series", "oscillator_basis", "reduced_state"},
 }
 
 
@@ -634,6 +669,20 @@ def test_exact_algebra_checks_load_no_numpy():
     result = subprocess.run([*run_module, "fock", "--cutoff", "2"], capture_output=True, text=True, env=source_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert "numpy" in result.stderr
+
+
+def test_thermo_curve_loads_no_numpy_and_no_dataclasses(tmp_path):
+    # the closed forms are plain `math`, and the package's records are NamedTuples or slotted classes
+    probe = (
+        "import sys, entosc.cli\n"
+        "assert entosc.cli.main(['thermo-curve', '--steps', '200', '--out', 'curve.csv']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'dataclasses')))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=source_env(), cwd=tmp_path, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_readme_examples_run_without_scipy(tmp_path):

@@ -1,6 +1,7 @@
 """Schmidt coefficients, the series-vs-Gaussian identity, and residuals."""
 
 import math
+import sys
 import time
 import tracemalloc
 
@@ -143,6 +144,24 @@ class TestCoefficient:
         ratio = coefficient(n, k + 1, eta) / coefficient(n, k, eta)
         expected = math.tanh(eta) * math.sqrt((n + k + 1) / (k + 1))
         assert ratio == pytest.approx(expected, rel=1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(0, 10).flatmap(lambda n: st.tuples(st.just(n), st.integers(0, 60 - n))),
+        # log-uniform magnitudes reach the small rapidities, where k ln tanh(eta) is large
+        st.one_of(st.floats(-1.5, 1.5), st.tuples(st.sampled_from((-1.0, 1.0)), st.floats(-12.0, 0.17)).map(
+            lambda sx: sx[0] * 10.0 ** sx[1]
+        )),
+    )
+    def test_matches_mpmath(self, nk, eta):
+        # log binom(n + k, k) as a log1p sum, not lgamma's difference, which lost up to 2e-13 here
+        n, k = nk
+        with mpmath.workdps(50):
+            e = mpmath.mpf(abs(eta))
+            exact = mpmath.sqrt(mpmath.binomial(n + k, k)) * mpmath.tanh(e) ** k / mpmath.cosh(e) ** (n + 1)
+        exact = float(exact) * (-1.0 if eta < 0 and k % 2 else 1.0)
+        # relative wherever the coefficient is a normal double
+        assert coefficient(n, k, eta) == pytest.approx(exact, rel=5e-14, abs=sys.float_info.min)
 
     def test_validation(self):
         with pytest.raises(DomainError):
