@@ -16,11 +16,12 @@ computes the coefficients in closed form and, independently, as the overlap
 of two squeezed states on one light-cone Gauss-Hermite grid (`_overlap`,
 which `covariant_inner` shares), and sums the series so partial sums can be
 compared pointwise against the squeezed Gaussian itself.  The series and the
-sums over the probabilities A_k(n)^2, here and in `reduced_state`, read one
-table of log-domain terms (`_log_terms_to`) and bound their tail with one
-`_tail`; the sums fix their term count first and raise CutoffError past
-TERM_CAP.  Arguments go through the package's one contract in `errors`
-(`integer`, `positive`, `rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
+sums over the probabilities A_k(n)^2 in `reduced_state` find their cutoff K
+through one search, `_cutoff_terms`, which builds the log-domain terms only
+as far as K and bounds their tail with one `_tail`; the sums raise
+CutoffError past TERM_CAP and the series past the basis bound.  Arguments go
+through the package's one contract in `errors` (`integer`, `positive`,
+`rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .reduced_state import _log_cosh, _log_tanh
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
 
 _LOG1P_TERMS = 10**4  # the longest log1p sum `coefficient` takes for log binom(n + k, k), ~30 ms
-TERM_CAP = 2**23  # (n + 1)(K + 1) terms, ~30 B each at the peak; n = 0 at tanh^2 eta = 0.99999 fits
+TERM_CAP = 2**23  # (n + 1)(K + 1) terms, 16 B each at the peak (tracemalloc); n = 0 at tanh^2 eta = 0.99999 fits
 
 
 class SchmidtSeries(NamedTuple):
@@ -130,14 +131,14 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
 def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
     """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol.
 
-    One vector pass over the log-domain terms log A_k(n)^2 for every k the
-    basis holds (n + k <= N_MAX) gives the coefficients (-1)^k [eta < 0]
-    exp(log A_k^2 / 2) and K, the first k >= K0 with A_k sup|chi chi| r / (1 - r)
-    <= tol, r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|.  The seed
+    The coefficients are (-1)^k [eta < 0] exp(log A_k^2 / 2) off `_cutoff_terms`'
+    table, and K is the first k >= K0 with A_k sup|chi chi| r / (1 - r) <= tol,
+    r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|.  The seed
     K0 = max(8, ceil((log tol - 2 log cosh eta) / (2 log t))) is the geometric
     estimate, in logs accurate where t rounds to one; it undershoots the
     pointwise tolerance once t is close to one.  CutoffError names the least K
-    needed where no k fits, before any term is built when n + K0 passes N_MAX.
+    needed where no k with n + k <= N_MAX fits, before any term is built when
+    n + K0 passes N_MAX.
     """
     tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
     t = math.tanh(abs(eta))
@@ -145,18 +146,16 @@ def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
         return SchmidtSeries(n=n, eta=eta, coeffs=np.array([1.0]), cutoff=0, tail_bound=0.0)
     k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))), 8)
     last = basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
-    if k0 <= last:
-        k = np.arange(last + 1.0)
-        coeffs = math.copysign(1.0, eta) ** k * np.exp(0.5 * _log_terms_to(n, abs(eta), last)[1])
-        r = t * np.sqrt((n + k + 1.0) / (k + 1.0))
-        fits = np.flatnonzero((k >= k0) & (r < 1.0) & (np.abs(coeffs) * _CHI_PAIR_SUP * r <= tol * (1.0 - r)))
-    if k0 > last or not fits.size:
+    terms = _cutoff_terms(n, abs(eta), tol / _CHI_PAIR_SUP, k0, last, 0.5)
+    if terms is None:
         raise CutoffError(
             f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
             f"so n + K exceeds the basis bound {basis.N_MAX}"
         )
-    K = int(fits[0])
-    return SchmidtSeries(n=n, eta=eta, coeffs=coeffs[: K + 1], cutoff=K, tail_bound=_tail(n, t * t, K, coeffs[K] ** 2))
+    log_p = terms[1]
+    K = log_p.size - 1
+    coeffs = math.copysign(1.0, eta) ** np.arange(K + 1.0) * np.exp(0.5 * log_p)
+    return SchmidtSeries(n=n, eta=eta, coeffs=coeffs, cutoff=K, tail_bound=float(_tail(n, t * t, K, coeffs[K] ** 2)))
 
 
 def series_sum(n: int, eta, x, y, tol: float = 1e-10):
@@ -184,70 +183,55 @@ def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
     return out
 
 
-def _tail(n: int, q: float, k: int, p_k: float) -> float:
-    """Certified bound on sum_{j>k} p_j for p_j = A_j(n)^2 at tanh^2 eta = q, from p_k.
+def _tail(n: int, q: float, k, term, power: float = 1.0):
+    """Certified bound on sum_{j>k} A_j(n)^(2 power) at tanh^2 eta = q from term = A_k(n)^(2 power), elementwise.
 
-    The ratio p_{j+1}/p_j = q (n+j+1)/(j+1) falls with j, so the tail is below
-    the geometric series p_k rho/(1 - rho) with rho = q (n+k+1)/(k+1); inf
-    when rho >= 1.
+    The ratio p_{j+1}/p_j = q (n+j+1)/(j+1) of the probabilities p_j = A_j^2
+    falls with j, so the tail is below the geometric series term r/(1 - r)
+    with r = (q (n+k+1)/(k+1))^power; inf where r >= 1.  Power 1 bounds the
+    probabilities, power 1/2 the amplitudes.
     """
-    rho = q * (n + k + 1.0) / (k + 1.0)
-    return float(p_k * rho / (1.0 - rho)) if rho < 1.0 else math.inf
+    r = (q * (n + k + 1.0) / (k + 1.0)) ** power
+    return np.divide(term * r, 1.0 - r, out=np.full(np.shape(r), math.inf), where=r < 1.0)
 
 
-def _prob_cutoff(n: int, eta: float, tol: float) -> int:
-    """K with a certified tail of the probabilities A_k(n)^2 below tol (eta > 0); CutoffError past TERM_CAP."""
-    q = math.tanh(eta) ** 2
-    log_q, log_1mq = 2.0 * _log_tanh(eta), -2.0 * _log_cosh(eta)
-    k = max(32, math.ceil((math.log(tol) + (n + 1) * log_1mq) / log_q))
-    while (n + 1) * (k + 1) <= TERM_CAP:
-        log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
-        if _tail(n, q, k, math.exp((n + 1) * log_1mq + log_binom + k * log_q)) <= tol:
-            return k
-        k = int(1.5 * k) + 8
-    raise CutoffError(
-        f"Schmidt probability series for n={n}, eta={eta} needs K >= {k:.3g} terms, "
-        f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
-    )
+def _cutoff_terms(n: int, eta: float, tol: float, k0: int, kmax: int, power: float):
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K at eta > 0, or None if K would pass kmax.
 
-
-def _log_terms_to(n: int, eta: float, kmax: int) -> tuple[np.ndarray, np.ndarray]:
-    """(log binom(n + k, k), log A_k(n)^2) for k = 0..kmax at eta > 0."""
-    log_p = np.arange(kmax + 1, dtype=float)  # k, made log p_k in place
-    log_binom = _log_binom(n, log_p)
-    log_p *= 2.0 * _log_tanh(eta)
-    log_p += log_binom
-    log_p -= 2.0 * (n + 1) * _log_cosh(eta)
-    return log_binom, log_p
+    K is the first k >= k0 whose `_tail` of power `power` is <= tol.  The
+    table starts at k0 and grows by half each round (to 1.5 k + 8, at most
+    kmax), and each round checks the k it added, so no term past 1.5 K + 8 or
+    kmax is built.
+    """
+    q, lo, hi = math.tanh(eta) ** 2, k0, k0
+    while lo <= kmax:
+        hi = min(hi, kmax)
+        log_p = np.arange(hi + 1.0)  # k, made log p_k in place
+        log_binom = _log_binom(n, log_p)
+        log_p *= 2.0 * _log_tanh(eta)
+        log_p += log_binom
+        log_p -= 2.0 * (n + 1) * _log_cosh(eta)
+        fits = np.flatnonzero(_tail(n, q, np.arange(lo, hi + 1.0), np.exp(power * log_p[lo:]), power) <= tol)
+        if fits.size:
+            K = lo + int(fits[0])
+            return log_binom[: K + 1], log_p[: K + 1]
+        lo, hi = hi + 1, int(1.5 * hi) + 8
+    return None
 
 
 def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K, K from _prob_cutoff (0 at eta = 0)."""
+    """`_cutoff_terms` for the probabilities A_k(n)^2, tail below tol (K = 0 at eta = 0); CutoffError past TERM_CAP."""
     n = integer("n", n)
-    return _log_terms_to(n, eta, _prob_cutoff(n, eta, tol)) if eta else (np.zeros(1), np.zeros(1))
-
-
-def normalization_check(n: int, eta) -> float:
-    """sum_k A_k(n)^2 up to a tail below 1e-18 (contract: equals 1); CutoffError past TERM_CAP."""
-    return float(np.sum(np.exp(_log_terms(n, abs(rapidity(eta)), 1e-18)[1])))
-
-
-def unnormalized_series_ratio(eta) -> float:
-    """Norm of sum_k tanh^k chi_k chi_k relative to the normalized series.
-
-    The bare exponential of the two-mode raising bilinear produces the
-    series without its 1/cosh prefactor; its norm sqrt(sum t^{2k}) is
-    cosh(eta), computed here by direct summation of the terms up to a
-    relative tail below 1e-18.  The terms are the n = 0 probabilities over
-    1 - t^2, so their count K ~ 41 / (1 - t^2) comes from the same cutoff,
-    which raises CutoffError before summing once K passes TERM_CAP
-    (|eta| >~ 6.7, tanh|eta| rounding to one included).
-    """
-    eta = abs(rapidity(eta))
-    if eta == 0.0:
-        return 1.0
-    q = math.tanh(eta) ** 2
-    return math.sqrt(float(np.sum(q ** np.arange(_prob_cutoff(0, eta, 1e-18) + 1, dtype=float))))
+    if not eta:
+        return np.zeros(1), np.zeros(1)
+    k0 = max(32, math.ceil((math.log(tol) - 2.0 * (n + 1) * _log_cosh(eta)) / (2.0 * _log_tanh(eta))))
+    terms = _cutoff_terms(n, eta, tol, k0, TERM_CAP // (n + 1) - 1, 1.0)
+    if terms is None:
+        raise CutoffError(
+            f"Schmidt probability series for n={n}, eta={eta} needs K >= {max(k0, TERM_CAP // (n + 1)):.3g} terms, "
+            f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
+        )
+    return terms
 
 
 class EigenvalueResidual(NamedTuple):

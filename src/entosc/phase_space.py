@@ -9,9 +9,11 @@ evaluated by trapezoidal summation on the sampling lattice of psi, with
 the oscillatory factor evaluated exactly at the nodes.  The sum at a
 lattice point runs over the largest window symmetric about it, and a point
 counts as covered only when that window reaches MIN_COVERAGE along both
-axes.  For the Gaussian states of this package the integrand decays below
-1e-15 inside the default half-width of 6, so the lattice sum is accurate to
-far better than the contracted tolerances.
+axes.  For the ground state and squeezed states with |eta| <= 0.3 the
+integrand decays below 1e-15 inside the default half-width of 6, so the
+lattice sum is accurate to its rounding floor (below); past that the lattice
+cuts off the long axis and the error grows, to about 6e-7 at |eta| = 1 and
+1e-2 at 2 (README, `wigner-grid --help`).
 
 One direct sum and two plane kernels evaluate it:
 
@@ -108,19 +110,17 @@ class GridFunction2D:
         f: Callable[[np.ndarray, np.ndarray], np.ndarray],
         half_width: float = DEFAULT_HALF_WIDTH,
         spacing: float = DEFAULT_SPACING,
-        center: tuple[float, float] = (0.0, 0.0),
     ) -> "GridFunction2D":
         steps = positive("half_width", half_width) / positive("spacing", spacing)
         # 8 planes of the grid; the package's states peak below 6 on the open mesh (tracemalloc)
         budget(8.0 * 8 * (2 * steps + 1) * (2 * steps + 1), f"a grid of {2 * steps + 1:.6g}^2 points")
         n = round(steps)
-        ax0 = center[0] + spacing * np.arange(-n, n + 1)
-        ax1 = center[1] + spacing * np.arange(-n, n + 1)
+        ax = spacing * np.arange(-n, n + 1)
         # f sees an open mesh, (N, 1) and (1, N); a result that spans one axis only is broadcast to the lattice
-        values = f(*np.meshgrid(ax0, ax1, indexing="ij", sparse=True))
-        if np.shape(values) != (ax0.size, ax1.size):
-            values = np.broadcast_to(values, (ax0.size, ax1.size)).copy()
-        return cls(origin=(ax0[0], ax1[0]), spacing=(spacing, spacing), values=values)
+        values = f(ax[:, None], ax[None, :])
+        if np.shape(values) != (ax.size, ax.size):
+            values = np.broadcast_to(values, (ax.size, ax.size)).copy()
+        return cls(origin=(ax[0], ax[0]), spacing=(spacing, spacing), values=values)
 
     def axis(self, which: int) -> np.ndarray:
         n = self.values.shape[which]

@@ -9,9 +9,11 @@ For n = 0 this is exactly a thermal oscillator distribution, which is
 what lets the squeeze rapidity double as a temperature: matching
 (1 - q) q^k against (1 - e^{-1/T}) e^{-k/T} gives tanh(eta)^2 = e^{-1/T}.
 The von Neumann entropy comes from the probabilities (`entropy`) and from the
-closed form (`entropy_closed_form`, O(1) at n = 0, used by `thermo_curve`),
+closed form (`entropy_closed_form`, O(1) at n = 0, used by `thermo_point`),
 which the tests require to agree.  The probabilities come from
-`entangled_series`, whose sums over the K ~ 46 / (1 - tanh^2 eta) terms raise
+`entangled_series`, whose sums run to the least K past a geometric seed with
+a certified tail (K ~ (46 + ln 1/(1 - beta^2)) / (1 - beta^2) at n = 0 and
+tol 1e-20: 5.8e6 terms, 92 MB at beta^2 = tanh^2 eta = 0.99999) and raise
 `CutoffError`, naming K, before allocating when (n + 1)(K + 1) passes
 `entangled_series.TERM_CAP` or tanh^2 eta rounds to one (|eta| >~ 18.7).
 
@@ -24,7 +26,7 @@ that both modules use live here.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import Iterable, NamedTuple, TextIO
 
 from .errors import DomainError, finite, positive, rapidity
 
@@ -78,7 +80,7 @@ def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
     eta = abs(rapidity(eta))
     probs = np.exp(_log_terms(n, eta, positive("tol", tol))[1])
     n, cutoff = int(n), probs.size - 1
-    tail = _tail(n, math.tanh(eta) ** 2, cutoff, probs[-1])
+    tail = float(_tail(n, math.tanh(eta) ** 2, cutoff, probs[-1]))
     return ReducedDensity(n=n, eta=eta, probs=probs, cutoff=cutoff, tail_bound=tail)
 
 
@@ -153,17 +155,19 @@ def eta_for_temperature(T: float) -> float:
     return rapidity(-_log_tanh(0.25 / T) / 2.0)
 
 
+def thermo_point(beta_sq: float) -> ThermoPoint:
+    """Entropy (closed form, O(1)) and temperature at beta^2 = tanh(eta)^2."""
+    q = _beta_sq(beta_sq)
+    eta = math.atanh(math.sqrt(q))
+    return ThermoPoint(beta_sq=q, entropy=entropy_closed_form(0, eta), temperature=temperature(eta))
+
+
 def thermo_curve(beta_sq_grid: Iterable[float]) -> list[ThermoPoint]:
-    """Entropy (closed form, O(1) a point) and temperature along a grid of beta^2 = tanh(eta)^2 values."""
-    points = []
-    for q in beta_sq_grid:
-        q = _beta_sq(q)
-        eta = math.atanh(math.sqrt(q))
-        points.append(ThermoPoint(beta_sq=q, entropy=entropy_closed_form(0, eta), temperature=temperature(eta)))
-    return points
+    """`thermo_point` along a grid of beta^2 values."""
+    return [thermo_point(q) for q in beta_sq_grid]
 
 
-def write_thermo_csv(points: Sequence[ThermoPoint], stream: TextIO) -> None:
+def write_thermo_csv(points: Iterable[ThermoPoint], stream: TextIO) -> None:
     """Fixed-format CSV: header beta_sq,entropy_nats,temperature, 12 significant digits."""
     stream.write("beta_sq,entropy_nats,temperature\n")
     for p in points:

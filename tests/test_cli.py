@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -218,6 +219,20 @@ class TestThermoCurve:
         assert (hi - lo) / (steps - 1) == 0.0
         assert np.array(_linspace(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
 
+    def test_rows_are_written_as_they_are_computed(self, tmp_path, capsys):
+        # the whole curve used to be held as ThermoPoints first: 160 B a row here, 198 MB at the step cap
+        steps, out_file = 20_000, tmp_path / "curve.csv"
+        run(capsys, "thermo-curve", "--steps", "2", "--out", str(out_file))  # load the modules outside the trace
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "thermo-curve", "--steps", str(steps), "--out", str(out_file))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (0, f"wrote {steps} rows to {out_file}\n")
+        assert len(out_file.read_text().splitlines()) == steps + 1
+        assert peak < 48 * steps  # the grid's list slot and float are 32 B a row
+
     @pytest.mark.parametrize("steps", [THERMO_CURVE_MAX_STEPS + 1, 2_000_000_000])
     def test_step_cap_exits_one(self, steps, capsys):
         code, out, err = run(capsys, "thermo-curve", "--steps", str(steps), "--out", "-")
@@ -387,6 +402,14 @@ class TestWignerGrid:
     def test_missing_eta_for_squeezed(self, capsys):
         code, _, _ = run(capsys, "wigner-grid", "--state", "squeezed", "--out", "-")
         assert code == 1
+
+    @pytest.mark.parametrize("state", [["--state", "ground"], []])
+    def test_eta_for_ground_state_exits_one(self, state, tmp_path, capsys):
+        # --eta was silently dropped, with exit 0
+        out_file = tmp_path / "w.csv"
+        code, out, err = run(capsys, "wigner-grid", *state, "--eta", "5", "--out", str(out_file))
+        assert (code, out, err) == (1, "", "error: --eta applies only to --state squeezed\n")
+        assert not out_file.exists()
 
     @pytest.mark.parametrize("plane", ["xy", "xp"])
     def test_squeezed_plane_matches_closed_form(self, plane, tmp_path, capsys):
@@ -572,6 +595,8 @@ def test_cli_property(command, data):
     edged = data.draw(st.sets(st.sampled_from(sorted(numeric)), max_size=3))
     for flag, (ordinary, edges) in numeric.items():
         flags[flag] = data.draw(st.sampled_from(edges)) if flag in edged else ordinary
+    if flags.get("--state") == "ground" and "--eta" not in edged:
+        flags["--eta"] = None  # --eta applies only to the squeezed state; an edge value still checks the refusal
     argv = [command] + [f"{flag}={value}" for flag, value in flags.items() if value is not None]
     out, err = io.StringIO(), io.StringIO()
     started = time.perf_counter()

@@ -8,7 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError, entangled_series
 from entosc.entangled_series import (
@@ -17,17 +17,15 @@ from entosc.entangled_series import (
     coefficient,
     coefficient_by_quadrature,
     eigenvalue_residual,
-    normalization_check,
     schmidt_series,
     series_sum,
     squeezed_wavefunction,
-    unnormalized_series_ratio,
     _CHI_PAIR_SUP,
     _log_cosh,
     _log_tanh,
 )
 from entosc.oscillator_basis import N_MAX, chi_bare, quadrature
-from entosc.reduced_state import reduced_density
+from entosc.reduced_state import entropy, reduced_density
 
 LN2 = math.log(2.0)
 
@@ -75,6 +73,36 @@ def probability_tail(n, eta, k):
         terms.append(math.exp(math.lgamma(n + j + 1) - math.lgamma(n + 1) - math.lgamma(j + 1) + j * log_q + log_c))
         j += 1
     return math.fsum(terms)
+
+
+def normalization(n, eta):
+    """sum_k A_k(n)^2 over the library's probability table with a tail below 1e-18 (contract: equals 1)."""
+    return float(np.sum(reduced_density(n, eta, 1e-18).probs))
+
+
+def unnormalized_series_ratio(eta):
+    """Norm sqrt(sum_k t^2k) of the bare series sum_k tanh^k chi_k chi_k, which is cosh(eta).
+
+    The bare exponential of the two-mode raising bilinear produces the series
+    without its 1/cosh prefactor.  Its terms t^2k are the n = 0 probabilities
+    over 1 - t^2, so summing them to the K of the library's table at tol 1e-18
+    leaves a relative tail below 1e-18.
+    """
+    q = math.tanh(eta) ** 2
+    return math.sqrt(float(np.sum(q ** np.arange(reduced_density(0, eta, 1e-18).cutoff + 1.0))))
+
+
+def probability_seed(n, eta, tol):
+    """The probability sums' seed K0 = max(32, ceil((log tol - 2 (n + 1) log cosh eta) / log tanh^2 eta))."""
+    return max(32, math.ceil((math.log(tol) - 2.0 * (n + 1) * _log_cosh(eta)) / (2.0 * _log_tanh(eta))))
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The largest k of each log-term table `entangled_series` builds during the test."""
+    seen, log_binom = [], entangled_series._log_binom
+    monkeypatch.setattr(entangled_series, "_log_binom", lambda n, k: (seen.append(np.max(k)), log_binom(n, k))[1])
+    return seen
 
 
 class TestSqueezedWavefunction:
@@ -336,6 +364,30 @@ class TestSchmidtSeries:
         with pytest.raises(CutoffError, match=r"needs K >= 257, so n \+ K exceeds the basis bound 256"):
             schmidt_series(0, 1.6, 1e-10)
 
+    @pytest.mark.parametrize(
+        "n, eta, tol",
+        [(0, 0.3, 1e-12), (3, 1.0, 1e-10), (0, 1.0, 1e-14), (7, 0.6, 1e-10), (2, -1.3, 1e-10), (10, 0.2, 1e-6)],
+    )
+    def test_table_stops_at_the_cutoff(self, n, eta, tol, built):
+        # the table used to run to k = N_MAX - n whatever K was
+        ser = schmidt_series(n, eta, tol)
+        assert built and max(built) <= int(1.5 * ser.cutoff) + 8
+
+    @pytest.mark.parametrize(
+        "call, last",
+        [
+            (lambda: schmidt_series(0, 1.6, 1e-10), N_MAX),  # the seed fits, no k within the basis does
+            (lambda: schmidt_series(3, 3.0, 1e-10), None),  # the seed alone passes the basis bound
+            # the seed 117 fits the cap at n = 50000, the mean k ~ 505 does not
+            (lambda: reduced_density(50000, math.atanh(0.1)), TERM_CAP // 50001 - 1),
+            (lambda: entropy(0, 10.0), None),
+        ],
+    )
+    def test_refusals_build_nothing_past_the_bound(self, call, last, built):
+        with pytest.raises(CutoffError):
+            call()
+        assert (max(built) == last) if last is not None else (built == [])
+
     def test_positive_and_decaying_for_ground_state(self):
         ser = schmidt_series(0, 0.9, tol=1e-12)
         assert np.all(ser.coeffs > 0)
@@ -344,23 +396,38 @@ class TestSchmidtSeries:
 
 class TestNormalization:
     def test_no_squeeze(self):
-        assert normalization_check(0, 0.0) == 1.0
+        assert normalization(0, 0.0) == 1.0
 
     def test_geometric(self):
-        assert normalization_check(0, 2.0) == pytest.approx(1.0, abs=1e-10)
+        assert normalization(0, 2.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_negative_binomial(self):
-        assert normalization_check(5, 1.0) == pytest.approx(1.0, abs=1e-10)
+        assert normalization(5, 1.0) == pytest.approx(1.0, abs=1e-10)
 
     def test_long_tail_is_summed(self):
         # about 2.4e5 terms at tanh^2 = 0.99982
-        assert normalization_check(0, 5.0) == pytest.approx(1.0, abs=1e-13)
+        assert normalization(0, 5.0) == pytest.approx(1.0, abs=1e-13)
 
     @pytest.mark.parametrize("eta", [10.0, -20.0])
     def test_term_count_past_cap_raises(self, eta):
         # eta = 10 used to return 0.00165 after 200000 terms
-        with pytest.raises(CutoffError, match=r"needs K >= [0-9.]+e\+(09|1[0-9]) terms"):
-            normalization_check(0, eta)
+        for fn in (lambda: reduced_density(0, eta, 1e-18), lambda: entropy(0, eta)):
+            with pytest.raises(CutoffError, match=r"needs K >= [0-9.]+e\+(09|1[0-9]) terms"):
+                fn()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 8), st.floats(0.05, 2.0), st.floats(-20.0, -6.0))
+    @example(1, 1.0, -14.0)  # K = 65, where the walk k0, 1.5 k0 + 8, ... stopped at 102
+    def test_cutoff_is_certified_and_least(self, n, eta, log_tol):
+        # K is the first k past the seed whose geometric tail bound is below tol, not a later point of a walk
+        tol = 10.0**log_tol
+        rho = reduced_density(n, eta, tol)
+        K, q, seed = rho.cutoff, math.tanh(eta) ** 2, probability_seed(n, eta, tol)
+        assert probability_tail(n, eta, K) <= tol * (1.0 + 1e-9)
+        assert K >= seed
+        if K > seed:
+            r = q * (n + K) / K  # p_K / p_{K-1}
+            assert r >= 1.0 or rho.probs[K - 1] * r / (1.0 - r) > tol
 
 
 class TestUnnormalizedRatio:
@@ -379,10 +446,11 @@ class TestUnnormalizedRatio:
 
     def test_rounded_tanh_raises_fast(self):
         # tanh(20) rounds to 1.0: the old loop never ended
-        started = time.perf_counter()
-        with pytest.raises(CutoffError, match=rf"needs K >= [0-9.]+e\+18 terms, past the cap .* <= {TERM_CAP}"):
-            unnormalized_series_ratio(20.0)
-        assert time.perf_counter() - started < 0.05
+        for fn in (lambda: reduced_density(0, 20.0, 1e-18), lambda: entropy(0, 20.0)):
+            started = time.perf_counter()
+            with pytest.raises(CutoffError, match=rf"needs K >= [0-9.]+e\+18 terms, past the cap .* <= {TERM_CAP}"):
+                fn()
+            assert time.perf_counter() - started < 0.05
 
     def test_quadrature_norm_oracle(self):
         # || sum_k t^k chi_k chi_k || by two-dimensional quadrature

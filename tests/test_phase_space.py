@@ -309,15 +309,14 @@ def test_wigner_normalization(eta):
     Y = (u - v) / math.sqrt(2.0)
     pmax = 5.0 * wide / math.sqrt(2.0) + 1.0
     pgrid = np.arange(-pmax, pmax + 0.1, 0.2)
-
-    def psi_fn(xx, yy):
-        return squeezed_wavefunction(0, eta, xx, yy)
+    offsets = 0.1 * np.arange(-60, 61)  # a lattice of half-width 6 at spacing 0.1 about each node
 
     total = 0.0
     for i in range(rule.order):
         for j in range(rule.order):
             x, y = float(X[i, j]), float(Y[i, j])
-            psi = GridFunction2D.from_function(psi_fn, 6.0, 0.1, center=(x, y))
+            ax, ay = x + offsets, y + offsets
+            psi = GridFunction2D((ax[0], ay[0]), (0.1, 0.1), squeezed_wavefunction(0, eta, ax[:, None], ay[None, :]))
             W = wigner_section(psi, x, y, pgrid, pgrid)
             marginal = np.trapezoid(np.trapezoid(W, pgrid, axis=1), pgrid)
             # undo the e^{-u~^2 - v~^2} weight; the u, v scalings cancel
