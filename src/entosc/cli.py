@@ -4,7 +4,9 @@ Exit codes are contractual across subcommands: 0 success, 1 usage or
 domain error, 2 tolerance breach, 3 I/O failure.  All numeric output is
 printed with 12 significant digits, decimal point, newline-delimited,
 so repeated runs are byte-stable.  Each subcommand imports only the
-modules it runs, numpy included.
+modules it runs, numpy included: `identity-check`, `wigner-grid` and
+`algebra-check --rep fock` load numpy, while the exact algebra reps,
+`thermo-curve`, `inner-product` and `decompose-shear` run in plain Python.
 """
 
 from __future__ import annotations
@@ -175,7 +177,6 @@ def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
 
 def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
     import json
-    import numpy as np
     from . import planar_transforms
     alpha, lam = positive("--alpha", args.alpha), finite("--lam", args.lam)
     # the two factorizations that check their domains go first, so a refused input computes nothing
@@ -184,13 +185,10 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
     theta_prime, eta_b = planar_transforms.bargmann_decompose(alpha)
     recon = planar_transforms.bargmann_reconstruct(theta_prime, eta_b)
     target = planar_transforms.shear(alpha)
-    form_dev = float(
-        np.abs(
-            planar_transforms.rotated_squeeze_form(theta_rs, eta_rs)
-            - planar_transforms.sheared_gaussian_form(alpha)
-        ).max()
+    form_dev = planar_transforms._residual(
+        planar_transforms.rotated_squeeze_form(theta_rs, eta_rs), planar_transforms.sheared_gaussian_form(alpha)
     )
-    omega = math.asin(min(2.0 * alpha * math.exp(-lam), 1.0))
+    omega = planar_transforms._omega(alpha, lam)  # the angle whose cosine sits on the matrix's diagonal
     bound = 2.0 * alpha * math.exp(-2.0 * lam) + (1.0 - math.cos(omega))
     payload = {
         "alpha": alpha,
@@ -201,7 +199,7 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
             "theta": theta_rs,
             "theta_prime": theta_prime,
             "eta": eta_b,
-            "reconstruction_residual": float(np.abs(recon - target).max()),
+            "reconstruction_residual": planar_transforms._residual(recon, target),
         },
         "rotated_squeeze": {
             "theta": theta_rs,
@@ -214,8 +212,8 @@ def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
         "squeezed_rotation": {
             "lambda": lam,
             "omega": omega,
-            "matrix": sr.tolist(),
-            "residual_vs_shear": float(np.abs(sr - target).max()),
+            "matrix": sr,
+            "residual_vs_shear": planar_transforms._residual(sr, target),
             "residual_bound": bound,
         },
     }

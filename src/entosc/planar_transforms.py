@@ -1,47 +1,63 @@
 """Area-preserving linear maps of the plane and their shear factorizations.
 
-All group elements are unimodular 2x2 arrays: rotations, the 45-degree
-squeeze in its symmetric (boost) form, and the shear.  The shear is
-triangular and cannot be diagonalized, but it admits two factorizations
-through rotations and squeezes:
+All group elements are unimodular 2x2 matrices, nested tuples of floats
+((a, b), (c, d)) built with `math`: rotations, the 45-degree squeeze in its
+symmetric (boost) form, and the shear.  The shear is triangular and cannot be
+diagonalized, but it admits two factorizations through rotations and
+squeezes:
 
   * bargmann_decompose: rotation * boost * rotation with equal angles,
   * wigner_decompose:   axis squeeze * rotation * inverse squeeze, which
     only reaches the shear in the singular large-parameter limit.
 
 shear_as_rotated_squeeze solves for the rotated squeezed Gaussian whose
-exponent reproduces the sheared Gaussian exactly.
+exponent reproduces the sheared Gaussian exactly.  `_product` multiplies the
+matrices and `_residual` compares them.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+import sys
 
 from .errors import DomainError, finite, positive
 
-_EXP_ARG_MAX = float(np.log(np.finfo(float).max))  # np.exp overflows past this argument
+_EXP_ARG_MAX = math.log(sys.float_info.max)  # math.exp overflows past this argument
+
+_Matrix = tuple[tuple[float, float], tuple[float, float]]
 
 
-def rotation(theta: float) -> np.ndarray:
-    c, s = np.cos(theta), np.sin(theta)
-    return np.array([[c, -s], [s, c]])
+def _product(*factors: _Matrix) -> _Matrix:
+    """The product of 2x2 matrices, taken left to right."""
+    (a, b), (c, d) = factors[0]
+    for (e, f), (g, h) in factors[1:]:
+        (a, b), (c, d) = (a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h)
+    return (a, b), (c, d)
 
 
-def boost(eta: float) -> np.ndarray:
+def _residual(m: _Matrix, n: _Matrix) -> float:
+    """The largest entry of |m - n| for two 2x2 matrices."""
+    return max(abs(x - y) for row_m, row_n in zip(m, n) for x, y in zip(row_m, row_n))
+
+
+def rotation(theta: float) -> _Matrix:
+    c, s = math.cos(theta), math.sin(theta)
+    return (c, -s), (s, c)
+
+
+def boost(eta: float) -> _Matrix:
     """Symmetric squeeze [[cosh, -sinh], [-sinh, cosh]].
 
     Diagonal in the normal coordinates (x+y)/sqrt2, (x-y)/sqrt2; with
     (x, y) read as (z, t) it is the Lorentz boost of rapidity eta.
     """
-    c, s = np.cosh(eta), np.sinh(eta)
-    return np.array([[c, -s], [-s, c]])
+    c, s = math.cosh(eta), math.sinh(eta)
+    return (c, -s), (-s, c)
 
 
-def shear(alpha: float) -> np.ndarray:
-    """[[1, 2 alpha], [0, 1]]: translates x proportionally to y."""
-    return np.array([[1.0, 2.0 * alpha], [0.0, 1.0]])
+def shear(alpha: float) -> _Matrix:
+    """((1, 2 alpha), (0, 1)): translates x proportionally to y."""
+    return (1.0, 2.0 * alpha), (0.0, 1.0)
 
 
 def _shear_angles(alpha: float) -> tuple[float, float]:
@@ -66,14 +82,20 @@ def bargmann_decompose(alpha: float) -> tuple[float, float]:
     return _shear_angles(alpha)
 
 
-def bargmann_reconstruct(theta_prime: float, eta: float) -> np.ndarray:
+def bargmann_reconstruct(theta_prime: float, eta: float) -> _Matrix:
     """Multiply the three Bargmann factors back together; the middle one is boost(-eta)."""
     outer = rotation(theta_prime)
-    return outer @ boost(-eta) @ outer
+    return _product(outer, boost(-eta), outer)
 
 
-def wigner_decompose(alpha: float, lam: float) -> np.ndarray:
-    """Squeezed rotation [[cos w, 2 alpha], [-2 alpha e^{-2 lam}, cos w]].
+def _omega(alpha: float, lam: float) -> float:
+    """w = asin(2 alpha e^{-lam}), the angle of the squeezed rotation, for arguments `wigner_decompose` accepts."""
+    # on the edge lam = ln|2 alpha| the sine can round a few ulp past 1
+    return math.asin(max(-1.0, min(2.0 * alpha * math.exp(-lam), 1.0)))
+
+
+def wigner_decompose(alpha: float, lam: float) -> _Matrix:
+    """Squeezed rotation ((cos w, 2 alpha), (-2 alpha e^{-2 lam}, cos w)) with w = `_omega`(alpha, lam).
 
     w = asin(2 alpha e^{-lam}) must exist; as lam -> inf the matrix tends
     to shear(alpha) through a singular limit, the lower-left entry dying
@@ -81,11 +103,10 @@ def wigner_decompose(alpha: float, lam: float) -> np.ndarray:
     is decided on logs, so no exponential is formed outside it.
     """
     alpha, lam = finite("alpha", alpha), finite("lam", lam)
-    if (alpha and np.log(2.0 * abs(alpha)) > lam) or -2.0 * lam > _EXP_ARG_MAX:
+    if (alpha and math.log(2.0 * abs(alpha)) > lam) or -2.0 * lam > _EXP_ARG_MAX:
         raise DomainError(f"alpha = {alpha!r}, lam = {lam!r}: need ln|2 alpha| <= lam, lam >= {-_EXP_ARG_MAX / 2:.6g}")
-    s = 2.0 * alpha * np.exp(-lam)
-    omega = np.arcsin(np.clip(s, -1.0, 1.0))  # on the edge lam = ln|2 alpha| s can round a few ulp past 1
-    return np.array([[np.cos(omega), 2.0 * alpha], [-2.0 * alpha * np.exp(-2.0 * lam), np.cos(omega)]])
+    c = math.cos(_omega(alpha, lam))
+    return (c, 2.0 * alpha), (-2.0 * alpha * math.exp(-2.0 * lam), c)
 
 
 def shear_as_rotated_squeeze(alpha: float) -> tuple[float, float]:
@@ -100,21 +121,22 @@ def shear_as_rotated_squeeze(alpha: float) -> tuple[float, float]:
     finite(f"1 + 4 alpha^2 at alpha = {alpha!r}", 1.0 + 4.0 * alpha * alpha)
     _, eta = _shear_angles(alpha)
     # atan2(1, alpha) / 2 is theta_prime + pi/4 without that sum's cancellation at large alpha
-    return 0.5 * float(np.arctan2(1.0, alpha)), eta
+    return 0.5 * math.atan2(1.0, alpha), eta
 
 
-def sheared_gaussian_form(alpha: float) -> np.ndarray:
+def sheared_gaussian_form(alpha: float) -> _Matrix:
     """Quadratic form of the sheared Gaussian exponent (x - 2 alpha y)^2 + y^2."""
-    return np.array([[1.0, -2.0 * alpha], [-2.0 * alpha, 1.0 + 4.0 * alpha * alpha]])
+    return (1.0, -2.0 * alpha), (-2.0 * alpha, 1.0 + 4.0 * alpha * alpha)
 
 
-def rotated_squeeze_form(theta: float, eta: float) -> np.ndarray:
+def rotated_squeeze_form(theta: float, eta: float) -> _Matrix:
     """Quadratic form e^{-2 eta} u1 u1^T + e^{2 eta} u2 u2^T.
 
     u1 = (cos theta, sin theta), u2 = (sin theta, -cos theta): the exponent
     of a Gaussian squeezed by eta along an axis rotated by theta.
     """
-    u1 = np.array([np.cos(theta), np.sin(theta)])
-    u2 = np.array([np.sin(theta), -np.cos(theta)])
-    return np.exp(-2.0 * eta) * np.outer(u1, u1) + np.exp(2.0 * eta) * np.outer(u2, u2)
+    c, s = math.cos(theta), math.sin(theta)
+    em, ep = math.exp(-2.0 * eta), math.exp(2.0 * eta)
+    cc, ss, cs = c * c, s * s, c * s
+    return (em * cc + ep * ss, em * cs - ep * cs), (em * cs - ep * cs, em * ss + ep * cc)
 

@@ -161,7 +161,7 @@ def test_08_shear_decompositions():
             bargmann,
             float(
                 np.abs(
-                    planar_transforms.bargmann_reconstruct(theta_prime, eta)
+                    np.array(planar_transforms.bargmann_reconstruct(theta_prime, eta))
                     - planar_transforms.shear(alpha)
                 ).max()
             ),
@@ -171,7 +171,7 @@ def test_08_shear_decompositions():
             form,
             float(
                 np.abs(
-                    planar_transforms.rotated_squeeze_form(theta_rs, eta_rs)
+                    np.array(planar_transforms.rotated_squeeze_form(theta_rs, eta_rs))
                     - planar_transforms.sheared_gaussian_form(alpha)
                 ).max()
             ),
@@ -182,7 +182,7 @@ def test_08_shear_decompositions():
             omega = math.asin(2 * alpha * math.exp(-lam))
             bound = 2 * alpha * math.exp(-2 * lam) + (1 - math.cos(omega))
             residual = float(
-                np.abs(planar_transforms.wigner_decompose(alpha, lam) - planar_transforms.shear(alpha)).max()
+                np.abs(np.array(planar_transforms.wigner_decompose(alpha, lam)) - planar_transforms.shear(alpha)).max()
             )
             bound_ok = bound_ok and residual <= bound + 1e-15
     report(

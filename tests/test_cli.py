@@ -284,6 +284,17 @@ class TestDecomposeShear:
         assert rs["form_max_entry"] == 1.0 + 4.0 * alpha * alpha
         assert rs["form_residual"] <= 1e-13 * rs["form_max_entry"]
 
+    def test_printed_omega_is_the_matrix_angle(self, capsys):
+        # one omega for the printout and the matrix; two formulas for it gave a cos(omega) one ulp apart
+        # on ~4 % of these draws, whose omega runs from ~0.13 up to pi/2
+        rng = np.random.default_rng(20000)
+        for alpha, gap in zip(rng.uniform(0.25, 2.0, 300), rng.uniform(0.0, 2.0, 300)):
+            lam = math.log(2.0 * alpha) + gap
+            code, out, _ = run(capsys, "decompose-shear", "--alpha", repr(float(alpha)), "--lam", repr(float(lam)))
+            assert code == 0
+            rotation = json.loads(out)["squeezed_rotation"]
+            assert rotation["matrix"][0][0] == rotation["matrix"][1][1] == math.cos(rotation["omega"]), (alpha, lam)
+
     def test_nonpositive_alpha_exits_one(self, capsys):
         code, _, _ = run(capsys, "decompose-shear", "--alpha", "-1")
         assert code == 1
@@ -345,6 +356,17 @@ class TestInnerProduct:
         code, out, _ = run(capsys, "inner-product", "--n", "3", "--eta1", "20", "--m", "3", "--eta2", "19")
         assert code == 0
         assert "closed_form = 0.176378447614\n" in out
+
+    def test_order_cap_runs_end_to_end_within_two_seconds(self):
+        # the plain-Python kernel's work grows as order^2: n = m = 12 at order 370 is its heaviest input
+        argv = ("inner-product", "--n", "12", "--eta1", "0.3", "--m", "12", "--eta2", "-0.4", "--order", "370")
+        started = time.perf_counter()
+        result = subprocess.run(
+            [sys.executable, "-m", "entosc.cli", *argv], capture_output=True, text=True, env=source_env(), timeout=60
+        )
+        assert time.perf_counter() - started < 2.0
+        assert result.returncode == 0, result.stderr
+        assert "closed_form = 0.0521040300159\n" in result.stdout
 
     def test_order_past_cap_exits_one(self, tmp_path, capsys):
         argv = ("inner-product", "--n", "0", "--eta1", "0.5", "--m", "0", "--eta2", "0")
@@ -629,14 +651,16 @@ README_EXAMPLES = [
 ]
 
 # the submodules each command loads besides cli and errors: those it imports, and theirs;
-# every command loads numpy except algebra-check --rep matrix5|sp4, whose exact checks are plain Python
-# entangled_series reads ln cosh and ln tanh from reduced_state, so every series command loads it
+# identity-check, wigner-grid and algebra-check --rep fock load numpy, while the exact algebra reps,
+# thermo-curve, decompose-shear and inner-product are plain Python (oscillator_basis loads numpy
+# only inside its array functions); entangled_series reads ln cosh and ln tanh from reduced_state,
+# so every series command loads it
 COMMAND_MODULES = {
     "identity-check": {"entangled_series", "oscillator_basis", "reduced_state"},
     "algebra-check": {"dirac_algebra"},
     "thermo-curve": {"reduced_state"},
     "decompose-shear": {"planar_transforms"},
-    "inner-product": {"covariant_inner", "entangled_series", "oscillator_basis", "reduced_state"},
+    "inner-product": {"covariant_inner", "oscillator_basis"},
     "wigner-grid": {"phase_space", "entangled_series", "oscillator_basis", "reduced_state"},
 }
 
@@ -694,6 +718,22 @@ def test_exact_algebra_checks_load_no_numpy():
     result = subprocess.run([*run_module, "fock", "--cutoff", "2"], capture_output=True, text=True, env=source_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert "numpy" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [README_EXAMPLES[3], ["decompose-shear", "--alpha", "1e8", "--lam", "30"], README_EXAMPLES[4],
+     ["inner-product", "--n", "3", "--eta1", "0.4", "--m", "3", "--eta2", "-0.2", "--order", "20"]],
+    ids=["decompose-shear", "decompose-shear-far", "inner-product", "inner-product-order"],
+)
+def test_overlap_and_shear_commands_load_no_numpy(argv):
+    # the Gauss-Hermite rule, the overlap kernel and the shear factorizations are plain Python
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "entosc.cli", *argv],
+        capture_output=True, text=True, env=source_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "numpy" not in result.stderr, argv
 
 
 def test_thermo_curve_loads_no_numpy_and_no_dataclasses(tmp_path):

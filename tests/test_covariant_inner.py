@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from hypothesis import example, given, settings, strategies as st
 
 from entosc import DomainError
@@ -42,14 +43,25 @@ class TestInnerProduct:
         result = inner_product(0, LN2, 0, 0.0)
         assert result.closed_form == pytest.approx(0.8, abs=1e-15)
         assert result.quadrature == pytest.approx(0.8, abs=1e-6)
-        # the light-cone overlap kernel written out by hand, bit for bit
-        a, b, rule = 0.5 * (math.exp(-2.0 * LN2) + 1.0), 0.5 * (math.exp(2.0 * LN2) + 1.0), quadrature(64)
-        u = rule.nodes[:, None] / math.sqrt(2.0 * a)
-        v = rule.nodes[None, :] / math.sqrt(2.0 * b)
+        value = inner_product(2, LN2, 2, 0.0).quadrature
+        a, b = 0.5 * (math.exp(-2.0 * LN2) + 1.0), 0.5 * (math.exp(2.0 * LN2) + 1.0)
+        # the light-cone overlap kernel as numpy computed it, on hermgauss's rule and summed by np.sum
+        nodes, weights = hermgauss(64)
+        u = nodes[:, None] / math.sqrt(2.0 * a)
+        v = nodes[None, :] / math.sqrt(2.0 * b)
         eu, ev = math.exp(-LN2) * u, math.exp(LN2) * v
-        w2 = rule.weights[:, None] * rule.weights[None, :]
+        w2 = weights[:, None] * weights[None, :]
         poly = w2 * chi_bare(2, eu + ev) * np.pi**-0.25 * chi_bare(2, u + v) * np.pi**-0.25
-        assert inner_product(2, LN2, 2, 0.0).quadrature == float(np.sum(poly) / math.sqrt(a * b))
+        assert abs(value - float(np.sum(poly) / math.sqrt(a * b))) <= 1e-15
+        # the plain-Python kernel written out, bit for bit: the library's rule, the order^2 products
+        # summed exactly by fsum, and the two index-0 seeds pi^-1/4 applied to the sum
+        rule = quadrature(64)
+        u = np.array(rule.nodes)[:, None] / math.sqrt(2.0 * a)
+        v = np.array(rule.nodes)[None, :] / math.sqrt(2.0 * b)
+        eu, ev = math.exp(-LN2) * u, math.exp(LN2) * v
+        w2 = np.array(rule.weights)[:, None] * np.array(rule.weights)[None, :]
+        terms = w2 * chi_bare(2, eu + ev) * chi_bare(2, u + v)
+        assert value == math.fsum(terms.ravel()) * (math.pi**-0.25 * math.pi**-0.25) / math.sqrt(a * b)
 
     def test_orthogonality_across_excitations(self):
         for n in range(5):

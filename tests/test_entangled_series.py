@@ -8,6 +8,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from hypothesis import assume, example, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError, entangled_series
@@ -216,14 +217,25 @@ class TestCoefficientQuadrature:
         assert coefficient_by_quadrature(2, 3, 0.9) == pytest.approx(
             coefficient(2, 3, 0.9), abs=1e-8
         )
-        # the light-cone overlap kernel written out by hand, bit for bit
-        a, b, rule = 0.5 * (1.0 + math.exp(-1.8)), 0.5 * (1.0 + math.exp(1.8)), quadrature(64)
-        u = rule.nodes[:, None] / math.sqrt(2.0 * a)
-        v = rule.nodes[None, :] / math.sqrt(2.0 * b)
+        value = coefficient_by_quadrature(2, 3, 0.9)
+        a, b = 0.5 * (1.0 + math.exp(-1.8)), 0.5 * (1.0 + math.exp(1.8))
+        # the light-cone overlap kernel as numpy computed it, on hermgauss's rule and summed by np.sum
+        nodes, weights = hermgauss(64)
+        u = nodes[:, None] / math.sqrt(2.0 * a)
+        v = nodes[None, :] / math.sqrt(2.0 * b)
         eu, ev = math.exp(-0.9) * u, math.exp(0.9) * v
-        w2 = rule.weights[:, None] * rule.weights[None, :]
+        w2 = weights[:, None] * weights[None, :]
         poly = w2 * chi_bare(5, u + v) * chi_bare(3, u - v) * chi_bare(2, eu + ev) * np.pi**-0.25
-        assert coefficient_by_quadrature(2, 3, 0.9) == float(np.sum(poly) / math.sqrt(a * b))
+        assert abs(value - float(np.sum(poly) / math.sqrt(a * b))) <= 1e-15
+        # the plain-Python kernel written out, bit for bit: the library's rule, the order^2 products
+        # summed exactly by fsum, and the one index-0 seed pi^-1/4 applied to the sum
+        rule = quadrature(64)
+        u = np.array(rule.nodes)[:, None] / math.sqrt(2.0 * a)
+        v = np.array(rule.nodes)[None, :] / math.sqrt(2.0 * b)
+        eu, ev = math.exp(-0.9) * u, math.exp(0.9) * v
+        w2 = np.array(rule.weights)[:, None] * np.array(rule.weights)[None, :]
+        terms = w2 * chi_bare(5, u + v) * chi_bare(3, u - v) * chi_bare(2, eu + ev)
+        assert value == math.fsum(terms.ravel()) * math.pi**-0.25 / math.sqrt(a * b)
 
     @given(st.integers(0, 40), st.integers(0, 40), st.floats(-25.0, 25.0))
     @settings(max_examples=100, deadline=None)

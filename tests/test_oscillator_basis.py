@@ -6,13 +6,16 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.hermite import hermgauss
 from hypothesis import example, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError
 from entosc.oscillator_basis import (
     N_MAX,
     QUAD_ORDER_MAX,
+    _STEPS,
     _check_index,
+    _chi_rows,
     chi,
     chi_bare,
     chi_batch,
@@ -190,13 +193,13 @@ class TestGeneratingFunction:
 class TestQuadrature:
     def test_second_moment(self):
         rule = quadrature(10)
-        value = rule.weights @ (rule.nodes**2)
+        value = rule.weights @ (np.array(rule.nodes) ** 2)
         assert value == pytest.approx(math.sqrt(math.pi) / 2.0, abs=1e-13)
 
     def test_weight_sum_is_sqrt_pi(self):
         for order in (20, 40, 64):
             rule = quadrature(order)
-            assert rule.weights.sum() == pytest.approx(math.sqrt(math.pi), abs=1e-12)
+            assert np.sum(rule.weights) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
     def test_chi2_normalization(self):
         rule = quadrature(64)
@@ -212,7 +215,7 @@ class TestQuadrature:
 
     def test_orthonormality_matrix(self):
         rule = quadrature(40)
-        table = chi_batch(12, rule.nodes) * np.exp(rule.nodes**2 / 2.0)
+        table = chi_batch(12, rule.nodes) * np.exp(np.array(rule.nodes) ** 2 / 2.0)
         gram = (table * rule.weights) @ table.T
         assert np.abs(gram - np.eye(13)).max() < 1e-10
 
@@ -220,9 +223,41 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             quadrature(1)
 
+    def test_rule_is_built_once_per_order(self):
+        assert quadrature(64) is quadrature(64) is quadrature(64.0)
+        # the argument is checked before the cache is asked, so a value merely equal to 64 is still refused
+        with pytest.raises(DomainError):
+            quadrature(64 + 0j)
+
+    def test_recurrence_refuses_rows_past_its_table(self):
+        assert len(_STEPS) == max(N_MAX, QUAD_ORDER_MAX)
+        assert len(list(_chi_rows(len(_STEPS), 0.5, 1.0))) == len(_STEPS) + 1
+        with pytest.raises(CutoffError, match=f"row {len(_STEPS) + 1} is past"):
+            next(_chi_rows(len(_STEPS) + 1, 0.5, 1.0))
+
+    def test_matches_hermgauss_at_every_order(self):
+        # numpy's companion-matrix rule is the reference: nodes to 1e-14 absolute, weights to 1e-12 relative
+        for order in range(2, QUAD_ORDER_MAX + 1):
+            rule = quadrature(order)
+            nodes, weights = hermgauss(order)
+            assert isinstance(rule.nodes, tuple) and isinstance(rule.weights, tuple)
+            assert np.abs(np.array(rule.nodes) - nodes).max() <= 1e-14, order
+            assert (np.abs(np.array(rule.weights) - weights) / weights).max() <= 1e-12, order
+
+    @pytest.mark.parametrize("order", [2, 3, 10, 64, 201, QUAD_ORDER_MAX])
+    def test_even_moments_are_gamma(self, order):
+        # sum w x^2k = Gamma(k + 1/2), exact for 2k <= 2 order - 1; odd moments vanish by symmetry
+        rule = quadrature(order)
+        for k in range(min(order, 12)):
+            moment = math.fsum(w * x ** (2 * k) for x, w in zip(rule.nodes, rule.weights))
+            assert moment == pytest.approx(math.gamma(k + 0.5), rel=1e-14), k
+            assert math.fsum(w * x ** (2 * k + 1) for x, w in zip(rule.nodes, rule.weights)) == 0.0
+
     def test_order_cap(self):
-        # QUAD_ORDER_MAX is the last order whose rule passes its own check
-        assert quadrature(QUAD_ORDER_MAX).order == QUAD_ORDER_MAX
+        # QUAD_ORDER_MAX is the last order whose smallest weight is a normal double
+        rule = quadrature(QUAD_ORDER_MAX)
+        assert rule.order == QUAD_ORDER_MAX
+        assert min(rule.weights) >= np.finfo(float).tiny
         for order in (QUAD_ORDER_MAX + 1, 1000, math.inf, math.nan):
             with pytest.raises(DomainError, match=f"in \\[2, {QUAD_ORDER_MAX}\\]"):
                 quadrature(order)

@@ -39,6 +39,7 @@ def transform_quadratic_form(Q, M):
 
     The transformed state psi'(v) = psi(M^-1 v) has that exponent form.
     """
+    M = np.array(M)
     det = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
     if abs(det) < 1e-12:
         raise DomainError("transformation matrix is singular")
@@ -58,11 +59,11 @@ class TestGroupElements:
 
     def test_rotation_group_law(self):
         a, b = 0.3, 0.5
-        assert np.abs(rotation(a) @ rotation(b) - rotation(a + b)).max() < 1e-14
+        assert np.abs(np.array(rotation(a)) @ rotation(b) - rotation(a + b)).max() < 1e-14
 
     @given(ANGLES, ANGLES)
     def test_rotation_group_law_random(self, a, b):
-        assert np.abs(rotation(a) @ rotation(b) - rotation(a + b)).max() < 1e-12
+        assert np.abs(np.array(rotation(a)) @ rotation(b) - rotation(a + b)).max() < 1e-12
 
     def test_squeeze_axis(self):
         assert np.array_equal(squeeze_axis(0.0), np.eye(2))
@@ -71,19 +72,19 @@ class TestGroupElements:
 
     def test_boost_identity_and_additivity(self):
         assert np.array_equal(boost(0.0), np.eye(2))
-        assert np.abs(boost(0.2) @ boost(0.9) - boost(1.1)).max() < 1e-13
+        assert np.abs(np.array(boost(0.2)) @ boost(0.9) - boost(1.1)).max() < 1e-13
 
     def test_boost_diagonal_in_normal_coordinates(self):
         # in u = (x+y)/sqrt2, v = (x-y)/sqrt2 the boost is diag(e^-eta, e^eta):
         # conjugating toward that basis means rotating the (1, 1) direction
         # onto the first axis, which is rotation(-pi/4) on the left
         eta = 0.7
-        rotated = rotation(-np.pi / 4) @ boost(eta) @ rotation(np.pi / 4)
+        rotated = np.array(rotation(-np.pi / 4)) @ boost(eta) @ rotation(np.pi / 4)
         assert np.abs(rotated - np.diag([np.exp(-eta), np.exp(eta)])).max() < 1e-13
 
     def test_shear_triangular_group_law(self):
         assert np.array_equal(shear(0.0), np.eye(2))
-        assert np.array_equal(shear(0.4) @ shear(0.1), shear(0.5))
+        assert np.array_equal(np.array(shear(0.4)) @ shear(0.1), shear(0.5))
 
     def test_shear_nilpotent_square(self):
         s = shear(0.6) - np.eye(2)
@@ -117,11 +118,11 @@ class TestBargmann:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_reconstruction(self, alpha):
         theta_prime, eta = bargmann_decompose(alpha)
-        assert np.abs(bargmann_reconstruct(theta_prime, eta) - shear(alpha)).max() < 1e-11
+        assert np.abs(np.array(bargmann_reconstruct(theta_prime, eta)) - shear(alpha)).max() < 1e-11
 
     def test_lower_left_vanishes(self):
         theta_prime, eta = bargmann_decompose(2.5)
-        assert abs(bargmann_reconstruct(theta_prime, eta)[1, 0]) < 1e-13
+        assert abs(np.array(bargmann_reconstruct(theta_prime, eta))[1, 0]) < 1e-13
 
     def test_negative_alpha_rejected(self):
         with pytest.raises(DomainError):
@@ -136,7 +137,7 @@ class TestBargmann:
             assert abs(eta - mpmath.asinh(alpha)) <= 1e-15 * eta
             assert abs(theta_prime + mpmath.atan(alpha) / 2) <= 1e-15 * abs(theta_prime)
         # the shear's largest entry sets the scale of the reconstruction's rounding
-        residual = np.abs(bargmann_reconstruct(theta_prime, eta) - shear(alpha)).max()
+        residual = np.abs(np.array(bargmann_reconstruct(theta_prime, eta)) - shear(alpha)).max()
         assert residual <= 1e-13 * max(1.0, 2.0 * alpha)
         theta, eta_rs = shear_as_rotated_squeeze(alpha)
         assert eta_rs == eta
@@ -154,7 +155,7 @@ class TestWignerDecomposition:
 
     def test_approach_to_shear(self):
         alpha, lam = 0.5, 6.0
-        M = wigner_decompose(alpha, lam)
+        M = np.array(wigner_decompose(alpha, lam))
         assert M[1, 0] == pytest.approx(-2 * alpha * math.exp(-2 * lam), rel=1e-12)
         assert np.abs(M - shear(alpha)).max() < 1e-5
 
@@ -163,7 +164,7 @@ class TestWignerDecomposition:
     def test_singular_limit_bound(self, alpha, lam):
         omega = math.asin(2 * alpha * math.exp(-lam))
         bound = 2 * alpha * math.exp(-2 * lam) + (1 - math.cos(omega))
-        assert np.abs(wigner_decompose(alpha, lam) - shear(alpha)).max() <= bound + 1e-15
+        assert np.abs(np.array(wigner_decompose(alpha, lam)) - shear(alpha)).max() <= bound + 1e-15
 
     def test_domain_error(self):
         with pytest.raises(DomainError):
@@ -191,7 +192,7 @@ class TestShearAsRotatedSqueeze:
     @pytest.mark.parametrize("alpha", [0.1, 0.5, 1.0, 2.0, 5.0])
     def test_quadratic_form_match(self, alpha):
         theta, eta = shear_as_rotated_squeeze(alpha)
-        dev = np.abs(rotated_squeeze_form(theta, eta) - sheared_gaussian_form(alpha)).max()
+        dev = np.abs(np.array(rotated_squeeze_form(theta, eta)) - sheared_gaussian_form(alpha)).max()
         assert dev < 1e-12
 
     def test_form_eigenvalues(self):

@@ -151,9 +151,10 @@ class TestPositionDensity:
         eta = 0.7
         scale = math.sqrt(math.cosh(2 * eta))
         rule = quadrature(64)
+        nodes = np.array(rule.nodes)
         # substitute x = scale * u so the Gaussian matches the e^{-u^2} weight
-        values = position_density(eta, scale * rule.nodes, scale * rule.nodes)
-        integral = scale * float(rule.weights @ (values * np.exp(rule.nodes**2)))
+        values = position_density(eta, scale * nodes, scale * nodes)
+        integral = scale * float(rule.weights @ (values * np.exp(nodes**2)))
         assert integral == pytest.approx(1.0, abs=1e-10)
 
     def test_mehler_series_oracle(self):
@@ -169,9 +170,10 @@ class TestPositionDensity:
         c2 = math.cosh(2 * eta)
         scale = math.sqrt(c2)
         rule = quadrature(64)
-        values = position_density(eta, scale * rule.nodes, scale * rule.nodes)
+        nodes = np.array(rule.nodes)
+        values = position_density(eta, scale * nodes, scale * nodes)
         moment = scale * float(
-            rule.weights @ ((scale * rule.nodes) ** 2 * values * np.exp(rule.nodes**2))
+            rule.weights @ ((scale * nodes) ** 2 * values * np.exp(nodes**2))
         )
         assert moment == pytest.approx(c2 / 2.0, rel=1e-10)
         assert width(eta) ** 2 == pytest.approx(c2, rel=1e-15)
