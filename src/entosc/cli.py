@@ -4,9 +4,11 @@ Exit codes are contractual across subcommands: 0 success, 1 usage or
 domain error, 2 tolerance breach, 3 I/O failure.  All numeric output is
 printed with 12 significant digits, decimal point, newline-delimited,
 so repeated runs are byte-stable.  Each subcommand imports only the
-modules it runs, numpy included: `identity-check`, `wigner-grid` and
-`algebra-check --rep fock` load numpy, while the exact algebra reps,
-`thermo-curve`, `inner-product` and `decompose-shear` run in plain Python.
+modules it runs, numpy included: `identity-check` and `wigner-grid` load
+numpy, and so does `algebra-check --rep fock` above cutoff 40
+(dirac_algebra.LIST_STATES_MAX basis states), while the Fock check up to
+there, the exact algebra reps, `thermo-curve`, `inner-product` and
+`decompose-shear` run in plain Python.
 """
 
 from __future__ import annotations

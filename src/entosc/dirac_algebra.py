@@ -27,15 +27,18 @@ realizations:
 matrix5 and sp4 are stored as integer tables and checked exactly with
 plain-Python integer products, so they load no numpy; only the fock check
 uses floating point.  The Fock generators are defined once, by band
-(G[i, i + k] = v[i] on the flat basis index), and the check composes bands
-directly; the dense matrices of fock_generators are materialised from the
-same bands.  numpy loads on first use, in the Fock functions and
-sp4_generators.
+(G[j - k, j] = v[j] at flat basis column j), and the check forms each
+bracket band by band on the safe-sector columns alone; the dense matrices of
+fock_generators are materialised from the same bands.  Up to LIST_STATES_MAX
+basis states the band vectors are plain lists of floats, so the check loads
+no numpy; above it they are numpy arrays.  numpy loads on first use, in the
+array-backed check, fock_generators, safe_sector_mask and sp4_generators.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import NamedTuple
 
 from . import errors
@@ -149,39 +152,95 @@ def sp4_generators() -> dict[str, np.ndarray]:
 # truncated Fock representation, stored by band
 # ---------------------------------------------------------------------------
 
+# Bases of at most this many states (cutoff 40) hold their bands in _Floats, so the check loads no
+# numpy; larger ones use numpy arrays, as plain lists would run for minutes at the cap.  Measured on
+# 2 shared CPUs (Python 3.11.7, numpy 2.4.6), medians of 15 alternating console-entry runs, lists
+# against arrays: -39 ms at cutoff 30, -13 ms at 36, -4 ms at 40, +5 ms at 42 and +32 ms at 44.
+LIST_STATES_MAX = 41**2
+# tracemalloc peak of the whole check per basis state: 1.6-2.1 kB in _Floats, whose every entry is
+# a float or complex object, and 0.72 kB in arrays, charged at 1 kB as the caps have always been
+_LIST_BYTES, _ARRAY_BYTES = 2500, 1000
 
-def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    """u[i] = v[i + s], zero where i + s falls outside v."""
-    import numpy as np
-    u = np.zeros_like(v)
-    if s >= 0:
-        u[: max(v.size - s, 0)] = v[s:]
+
+class _Floats(list):
+    """A band vector as a list of floats or complex, with the elementwise numpy operations _Banded uses."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Floats(map(operator.add, self, other))
+
+    def __sub__(self, other):
+        return _Floats(map(operator.sub, self, other))
+
+    def __mul__(self, other):
+        if isinstance(other, list):
+            return _Floats(map(operator.mul, self, other))
+        return _Floats([other * x for x in self])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, scalar):
+        return _Floats([x / scalar for x in self])
+
+    def __abs__(self):
+        return _Floats(map(abs, self))
+
+    def conj(self):
+        return _Floats([x.conjugate() for x in self])
+
+    def take(self, index):
+        return _Floats(map(self.__getitem__, index))
+
+    def max(self):
+        return max(self)
+
+
+def _shift(v, s: int):
+    """u[j] = v[j - s], zero where j - s falls outside v; v itself for s = 0."""
+    if not s:
+        return v
+    u = v * 0.0
+    if s > 0:
+        u[s:] = v[: max(len(v) - s, 0)]
     else:
-        u[-s:] = v[: max(v.size + s, 0)]
+        u[: max(len(v) + s, 0)] = v[-s:]
     return u
 
 
 class _Banded:
-    """Square operator stored by flat offset: G[i, i + k] = bands[k][i].
+    """Square operator stored by flat offset, one vector per band: G[j - k, j] = bands[k][j].
 
-    A band is zero wherever i + k falls outside the basis, so a product is
-    exact index arithmetic: (A B) at offset k1 + k2 is a[i] * b[i + k1].
+    A band is zero wherever its row j - k falls outside the basis.  A product
+    (A B)[j - k, j] sums A[j - k, j - k2] B[j - k2, j] over k1 + k2 = k, that is band
+    k1 of A at column j - k2 times band k2 of B at column j, so it can be formed on any
+    set of columns: read(v, s) is band vector v at each of them less s (_shift reads
+    every column).  The generators are products on every column; a bracket is formed
+    on the safe sector alone.
     Ladder bilinears move (n, m) by at most 2 and keep at most 5 bands.
     """
 
     __slots__ = ("bands",)
 
-    def __init__(self, bands: dict[int, np.ndarray]):
+    def __init__(self, bands: dict):
         self.bands = bands
 
-    def __matmul__(self, other: "_Banded") -> "_Banded":
-        out: dict[int, np.ndarray] = {}
+    def product(self, other: "_Banded", read) -> "_Banded":
+        """self @ other on the columns read picks, given other's bands already read there."""
+        out: dict = {}
         for k1, a in self.bands.items():
             for k2, b in other.bands.items():
-                prod = a * _shift(b, k1)
+                prod = read(a, k2) * b
                 k = k1 + k2
                 out[k] = out[k] + prod if k in out else prod
         return _Banded(out)
+
+    def __matmul__(self, other: "_Banded") -> "_Banded":
+        return self.product(other, _shift)
+
+    def at(self, read) -> "_Banded":
+        """Each band at the columns read picks."""
+        return _Banded({k: read(v, 0) for k, v in self.bands.items()})
 
     def __add__(self, other: "_Banded") -> "_Banded":
         out = dict(self.bands)
@@ -190,7 +249,11 @@ class _Banded:
         return _Banded(out)
 
     def __sub__(self, other: "_Banded") -> "_Banded":
-        return self + other * -1
+        # x - y rounds as x + (-1) * y does, to the bit of its magnitude, and in one pass
+        out = dict(self.bands)
+        for k, v in other.bands.items():
+            out[k] = out[k] - v if k in out else -1 * v
+        return _Banded(out)
 
     def __mul__(self, scalar) -> "_Banded":
         return _Banded({k: scalar * v for k, v in self.bands.items()})
@@ -202,66 +265,99 @@ class _Banded:
 
     @property
     def H(self) -> "_Banded":
-        """Conjugate transpose: band -k holds conj(v[i - k])."""
+        """Conjugate transpose: band -k holds conj(v[j + k]) at column j."""
         return _Banded({-k: _shift(v, -k).conj() for k, v in self.bands.items()})
 
     def dense(self) -> np.ndarray:
         import numpy as np
-        d = next(iter(self.bands.values())).size
-        out = np.zeros((d, d), dtype=np.result_type(*self.bands.values()))
-        rows = np.arange(d)
-        for k, v in self.bands.items():
-            keep = (rows + k >= 0) & (rows + k < d)
-            out[rows[keep], rows[keep] + k] = v[keep]
+        bands = {k: np.asarray(v) for k, v in self.bands.items()}
+        d = next(iter(bands.values())).size
+        out = np.zeros((d, d), dtype=np.result_type(*bands.values()))
+        cols = np.arange(d)
+        for k, v in bands.items():
+            keep = (cols - k >= 0) & (cols - k < d)
+            out[cols[keep] - k, cols[keep]] = v[keep]
         return out
 
 
 def _check_cutoff(cutoff, dense: bool = False) -> int:
     """cutoff, if the arrays it needs fit the package's byte budget (errors.BYTE_BUDGET), else CutoffError.
 
-    The banded check peaks at about 1 kB per basis state, of which there are
-    (cutoff + 1)^2 (measured peak RSS 71 MB at cutoff 200, 190 MB at 400, 392 MB
-    at 600, taking 3.8 s); one dense matrix takes 16 (cutoff + 1)^4 bytes, and
+    The banded check is charged 1 kB per basis state in numpy arrays, of which there
+    are (cutoff + 1)^2 (measured peak RSS 57 MB at cutoff 200, 143 MB at 400, 283 MB at
+    600, taking 2.5 s), and 2.5 kB per state in _Floats, which run only where that
+    fits too (_vector); one dense matrix takes 16 (cutoff + 1)^4 bytes, and
     fock_generators returns ten.  At the default 4 GiB the caps are 2071 and 127.
     """
     cutoff = integer("fock cutoff", cutoff, low=2)
     nbytes = errors.BYTE_BUDGET
-    cap = math.isqrt(math.isqrt(nbytes // 16)) - 1 if dense else math.isqrt(nbytes // 1000) - 1
+    cap = math.isqrt(math.isqrt(nbytes // 16)) - 1 if dense else math.isqrt(nbytes // _ARRAY_BYTES) - 1
     if cutoff > cap:
         raise CutoffError(f"fock cutoff {cutoff} is above the cap of {cap} (a {nbytes / 2**30:.3g} GiB budget)")
     return cutoff
 
 
-def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
+def _vector(cutoff: int):
+    """The band vectors' type: _Floats up to LIST_STATES_MAX basis states if they fit the budget, else arrays."""
+    states = (cutoff + 1) ** 2
+    if states <= LIST_STATES_MAX and _LIST_BYTES * states <= errors.BYTE_BUDGET:
+        return _Floats
     import numpy as np
+    return np.array
+
+
+def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
     cutoff = _check_cutoff(cutoff)
-    dim = cutoff + 1
-    n, m = np.divmod(np.arange(dim * dim), dim)
-    # a|n+1, m> = sqrt(n+1)|n, m> sits one a-mode block (dim columns) right of the diagonal
+    vector, dim = _vector(cutoff), cutoff + 1
+    root = [math.sqrt(k) for k in range(dim)]
+    # a|n, m> = sqrt(n)|n - 1, m> sits at column (n, m), one a-mode block (dim columns) right of the diagonal
     return (
-        _Banded({dim: np.sqrt(n + 1.0) * (n < cutoff)}),
-        _Banded({1: np.sqrt(m + 1.0) * (m < cutoff)}),
+        _Banded({dim: vector([r for r in root for _ in range(dim)])}),
+        _Banded({1: vector(root * dim)}),
     )
 
 
-def safe_sector_mask(cutoff: int) -> np.ndarray:
-    """Boolean mask of basis states with total excitation n + m <= cutoff - 2.
+def _safe_columns(cutoff: int) -> list[int]:
+    """Flat indices of the basis states with total excitation n + m <= cutoff - 2.
 
     Creation bilinears leak one excitation per factor, so commutators on a
     cutoff-truncated space are only exact on columns drawn from this sector.
     """
+    dim = cutoff + 1
+    return [j for n in range(cutoff - 1) for j in range(n * dim, n * dim + cutoff - 1 - n)]
+
+
+def safe_sector_mask(cutoff: int) -> np.ndarray:
+    """Boolean mask of the basis states in the truncation-safe sector (see _safe_columns)."""
     import numpy as np
     cutoff = _check_cutoff(cutoff)
-    dim = cutoff + 1
-    n, m = np.divmod(np.arange(dim * dim), dim)
-    return (n + m) <= (cutoff - 2)
+    mask = np.zeros((cutoff + 1) ** 2, dtype=bool)
+    mask[_safe_columns(cutoff)] = True
+    return mask
+
+
+def _safe_reader(cutoff: int):
+    """read(v, s): band vector v at each safe column j less s, for brackets formed on the safe sector.
+
+    j - s never passes the basis' end and, below its start, indexes from the end as
+    Python and numpy do; the entry read there is a finite stand-in, since the other
+    factor of its product is a band entry whose row falls outside the basis, which is zero.
+    """
+    vector, safe = _vector(cutoff), _safe_columns(cutoff)
+    index: dict = {}
+
+    def read(v, s):
+        if s not in index:
+            index[s] = vector([j - s for j in safe])
+        return v.take(index[s])
+
+    return read
 
 
 def _fock_bands(cutoff: int) -> dict[str, _Banded]:
-    import numpy as np
     a, b = _ladder_bands(cutoff)
     ad, bd = a.H, b.H
-    eye = _Banded({0: np.ones((int(cutoff) + 1) ** 2)})
+    eye = _Banded({0: _vector(cutoff)([1.0] * (cutoff + 1) ** 2)})
     return {
         "L1": (ad @ b + bd @ a) / 2.0,
         "L2": (ad @ b - bd @ a) / 2j,
@@ -330,18 +426,16 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
     if rep == "fock":
         if cutoff is None:
             raise DomainError("rep='fock' requires a cutoff")
-        import numpy as np
-        gens = _fock_bands(cutoff)
-        mask = safe_sector_mask(cutoff)
+        cutoff = _check_cutoff(cutoff)
+        gens, read = _fock_bands(cutoff), _safe_reader(cutoff)
+        safe = {lab: g.at(read) for lab, g in gens.items()}
 
         def deviation(left: str, right: str, entry: tuple[int, str] | None) -> float:
-            diff = gens[left] @ gens[right] - gens[right] @ gens[left]
+            diff = gens[left].product(safe[right], read) - gens[right].product(safe[left], read)
             if entry is not None:
                 lam, target = entry
-                diff = diff - 1j * lam * gens[target]
-            # band k reaches column i + k from row i
-            cols = (v[_shift(mask, k)] for k, v in diff.bands.items())
-            return max((float(np.abs(c).max(initial=0.0)) for c in cols), default=0.0)
+                diff = diff - 1j * lam * safe[target]
+            return max(float(abs(v).max()) for v in diff.bands.values())
 
     elif rep in ("matrix5", "sp4"):
         if cutoff is not None:

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import entosc
 from entosc import entangled_series, errors, phase_space
 from entosc.cli import THERMO_CURVE_MAX_STEPS, _linspace, main
+from entosc.dirac_algebra import LIST_STATES_MAX
 from entosc.reduced_state import ThermoPoint, entropy, temperature, write_thermo_csv
 
 
@@ -651,10 +652,11 @@ README_EXAMPLES = [
 ]
 
 # the submodules each command loads besides cli and errors: those it imports, and theirs;
-# identity-check, wigner-grid and algebra-check --rep fock load numpy, while the exact algebra reps,
-# thermo-curve, decompose-shear and inner-product are plain Python (oscillator_basis loads numpy
-# only inside its array functions); entangled_series reads ln cosh and ln tanh from reduced_state,
-# so every series command loads it
+# identity-check and wigner-grid load numpy, and so does algebra-check --rep fock above
+# dirac_algebra.LIST_STATES_MAX basis states, while the exact algebra reps, the Fock check below
+# that switch, thermo-curve, decompose-shear and inner-product are plain Python (oscillator_basis
+# loads numpy only inside its array functions); entangled_series reads ln cosh and ln tanh from
+# reduced_state, so every series command loads it
 COMMAND_MODULES = {
     "identity-check": {"entangled_series", "oscillator_basis", "reduced_state"},
     "algebra-check": {"dirac_algebra"},
@@ -707,7 +709,8 @@ def test_module_entry_runs_without_runpy_warning(tmp_path):
 
 
 def test_exact_algebra_checks_load_no_numpy():
-    # -X importtime lists every module the process imports; the Fock check is the control that loads numpy
+    # -X importtime lists every module the process imports; the Fock check above the list-type switch
+    # is the control that loads numpy
     run_module = [sys.executable, "-X", "importtime", "-m", "entosc.cli", "algebra-check", "--rep"]
     for rep in ("sp4", "matrix5"):
         for flags in ((), ("--json", "-"), ("--verbose",)):
@@ -715,9 +718,24 @@ def test_exact_algebra_checks_load_no_numpy():
             assert result.returncode == 0, result.stderr
             assert "max_deviation = 0\n" in result.stdout
             assert "numpy" not in result.stderr, (rep, flags)
-    result = subprocess.run([*run_module, "fock", "--cutoff", "2"], capture_output=True, text=True, env=source_env(), timeout=60)
+    above = str(math.isqrt(LIST_STATES_MAX))  # the least cutoff whose basis passes LIST_STATES_MAX states
+    result = subprocess.run(
+        [*run_module, "fock", "--cutoff", above], capture_output=True, text=True, env=source_env(), timeout=60
+    )
     assert result.returncode == 0, result.stderr
     assert "numpy" in result.stderr
+
+
+@pytest.mark.parametrize("cutoff", [2, 10, 20, 30, math.isqrt(LIST_STATES_MAX) - 1])
+def test_fock_check_below_the_switch_loads_no_numpy(cutoff):
+    # up to LIST_STATES_MAX basis states the band vectors are plain lists of floats
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "entosc.cli", "algebra-check", "--rep", "fock", "--cutoff", f"{cutoff}"],
+        capture_output=True, text=True, env=source_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert f"rep = fock, cutoff = {cutoff}\n" in result.stdout
+    assert "numpy" not in result.stderr
 
 
 @pytest.mark.parametrize(

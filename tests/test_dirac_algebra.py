@@ -134,6 +134,30 @@ class TestBandedFock:
         assert max(abs(p.deviation - d) for p, d in zip(report.pairs, dense)) <= 1e-13
         assert report.max_deviation == max(p.deviation for p in report.pairs)
 
+    @given(st.integers(2, math.isqrt(dirac_algebra.LIST_STATES_MAX) + 9))
+    @settings(max_examples=20, deadline=None)
+    def test_list_and_array_bands_give_the_same_deviations(self, cutoff):
+        # below the switch the bands are lists of floats, above it numpy arrays; every float
+        # operation is the same, so every per-pair deviation is the same to the bit
+        reports = {}
+        for kind, states_max in (("list", 10**9), ("array", 0)):
+            with mock.patch.object(dirac_algebra, "LIST_STATES_MAX", states_max):
+                assert isinstance(dirac_algebra._ladder_bands(cutoff)[0].bands[cutoff + 1], list) == (kind == "list")
+                reports[kind] = check_algebra("fock", cutoff=cutoff)
+        assert reports["list"] == reports["array"]
+        assert all(type(p.deviation) is float for p in reports["list"].pairs)
+
+    def test_list_bands_run_only_where_their_bytes_fit(self, monkeypatch):
+        # the lists charge their own bytes per state; where the budget cannot hold them the arrays run
+        edge = math.isqrt(dirac_algebra.LIST_STATES_MAX) - 1
+        assert dirac_algebra._vector(edge) is dirac_algebra._Floats
+        assert dirac_algebra._vector(edge + 1) is not dirac_algebra._Floats
+        monkeypatch.setattr(errors, "BYTE_BUDGET", 2**20)
+        fits = math.isqrt(2**20 // dirac_algebra._LIST_BYTES) - 1
+        assert dirac_algebra._vector(fits) is dirac_algebra._Floats
+        assert dirac_algebra._vector(fits + 1) is not dirac_algebra._Floats
+        assert check_algebra("fock", cutoff=fits + 1).max_deviation <= 1e-10
+
     @pytest.mark.parametrize("cutoff", [2, 3, 7])
     def test_generators_match_kron_reference(self, cutoff):
         gens, ref = fock_generators(cutoff), kron_generators(cutoff)
