@@ -4,11 +4,12 @@ Exit codes are contractual across subcommands: 0 success, 1 usage or
 domain error, 2 tolerance breach, 3 I/O failure.  All numeric output is
 printed with 12 significant digits, decimal point, newline-delimited,
 so repeated runs are byte-stable.  Each subcommand imports only the
-modules it runs, numpy included: `identity-check` and `wigner-grid` load
-numpy, and so does `algebra-check --rep fock` above cutoff 40
-(dirac_algebra.LIST_STATES_MAX basis states), while the Fock check up to
-there, the exact algebra reps, `thermo-curve`, `inner-product` and
-`decompose-shear` run in plain Python.
+modules it runs, numpy included: `wigner-grid` loads numpy, and so do
+`identity-check` on grids past entangled_series.LIST_WORK_MAX units of
+work (2e6, about 111^2 points at n = 3, eta = 1) and `algebra-check --rep
+fock` above cutoff 40 (dirac_algebra.LIST_STATES_MAX basis states), while
+the identity and Fock checks below those switches, the exact algebra reps,
+`thermo-curve`, `inner-product` and `decompose-shear` run in plain Python.
 """
 
 from __future__ import annotations
@@ -102,7 +103,6 @@ def _verdict(ok: bool, failure: str) -> int:
 
 
 def _cmd_identity_check(args, cfg: RunConfig) -> int:
-    import numpy as np
     from . import entangled_series
     tol = positive("--tol", args.tol if args.tol is not None else cfg.identity_tol)
     series_tol = positive("--series-tol", args.series_tol if args.series_tol is not None else cfg.series_tol)
@@ -112,13 +112,10 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
     # the series, the Gaussian side and the deviation peak at 7 doubles per grid point; series_sum charges its tables
     side = (xmax - xmin) / positive("--spacing", args.spacing) + 1.0
     budget(8.0 * 7 * side * side, f"a grid of {side:.6g}^2 points")
-    axis = np.arange(xmin, finite("--xmax + --spacing / 2", xmax + 0.5 * args.spacing), args.spacing)
-    X, Y = np.meshgrid(axis, axis, indexing="ij", sparse=True)
-    series = entangled_series.series_sum(n, args.eta, X, Y, series_tol)
-    gauss = entangled_series.squeezed_wavefunction(n, args.eta, X, Y)
-    dev = float(np.abs(series - gauss).max())
+    axis = _arange(xmin, finite("--xmax + --spacing / 2", xmax + 0.5 * args.spacing), args.spacing)
+    dev = entangled_series._grid_deviation(n, args.eta, axis, series_tol)
     print(f"n = {args.n}, eta = {_fmt(args.eta)}")
-    print(f"grid = [{_fmt(args.xmin)}, {_fmt(args.xmax)}] step {_fmt(args.spacing)} ({axis.size}^2 points)")
+    print(f"grid = [{_fmt(args.xmin)}, {_fmt(args.xmax)}] step {_fmt(args.spacing)} ({len(axis)}^2 points)")
     print(f"max_deviation = {_fmt(dev)}")
     print(f"tolerance = {_fmt(tol)}")
     return _verdict(dev <= tol, "series does not reproduce the squeezed Gaussian at tolerance")
@@ -161,6 +158,13 @@ def _linspace(lo: float, hi: float, steps: int) -> list[float]:
         grid = [i * step + lo for i in range(steps)]
     grid[-1] = hi
     return grid
+
+
+def _arange(start: float, stop: float, step: float) -> list[float]:
+    """np.arange(start, stop, step) bit for bit, for finite floats, as a list of floats."""
+    length = max(math.ceil((stop - start) / step), 0)
+    delta = (start + step) - start  # numpy fills from the first two entries, start and start + step
+    return [start, start + step, *(start + i * delta for i in range(2, length))][:length]
 
 
 def _cmd_thermo_curve(args, cfg: RunConfig) -> int:

@@ -20,18 +20,22 @@ Gaussian itself.  The series and the sums over the probabilities A_k(n)^2 in
 `reduced_state` find their cutoff K through one search, `_cutoff_terms`,
 which builds the log-domain terms only as far as K and bounds their tail with
 one `_tail`; the sums raise CutoffError past TERM_CAP and the series past the
-basis bound.  Arguments go through the package's one contract in `errors`
-(`integer`, `positive`, `rapidity` with |eta| <= ETA_MAX, `budget`) before
-any work.
+basis bound.  The search's table is a list of floats for the CLI's identity
+check and numpy arrays for the array API and the probability sums, whose
+tables run to millions of terms.  The identity check, `_grid_deviation`,
+forms the series, the squeezed Gaussian and their deviation on floats up to
+LIST_WORK_MAX units of work, so it loads no numpy there, and on arrays above.
+numpy loads only inside the array functions.  Arguments go through the
+package's one contract in `errors` (`integer`, `positive`, `rapidity` with
+|eta| <= ETA_MAX, `budget`) before any work.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from typing import NamedTuple
-
-import numpy as np
 
 from . import oscillator_basis as basis
 from .errors import CutoffError, budget, integer, positive, rapidity
@@ -55,13 +59,15 @@ class SchmidtSeries(NamedTuple):
 
 
 def _squeezed(n: int, m: int, eta: float, x, y):
-    """chi_n(x') chi_m(y') at the squeezed coordinates of rapidity eta."""
+    """chi_n(x') chi_m(y') at the squeezed coordinates of rapidity eta, on arrays."""
     xp, yp = basis._light_cone(eta)(0.5 * (x + y), 0.5 * (x - y))
     return basis.chi(n, xp) * basis.chi(m, yp)
 
 
 def squeezed_wavefunction(n: int, eta, x, y):
     """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta."""
+    import numpy as np
+
     value = _squeezed(n, 0, rapidity(eta), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     return float(value) if np.ndim(value) == 0 else value
 
@@ -102,8 +108,8 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
     return basis._overlap((n + k, k, 0.0), (n, 0, eta), order)
 
 
-def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
-    """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol.
+def _coefficients(n: int, eta: float, tol: float, floats: bool):
+    """A_0(n)..A_K(n) with K chosen so the amplitude tail stays below tol: a list of floats, or an array.
 
     The coefficients are (-1)^k [eta < 0] exp(log A_k^2 / 2) off `_cutoff_terms`'
     table, and K is the first k >= K0 with A_k sup|chi chi| r / (1 - r) <= tol,
@@ -114,21 +120,31 @@ def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
     needed where no k with n + k <= N_MAX fits, before any term is built when
     n + K0 passes N_MAX.
     """
+    if not eta:
+        log_p = [0.0]  # A_0 = 1 alone
+    else:
+        k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))), 8)
+        last = basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
+        terms = _cutoff_terms(n, abs(eta), tol / _CHI_PAIR_SUP, k0, last, 0.5, floats)
+        if terms is None:
+            raise CutoffError(
+                f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
+                f"so n + K exceeds the basis bound {basis.N_MAX}"
+            )
+        log_p = terms[1]
+    sign = math.copysign(1.0, eta)
+    if floats:
+        return [sign**k * math.exp(0.5 * value) for k, value in enumerate(log_p)]
+    import numpy as np
+
+    return sign ** np.arange(len(log_p) + 0.0) * np.exp(0.5 * np.asarray(log_p))
+
+
+def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
+    """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol (`_coefficients`), as an array."""
     tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
-    t = math.tanh(abs(eta))
-    if t == 0.0:
-        return SchmidtSeries(n=n, eta=eta, coeffs=np.array([1.0]), cutoff=0, tail_bound=0.0)
-    k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))), 8)
-    last = basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
-    terms = _cutoff_terms(n, abs(eta), tol / _CHI_PAIR_SUP, k0, last, 0.5)
-    if terms is None:
-        raise CutoffError(
-            f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
-            f"so n + K exceeds the basis bound {basis.N_MAX}"
-        )
-    log_p = terms[1]
-    K = log_p.size - 1
-    coeffs = math.copysign(1.0, eta) ** np.arange(K + 1.0) * np.exp(0.5 * log_p)
+    coeffs = _coefficients(n, eta, tol, floats=False)
+    K, t = coeffs.size - 1, math.tanh(abs(eta))
     return SchmidtSeries(n=n, eta=eta, coeffs=coeffs, cutoff=K, tail_bound=float(_tail(n, t * t, K, coeffs[K] ** 2)))
 
 
@@ -140,6 +156,8 @@ def series_sum(n: int, eta, x, y, tol: float = 1e-10):
     shape (1, M)) costs O(K (N + M)) for the tables, and only the sum over k
     touches all N M points.
     """
+    import numpy as np
+
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
     ser = schmidt_series(n, eta, tol)
     budget(8.0 * np.broadcast(x, y).size, "the series sum's result")
@@ -149,8 +167,73 @@ def series_sum(n: int, eta, x, y, tol: float = 1e-10):
     return float(total.ravel()[0]) if scalar else total
 
 
-def _log_binom(n: int, k: np.ndarray) -> np.ndarray:
-    """log binom(n + k, k) elementwise as sum_{i=1..n} log1p(k / i): n passes, a few ulp each."""
+# The float route's cost per grid point, in series products (about 41 ns each in-process on 2 shared CPUs,
+# Python 3.11.7): K + 1 for the series, 2.5 per recurrence step of chi_n(x') and 48 for the squeeze, the
+# two seeds and the bookkeeping.  Grids of at most this many run on floats and load no numpy; larger ones
+# run on arrays, which first pay about 0.1 s for numpy.  Medians of 15 alternating console-entry runs,
+# floats against arrays: -44 ms at 1.3e6 (n = 3, eta 1, 91^2 points), -34 ms at 1.6e6 (101^2),
+# -12 ms at 2.0e6 (111^2), -2 ms at 2.0e6 (n = 0, eta 0.5, 161^2) and +94 ms at 4.1e6 (n = 3, 161^2).
+LIST_WORK_MAX = 2_000_000
+
+
+def _grid_deviation(n: int, eta, axis: list[float], tol: float) -> float:
+    """max |series_sum - squeezed_wavefunction| over the grid axis x axis, the series accurate to tol.
+
+    Up to LIST_WORK_MAX units of work the two sides are built on floats, so no
+    numpy loads; above it, on arrays over the open mesh of the axis.  Either
+    way a nan anywhere makes the result nan.
+    """
+    tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
+    coeffs = _coefficients(n, eta, tol, floats=True)
+    if (len(coeffs) + 48 + 2.5 * n) * len(axis) ** 2 <= LIST_WORK_MAX:
+        rows = zip(_series_rows(n, coeffs, axis), _squeezed_rows(n, eta, axis))
+        return _peak(_peak(map(abs, map(operator.sub, series, gauss))) for series, gauss in rows)
+    import numpy as np
+
+    X, Y = np.meshgrid(np.array(axis), np.array(axis), indexing="ij", sparse=True)
+    return float(np.abs(series_sum(n, eta, X, Y, tol) - squeezed_wavefunction(n, eta, X, Y)).max())
+
+
+def _series_rows(n: int, coeffs: list[float], axis: list[float]):
+    """The rows x = axis[i] of sum_k A_k chi_{n+k}(x) chi_k(y) over y in axis, as lists of floats.
+
+    chi_0..chi_{n+K} is tabulated once per axis point on the one recurrence,
+    and each row scales its chi_{n+k}(x) by A_k once.
+    """
+    K = len(coeffs) - 1
+    tables = [list(basis._chi_rows(n + K, *basis._float_seed(x))) for x in axis]
+    columns = [table[: K + 1] for table in tables]
+    for table in tables:
+        terms = list(map(operator.mul, coeffs, table[n:]))
+        yield [sum(map(operator.mul, terms, column)) for column in columns]
+
+
+def _squeezed_rows(n: int, eta: float, axis: list[float]):
+    """The rows x = axis[i] of chi_n(x') chi_0(y') over y in axis, as lists of floats."""
+    squeeze = basis._light_cone(eta)
+    for x in axis:
+        row = []
+        for y in axis:
+            xp, yp = squeeze(0.5 * (x + y), 0.5 * (x - y))
+            row.append(basis._last_row(basis._chi_rows(n, *basis._float_seed(xp))) * basis._float_seed(yp)[1])
+        yield row
+
+
+def _peak(values) -> float:
+    """The largest of some floats >= 0, or nan if one is nan, as np.max has it (Python's max keeps only a first nan)."""
+    values = list(values)
+    return math.nan if math.isnan(sum(values)) else max(values)
+
+
+def _log_binom(n: int, k):
+    """log binom(n + k, k) elementwise as sum_{i=1..n} log1p(k / i) on a float list or array: n passes, a few ulp each."""
+    if isinstance(k, list):
+        out = [0.0] * len(k)
+        for i in range(1, n + 1):
+            out = list(map(operator.add, out, map(math.log1p, [j / i for j in k])))
+        return out
+    import numpy as np
+
     out = np.zeros(np.shape(k))
     for i in range(1, n + 1):
         out += np.log1p(k / i)
@@ -166,37 +249,65 @@ def _tail(n: int, q: float, k, term, power: float = 1.0):
     probabilities, power 1/2 the amplitudes.
     """
     r = (q * (n + k + 1.0) / (k + 1.0)) ** power
+    if isinstance(r, float):
+        return term * r / (1.0 - r) if r < 1.0 else math.inf
+    import numpy as np
+
     return np.divide(term * r, 1.0 - r, out=np.full(np.shape(r), math.inf), where=r < 1.0)
 
 
-def _cutoff_terms(n: int, eta: float, tol: float, k0: int, kmax: int, power: float):
+def _cutoff_terms(n: int, eta: float, tol: float, k0: int, kmax: int, power: float, floats: bool = False):
     """(log binom(n + k, k), log A_k(n)^2) for k = 0..K at eta > 0, or None if K would pass kmax.
 
     K is the first k >= k0 whose `_tail` of power `power` is <= tol.  The
     table starts at k0 and grows by half each round (to 1.5 k + 8, at most
     kmax), and each round checks the k it added, so no term past 1.5 K + 8 or
-    kmax is built.
+    kmax is built.  The table is a pair of float lists or of arrays.
     """
     q, lo, hi = math.tanh(eta) ** 2, k0, k0
     while lo <= kmax:
         hi = min(hi, kmax)
-        log_p = np.arange(hi + 1.0)  # k, made log p_k in place
-        log_binom = _log_binom(n, log_p)
-        log_p *= 2.0 * _log_tanh(eta)
-        log_p += log_binom
-        log_p -= 2.0 * (n + 1) * _log_cosh(eta)
-        fits = np.flatnonzero(_tail(n, q, np.arange(lo, hi + 1.0), np.exp(power * log_p[lo:]), power) <= tol)
-        if fits.size:
-            K = lo + int(fits[0])
+        log_binom, log_p = _log_table(n, eta, hi, floats)
+        K = _first_fit(n, q, lo, log_p, power, tol)
+        if K is not None:
             return log_binom[: K + 1], log_p[: K + 1]
         lo, hi = hi + 1, int(1.5 * hi) + 8
     return None
+
+
+def _log_table(n: int, eta: float, hi: int, floats: bool):
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..hi at eta > 0, as float lists or as arrays."""
+    scale, shift = 2.0 * _log_tanh(eta), 2.0 * (n + 1) * _log_cosh(eta)
+    if floats:
+        log_binom = _log_binom(n, [float(k) for k in range(hi + 1)])
+        return log_binom, [k * scale + value - shift for k, value in enumerate(log_binom)]
+    import numpy as np
+
+    log_p = np.arange(hi + 1.0)  # k, made log p_k in place
+    log_binom = _log_binom(n, log_p)
+    log_p *= scale
+    log_p += log_binom
+    log_p -= shift
+    return log_binom, log_p
+
+
+def _first_fit(n: int, q: float, lo: int, log_p, power: float, tol: float):
+    """The first k >= lo of the table log_p whose `_tail` of power `power` is <= tol, or None."""
+    if isinstance(log_p, list):
+        fits = (k for k in range(lo, len(log_p)) if _tail(n, q, k, math.exp(power * log_p[k]), power) <= tol)
+        return next(fits, None)
+    import numpy as np
+
+    fits = np.flatnonzero(_tail(n, q, np.arange(lo, log_p.size + 0.0), np.exp(power * log_p[lo:]), power) <= tol)
+    return lo + int(fits[0]) if fits.size else None
 
 
 def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """`_cutoff_terms` for the probabilities A_k(n)^2, tail below tol (K = 0 at eta = 0); CutoffError past TERM_CAP."""
     n = integer("n", n)
     if not eta:
+        import numpy as np
+
         return np.zeros(1), np.zeros(1)
     k0 = max(32, math.ceil((math.log(tol) - 2.0 * (n + 1) * _log_cosh(eta)) / (2.0 * _log_tanh(eta))))
     terms = _cutoff_terms(n, eta, tol, k0, TERM_CAP // (n + 1) - 1, 1.0)
@@ -230,6 +341,8 @@ def eigenvalue_residual(
     the eigenvalue n - m is squeeze-invariant, so the residual measures
     only the finite-difference error, O(spacing^4).
     """
+    import numpy as np
+
     n, m, eta = integer("n", n), integer("m", m), rapidity(eta)
     steps = 2.0 * positive("half_width", half_width) / positive("spacing", spacing)
     budget(6.0 * 8 * (steps + 1.0) * (steps + 1.0), f"a residual grid of {steps + 1.0:.6g}^2 points")  # peak: 6 planes

@@ -13,8 +13,10 @@ and `chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
 factor, leaving the orthonormal Hermite polynomial; it is what Gauss-Hermite
 quadrature wants, since the e^{-x^2} weight is folded into the quadrature
 weights.  Those three functions take arrays and load numpy when called.  The
-quadrature rule and the overlap kernel run the recurrence on floats, so a
-process that only integrates overlaps loads no numpy.
+quadrature rule, the overlap kernel and `entangled_series`' float route run
+the recurrence on floats, the last from the same Gaussian seed rule,
+`_gaussian_seed`, so a process that only integrates overlaps or checks the
+Schmidt identity on a small grid loads no numpy.
 """
 
 from __future__ import annotations
@@ -58,6 +60,26 @@ def _chi_rows(nmax: int, x, cur):
         yield cur
 
 
+def _gaussian_seed(x, largest: float, exp, clip):
+    """x and row 0 of chi there, pi^-1/4 exp(-x^2/2): x a float (`math.exp`, `_clip`) or an array (numpy's).
+
+    `largest` is max |x|.  The seed is 0 past |x| ~ 38.6, so once some |x| passes 1e150, clipping x to
+    [-40, 40] changes no row and keeps x * x and the update finite.
+    """
+    if largest > 1e150:
+        x = clip(x, -40.0, 40.0)
+    return x, _BARE_SEED * exp(-0.5 * x * x)
+
+
+def _clip(x: float, lo: float, hi: float) -> float:
+    return min(max(x, lo), hi)
+
+
+def _float_seed(x: float) -> tuple[float, float]:
+    """`_gaussian_seed` at a float x."""
+    return _gaussian_seed(x, abs(x), math.exp, _clip)
+
+
 def _seeded(x, gaussian: bool):
     """x as a 1-d float array, and row 0 there: pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4."""
     import numpy as np
@@ -65,10 +87,7 @@ def _seeded(x, gaussian: bool):
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if not gaussian:
         return x, np.full(x.shape, _BARE_SEED)
-    if x.size and max(-x.min(), x.max()) > 1e150:
-        # the seed is 0 past |x| ~ 38.6, so clipping changes no row and keeps x * x and the update finite
-        x = np.clip(x, -40.0, 40.0)
-    return x, _BARE_SEED * np.exp(-0.5 * x * x)
+    return _gaussian_seed(x, max(-x.min(), x.max()) if x.size else 0.0, np.exp, np.clip)
 
 
 def chi_batch(nmax: int, x):

@@ -15,11 +15,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import entosc
 from entosc import entangled_series, errors, phase_space
-from entosc.cli import THERMO_CURVE_MAX_STEPS, _linspace, main
+from entosc.cli import THERMO_CURVE_MAX_STEPS, _arange, _linspace, main
 from entosc.dirac_algebra import LIST_STATES_MAX
 from entosc.reduced_state import ThermoPoint, entropy, temperature, write_thermo_csv
 
@@ -53,10 +53,29 @@ class TestIdentityCheck:
         assert "FAIL" in out
 
     def test_nan_deviation_exits_two(self, capsys, monkeypatch):
+        # the array route: series_sum is called only above the float route's work switch
+        monkeypatch.setattr(entangled_series, "LIST_WORK_MAX", 0)
         monkeypatch.setattr(entangled_series, "series_sum", lambda n, eta, x, y, tol: np.full((x.size, y.size), np.nan))
         code, out, _ = run(capsys, "identity-check", "--eta", "0.5")
         assert code == 2
         assert "max_deviation = nan" in out
+        assert out.strip().splitlines()[-1].startswith("FAIL:")
+
+    @pytest.mark.parametrize("side", ["_series_rows", "_squeezed_rows"])
+    def test_nan_on_the_float_route_exits_two(self, side, capsys, monkeypatch):
+        # one nan past the first point of a row and of the grid: Python's max would drop it
+        rows = getattr(entangled_series, side)
+
+        def with_nan(*args):
+            for i, row in enumerate(rows(*args)):
+                if i == 3:
+                    row[5] = math.nan
+                yield row
+
+        monkeypatch.setattr(entangled_series, side, with_nan)
+        code, out, _ = run(capsys, "identity-check", "--eta", "0.5")
+        assert code == 2
+        assert "(33^2 points)" in out and "max_deviation = nan" in out
         assert out.strip().splitlines()[-1].startswith("FAIL:")
 
     def test_missing_argument_exits_one(self, capsys):
@@ -121,6 +140,38 @@ class TestIdentityCheck:
         monkeypatch.setattr(entangled_series, "series_sum", reached)
         with pytest.raises(Reached):
             main(["identity-check", "--n", "5", "--eta", "0.5", "--xmin=-3.5", "--xmax", "3.5", "--spacing", "0.001"])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 6),
+        st.floats(-1.4, 1.4),
+        st.floats(-6.0, 0.0),
+        st.floats(0.5, 8.0),
+        st.sampled_from(["0.5", "0.25", "0.1", "0.05"]),
+    )
+    @example(3, 1.0, -4.0, 8.0, "0.05")  # 161^2 points at K = 103: above LIST_WORK_MAX, so arrays unforced
+    @example(0, 0.5, -4.0, 8.0, "0.25")  # the README's first example, below it
+    def test_float_and_array_routes_agree(self, n, eta, xmin, width, spacing):
+        argv = ["identity-check", f"--n={n}", f"--eta={eta!r}", f"--xmin={xmin!r}", f"--xmax={xmin + width!r}"]
+        runs = []
+        for limit in (math.inf, 0):  # every grid on floats, then every grid on arrays
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.object(entangled_series, "LIST_WORK_MAX", limit):
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main([*argv, f"--spacing={spacing}"])
+            runs.append((code, err.getvalue(), out.getvalue().splitlines()))
+        (code, err, floats), (array_code, array_err, arrays) = runs
+        assert (code, err) == (array_code, array_err)
+        if code == 1:  # the series' CutoffError, the same on both routes
+            assert err.startswith("error: series cutoff")
+            return
+        assert [line for line in floats if "max_deviation" not in line] == [
+            line for line in arrays if "max_deviation" not in line
+        ]
+        devs = [float(line.split(" = ")[1]) for line in floats + arrays if line.startswith("max_deviation")]
+        assert abs(devs[0] - devs[1]) <= 1e-15
+        float_coeffs = entangled_series._coefficients(n, eta, 1e-10, floats=True)
+        assert len(float_coeffs) - 1 == entangled_series.schmidt_series(n, eta, 1e-10).cutoff
 
 
 class TestAlgebraCheck:
@@ -213,6 +264,12 @@ class TestThermoCurve:
     )
     def test_grid_is_numpy_linspace_bit_for_bit(self, lo, hi, steps):
         assert np.array(_linspace(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e2))
+    def test_axis_is_numpy_arange_bit_for_bit(self, start, stop, step):
+        assume((stop - start) / step <= 10**4)
+        assert np.array(_arange(start, stop, step)).tobytes() == np.arange(start, stop, step).tobytes()
 
     @pytest.mark.parametrize("lo, hi, steps", [(0.0, 5e-324, 3), (0.0, 1e-320, 10**4), (5e-323, 0.0, 1000)])
     def test_grid_of_a_subnormal_span_is_numpy_linspace(self, lo, hi, steps):
@@ -652,10 +709,11 @@ README_EXAMPLES = [
 ]
 
 # the submodules each command loads besides cli and errors: those it imports, and theirs;
-# identity-check and wigner-grid load numpy, and so does algebra-check --rep fock above
-# dirac_algebra.LIST_STATES_MAX basis states, while the exact algebra reps, the Fock check below
-# that switch, thermo-curve, decompose-shear and inner-product are plain Python (oscillator_basis
-# loads numpy only inside its array functions); entangled_series reads ln cosh and ln tanh from
+# wigner-grid loads numpy, and so do identity-check above entangled_series.LIST_WORK_MAX and
+# algebra-check --rep fock above dirac_algebra.LIST_STATES_MAX basis states, while the identity
+# check and the Fock check below those switches, the exact algebra reps, thermo-curve,
+# decompose-shear and inner-product are plain Python (oscillator_basis and entangled_series load
+# numpy only inside their array functions); entangled_series reads ln cosh and ln tanh from
 # reduced_state, so every series command loads it
 COMMAND_MODULES = {
     "identity-check": {"entangled_series", "oscillator_basis", "reduced_state"},
@@ -752,6 +810,27 @@ def test_overlap_and_shear_commands_load_no_numpy(argv):
     )
     assert result.returncode == 0, result.stderr
     assert "numpy" not in result.stderr, argv
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (README_EXAMPLES[0], False),
+        (["identity-check", "--n", "3", "--eta", "1.0", "--spacing", "0.25"], False),
+        (["identity-check", "--eta", "1.4"], False),
+        (["identity-check", "--n", "3", "--eta", "1.0", "--spacing", "0.05"], True),
+    ],
+    ids=["n0-eta0.5", "n3-eta1", "eta1.4", "n3-eta1-161sq"],
+)
+def test_identity_check_loads_numpy_only_above_the_work_switch(argv, loads_numpy):
+    # up to LIST_WORK_MAX the series, the squeezed Gaussian and their deviation are plain Python
+    result = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "entosc.cli", *argv],
+        capture_output=True, text=True, env=source_env(), timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.endswith("OK\n")
+    assert ("numpy" in result.stderr) == loads_numpy, argv
 
 
 def test_thermo_curve_loads_no_numpy_and_no_dataclasses(tmp_path):
