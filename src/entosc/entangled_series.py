@@ -17,12 +17,13 @@ the overlap of two squeezed states on one light-cone Gauss-Hermite grid
 (`oscillator_basis._overlap`, which `covariant_inner` shares), and sums the
 series so partial sums can be compared pointwise against the squeezed
 Gaussian itself.  The series and the sums over the probabilities A_k(n)^2 in
-`reduced_state` find their cutoff K through one search, `_cutoff_terms`,
-which builds the log-domain terms only as far as K and bounds their tail with
-one `_tail`; the sums raise CutoffError past TERM_CAP and the series past the
-basis bound.  The search's table is a list of floats for the CLI's identity
-check and numpy arrays for the array API and the probability sums, whose
-tables run to millions of terms.  The identity check, `_grid_deviation`,
+`reduced_state` stop at the first k past a geometric seed whose log-domain
+term log A_k(n)^2 passes one tail bound, `_tail`.  The series walks k on
+floats (`_walk`), so the float and array identity routes and `schmidt_series`
+get one K, and raises CutoffError past the basis bound; the array route then
+builds its numpy table once, up to K.  Only the probability sums, whose tables
+run to millions of terms, grow a numpy table by half a round (`_log_terms`),
+and raise CutoffError past TERM_CAP.  The identity check, `_grid_deviation`,
 forms the series, the squeezed Gaussian and their deviation on floats up to
 LIST_WORK_MAX units of work, so it loads no numpy there, and on arrays above.
 numpy loads only inside the array functions.  Arguments go through the
@@ -44,7 +45,7 @@ from .reduced_state import _log_cosh, _log_tanh
 # sup_x |chi_j(x)| <= pi^(-1/4), so any product of two factors is below this.
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
 
-_LOG1P_TERMS = 10**4  # the longest log1p sum `coefficient` takes for log binom(n + k, k), ~30 ms
+_LOG1P_TERMS = 10**4  # the longest log1p sum `coefficient` takes for log binom(n + k, k), ~1.4 ms
 TERM_CAP = 2**23  # (n + 1)(K + 1) terms, 16 B each at the peak (tracemalloc); n = 0 at tanh^2 eta = 0.99999 fits
 
 
@@ -75,7 +76,7 @@ def squeezed_wavefunction(n: int, eta, x, y):
 def coefficient(n: int, k: int, eta) -> float:
     """Closed-form Schmidt coefficient A_k(n).
 
-    Exact binomials below 20!.  Above, log binom(n + k, k) is `_log_binom`'s
+    Exact binomials below 20!.  Above, log binom(n + k, k) is `_log_binom_at`'s
     log1p sum over the smaller index (lgamma's difference past _LOG1P_TERMS
     terms, to bound the cost), and tanh(eta)^k one pow of its mantissa, with
     exp of the whole log only where a factor would leave the double range.  A
@@ -89,7 +90,7 @@ def coefficient(n: int, k: int, eta) -> float:
     if n + k < 20:
         return sign * math.sqrt(math.comb(n + k, k)) * math.tanh(eta) ** k / math.cosh(eta) ** (n + 1)
     if min(n, k) <= _LOG1P_TERMS:
-        log_binom = float(_log_binom(min(n, k), max(n, k)))  # prod_{i <= min} (1 + max / i)
+        log_binom = _log_binom_at(min(n, k), max(n, k))  # prod_{i <= min} (1 + max / i)
     else:
         log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
     log_scale = 0.5 * log_binom - (n + 1) * _log_cosh(eta)  # ln(A_k / t^k)
@@ -109,35 +110,48 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
 
 
 def _coefficients(n: int, eta: float, tol: float, floats: bool):
-    """A_0(n)..A_K(n) with K chosen so the amplitude tail stays below tol: a list of floats, or an array.
+    """A_0(n)..A_K(n) with K chosen so the amplitude tail stays below tol (`_walk`): a list of floats, or an array.
 
-    The coefficients are (-1)^k [eta < 0] exp(log A_k^2 / 2) off `_cutoff_terms`'
-    table, and K is the first k >= K0 with A_k sup|chi chi| r / (1 - r) <= tol,
-    r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|.  The seed
-    K0 = max(8, ceil((log tol - 2 log cosh eta) / (2 log t))) is the geometric
-    estimate, in logs accurate where t rounds to one; it undershoots the
-    pointwise tolerance once t is close to one.  CutoffError names the least K
-    needed where no k with n + k <= N_MAX fits, before any term is built when
-    n + K0 passes N_MAX.
+    The coefficients are (-1)^k [eta < 0] exp(log A_k^2 / 2).  The float route
+    reads log A_k^2 off the walk; the array route takes only K from it and
+    builds its numpy table once, up to K.
     """
-    if not eta:
-        log_p = [0.0]  # A_0 = 1 alone
-    else:
-        k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(eta)) / (2.0 * _log_tanh(abs(eta)))), 8)
-        last = basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
-        terms = _cutoff_terms(n, abs(eta), tol / _CHI_PAIR_SUP, k0, last, 0.5, floats)
-        if terms is None:
-            raise CutoffError(
-                f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
-                f"so n + K exceeds the basis bound {basis.N_MAX}"
-            )
-        log_p = terms[1]
+    log_p = _walk(n, eta, tol)
     sign = math.copysign(1.0, eta)
     if floats:
         return [sign**k * math.exp(0.5 * value) for k, value in enumerate(log_p)]
     import numpy as np
 
-    return sign ** np.arange(len(log_p) + 0.0) * np.exp(0.5 * np.asarray(log_p))
+    K = len(log_p) - 1
+    log_p = _log_table(n, abs(eta), K)[1] if eta else np.zeros(1)
+    return sign ** np.arange(K + 1.0) * np.exp(0.5 * log_p)
+
+
+def _walk(n: int, eta: float, tol: float) -> list[float]:
+    """log A_k(n)^2 for k = 0..K on floats, one k at a time, with K the series cutoff.
+
+    K is the first k >= K0 with A_k sup|chi chi| r / (1 - r) <= tol, the
+    amplitude `_tail`, r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|; K = 0 at
+    eta = 0.  The seed K0 = max(8, ceil((log tol - 2 log cosh eta) / (2 log t)))
+    is the geometric estimate, in logs accurate where t rounds to one; it
+    undershoots the pointwise tolerance once t is close to one.  CutoffError
+    names the least K needed where no k with n + k <= N_MAX fits, before any
+    term is built when n + K0 passes N_MAX.
+    """
+    a, last = abs(eta), basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
+    k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(a)) / (2.0 * _log_tanh(a))), 8) if a else 0
+    if not a and last >= 0:
+        return [0.0]  # A_0 = 1 alone
+    if k0 <= last:
+        q, scale, shift, log_p = math.tanh(a) ** 2, 2.0 * _log_tanh(a), 2.0 * (n + 1) * _log_cosh(a), []
+        for k in range(last + 1):
+            log_p.append(k * scale + _log_binom_at(n, k) - shift)
+            if k >= k0 and _tail(n, q, k, math.exp(0.5 * log_p[k]), 0.5) <= tol / _CHI_PAIR_SUP:
+                return log_p
+    raise CutoffError(
+        f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
+        f"so n + K exceeds the basis bound {basis.N_MAX}"
+    )
 
 
 def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
@@ -226,12 +240,7 @@ def _peak(values) -> float:
 
 
 def _log_binom(n: int, k):
-    """log binom(n + k, k) elementwise as sum_{i=1..n} log1p(k / i) on a float list or array: n passes, a few ulp each."""
-    if isinstance(k, list):
-        out = [0.0] * len(k)
-        for i in range(1, n + 1):
-            out = list(map(operator.add, out, map(math.log1p, [j / i for j in k])))
-        return out
+    """log binom(n + k, k) elementwise on an array k as sum_{i=1..n} log1p(k / i): n passes, a few ulp each."""
     import numpy as np
 
     out = np.zeros(np.shape(k))
@@ -240,8 +249,16 @@ def _log_binom(n: int, k):
     return out
 
 
-def _tail(n: int, q: float, k, term, power: float = 1.0):
-    """Certified bound on sum_{j>k} A_j(n)^(2 power) at tanh^2 eta = q from term = A_k(n)^(2 power), elementwise.
+def _log_binom_at(n: int, k: int) -> float:
+    """`_log_binom` at one k in math, summed in the same order (math.log1p may differ from numpy's by an ulp)."""
+    total = 0.0
+    for i in range(1, n + 1):
+        total += math.log1p(k / i)
+    return total
+
+
+def _tail(n: int, q: float, k: int, term: float, power: float = 1.0) -> float:
+    """Certified bound on sum_{j>k} A_j(n)^(2 power) at tanh^2 eta = q from term = A_k(n)^(2 power).
 
     The ratio p_{j+1}/p_j = q (n+j+1)/(j+1) of the probabilities p_j = A_j^2
     falls with j, so the tail is below the geometric series term r/(1 - r)
@@ -249,74 +266,51 @@ def _tail(n: int, q: float, k, term, power: float = 1.0):
     probabilities, power 1/2 the amplitudes.
     """
     r = (q * (n + k + 1.0) / (k + 1.0)) ** power
-    if isinstance(r, float):
-        return term * r / (1.0 - r) if r < 1.0 else math.inf
-    import numpy as np
-
-    return np.divide(term * r, 1.0 - r, out=np.full(np.shape(r), math.inf), where=r < 1.0)
+    return term * r / (1.0 - r) if r < 1.0 else math.inf
 
 
-def _cutoff_terms(n: int, eta: float, tol: float, k0: int, kmax: int, power: float, floats: bool = False):
-    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K at eta > 0, or None if K would pass kmax.
-
-    K is the first k >= k0 whose `_tail` of power `power` is <= tol.  The
-    table starts at k0 and grows by half each round (to 1.5 k + 8, at most
-    kmax), and each round checks the k it added, so no term past 1.5 K + 8 or
-    kmax is built.  The table is a pair of float lists or of arrays.
-    """
-    q, lo, hi = math.tanh(eta) ** 2, k0, k0
-    while lo <= kmax:
-        hi = min(hi, kmax)
-        log_binom, log_p = _log_table(n, eta, hi, floats)
-        K = _first_fit(n, q, lo, log_p, power, tol)
-        if K is not None:
-            return log_binom[: K + 1], log_p[: K + 1]
-        lo, hi = hi + 1, int(1.5 * hi) + 8
-    return None
-
-
-def _log_table(n: int, eta: float, hi: int, floats: bool):
-    """(log binom(n + k, k), log A_k(n)^2) for k = 0..hi at eta > 0, as float lists or as arrays."""
-    scale, shift = 2.0 * _log_tanh(eta), 2.0 * (n + 1) * _log_cosh(eta)
-    if floats:
-        log_binom = _log_binom(n, [float(k) for k in range(hi + 1)])
-        return log_binom, [k * scale + value - shift for k, value in enumerate(log_binom)]
+def _log_table(n: int, eta: float, hi: int):
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..hi at eta > 0, as arrays."""
     import numpy as np
 
     log_p = np.arange(hi + 1.0)  # k, made log p_k in place
     log_binom = _log_binom(n, log_p)
-    log_p *= scale
+    log_p *= 2.0 * _log_tanh(eta)
     log_p += log_binom
-    log_p -= shift
+    log_p -= 2.0 * (n + 1) * _log_cosh(eta)
     return log_binom, log_p
 
 
-def _first_fit(n: int, q: float, lo: int, log_p, power: float, tol: float):
-    """The first k >= lo of the table log_p whose `_tail` of power `power` is <= tol, or None."""
-    if isinstance(log_p, list):
-        fits = (k for k in range(lo, len(log_p)) if _tail(n, q, k, math.exp(power * log_p[k]), power) <= tol)
-        return next(fits, None)
+def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K at eta >= 0, the probability tail past K below tol.
+
+    K is the first k >= K0 whose `_tail` is <= tol (K = 0 at eta = 0).  The
+    table starts at the seed K0 and grows by half each round (to 1.5 k + 8, at
+    most kmax = TERM_CAP / (n + 1) - 1), and each round checks the k it added,
+    so no term past 1.5 K + 8 or kmax is built; CutoffError past kmax.
+    """
     import numpy as np
 
-    fits = np.flatnonzero(_tail(n, q, np.arange(lo, log_p.size + 0.0), np.exp(power * log_p[lo:]), power) <= tol)
-    return lo + int(fits[0]) if fits.size else None
-
-
-def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """`_cutoff_terms` for the probabilities A_k(n)^2, tail below tol (K = 0 at eta = 0); CutoffError past TERM_CAP."""
     n = integer("n", n)
     if not eta:
-        import numpy as np
-
         return np.zeros(1), np.zeros(1)
     k0 = max(32, math.ceil((math.log(tol) - 2.0 * (n + 1) * _log_cosh(eta)) / (2.0 * _log_tanh(eta))))
-    terms = _cutoff_terms(n, eta, tol, k0, TERM_CAP // (n + 1) - 1, 1.0)
-    if terms is None:
-        raise CutoffError(
-            f"Schmidt probability series for n={n}, eta={eta} needs K >= {max(k0, TERM_CAP // (n + 1)):.3g} terms, "
-            f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
-        )
-    return terms
+    q, lo, hi, kmax = math.tanh(eta) ** 2, k0, k0, TERM_CAP // (n + 1) - 1
+    while lo <= kmax:
+        hi = min(hi, kmax)
+        log_binom, log_p = _log_table(n, eta, hi)
+        k = np.arange(lo, hi + 1.0)  # the k this round added, each checked against `_tail`'s bound
+        r = q * (n + k + 1.0) / (k + 1.0)
+        bound = np.divide(np.exp(log_p[lo:]) * r, 1.0 - r, out=np.full(k.size, math.inf), where=r < 1.0)
+        fits = np.flatnonzero(bound <= tol)
+        if fits.size:
+            K = lo + int(fits[0])
+            return log_binom[: K + 1], log_p[: K + 1]
+        lo, hi = hi + 1, int(1.5 * hi) + 8
+    raise CutoffError(
+        f"Schmidt probability series for n={n}, eta={eta} needs K >= {max(k0, kmax + 1):.3g} terms, "
+        f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
+    )
 
 
 class EigenvalueResidual(NamedTuple):

@@ -20,7 +20,8 @@ tol 1e-20: 5.8e6 terms, 92 MB at beta^2 = tanh^2 eta = 0.99999) and raise
 The closed forms, the temperature and the thermal curve need only `math`:
 the series routes import numpy and `entangled_series` when they run, so
 `thermo-curve` loads neither.  The cancellation-free ln cosh and ln tanh
-that both modules use live here.
+that both modules use live here; through ln tanh the temperature and its
+inverse are accurate to rounding over the whole rapidity domain |eta| <= 25.
 """
 
 from __future__ import annotations
@@ -139,11 +140,11 @@ def width(eta) -> float:
 
 
 def temperature(eta) -> float:
-    """Entanglement temperature T = -1 / ln(tanh^2 eta), extended by 0 at eta = 0."""
+    """Entanglement temperature T = -1 / ln(tanh^2 eta) as -1 / (2 ln tanh eta), finite for |eta| <= 25, 0 at eta = 0."""
     eta = abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
-    return -1.0 / math.log(math.tanh(eta) ** 2)
+    return -0.5 / _log_tanh(eta)
 
 
 def eta_for_temperature(T: float) -> float:

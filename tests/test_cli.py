@@ -151,6 +151,7 @@ class TestIdentityCheck:
     )
     @example(3, 1.0, -4.0, 8.0, "0.05")  # 161^2 points at K = 103: above LIST_WORK_MAX, so arrays unforced
     @example(0, 0.5, -4.0, 8.0, "0.25")  # the README's first example, below it
+    @example(300, 0.0, -4.0, 8.0, "0.25")  # chi_300 is past the basis bound at eta = 0 too, on both routes
     def test_float_and_array_routes_agree(self, n, eta, xmin, width, spacing):
         argv = ["identity-check", f"--n={n}", f"--eta={eta!r}", f"--xmin={xmin!r}", f"--xmax={xmin + width!r}"]
         runs = []

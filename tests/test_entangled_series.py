@@ -1,9 +1,12 @@
 """Schmidt coefficients, the series-vs-Gaussian identity, and residuals."""
 
 import math
+import os
+import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -100,9 +103,17 @@ def probability_seed(n, eta, tol):
 
 @pytest.fixture
 def built(monkeypatch):
-    """The largest k of each log-term table `entangled_series` builds during the test."""
+    """The largest k of each log-term array table `entangled_series` builds during the test."""
     seen, log_binom = [], entangled_series._log_binom
     monkeypatch.setattr(entangled_series, "_log_binom", lambda n, k: (seen.append(np.max(k)), log_binom(n, k))[1])
+    return seen
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """Each k whose log binom(n + k, k) the series' float walk forms during the test."""
+    seen, log_binom_at = [], entangled_series._log_binom_at
+    monkeypatch.setattr(entangled_series, "_log_binom_at", lambda n, k: (seen.append(k), log_binom_at(n, k))[1])
     return seen
 
 
@@ -191,6 +202,18 @@ class TestCoefficient:
         exact = float(exact) * (-1.0 if eta < 0 and k % 2 else 1.0)
         # relative wherever the coefficient is a normal double
         assert coefficient(n, k, eta) == pytest.approx(exact, rel=5e-14, abs=sys.float_info.min)
+
+    def test_loads_no_numpy(self):
+        # log binom(n + k, k) is the walk's log1p sum in math, also where n + k >= 20 and past _LOG1P_TERMS
+        probe = (
+            "import sys\nfrom entosc.entangled_series import coefficient\n"
+            "print(coefficient(10, 15, 0.5) > 0.0, coefficient(5000, 20000, 0.7) >= 0.0, 'numpy' in sys.modules)\n"
+        )
+        src = str(Path(entangled_series.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == "True True False\n"
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -381,24 +404,39 @@ class TestSchmidtSeries:
         [(0, 0.3, 1e-12), (3, 1.0, 1e-10), (0, 1.0, 1e-14), (7, 0.6, 1e-10), (2, -1.3, 1e-10), (10, 0.2, 1e-6)],
     )
     def test_table_stops_at_the_cutoff(self, n, eta, tol, built):
-        # the table used to run to k = N_MAX - n whatever K was
+        # the table used to run to k = N_MAX - n whatever K was; the float walk finds K, so the array table stops there
         ser = schmidt_series(n, eta, tol)
-        assert built and max(built) <= int(1.5 * ser.cutoff) + 8
+        assert built and max(built) == ser.cutoff
+        # the probability sums grow their table by half a round
+        built.clear()
+        rho = reduced_density(n, eta, tol)
+        assert built and max(built) <= int(1.5 * rho.cutoff) + 8
 
     @pytest.mark.parametrize(
         "call, last",
         [
-            (lambda: schmidt_series(0, 1.6, 1e-10), N_MAX),  # the seed fits, no k within the basis does
-            (lambda: schmidt_series(3, 3.0, 1e-10), None),  # the seed alone passes the basis bound
+            # the seed fits, no k within the basis does: the float walk runs to the bound
+            (lambda: schmidt_series(0, 1.6, 1e-10), N_MAX),
+            (lambda: schmidt_series(3, 3.0, 1e-10), None),  # the seed alone passes the basis bound: no term is formed
             # the seed 117 fits the cap at n = 50000, the mean k ~ 505 does not
             (lambda: reduced_density(50000, math.atanh(0.1)), TERM_CAP // 50001 - 1),
             (lambda: entropy(0, 10.0), None),
         ],
     )
-    def test_refusals_build_nothing_past_the_bound(self, call, last, built):
+    def test_refusals_build_nothing_past_the_bound(self, call, last, built, walked):
+        # the series refuses from its float walk, before any array table; the probability sums never walk
         with pytest.raises(CutoffError):
             call()
-        assert (max(built) == last) if last is not None else (built == [])
+        assert built == [] or walked == []
+        terms = built + walked
+        assert (max(terms) == last) if last is not None else (terms == [])
+
+    def test_basis_bound_holds_at_zero_rapidity(self, built, walked):
+        # A_0 = 1 alone, but chi_n itself must fit the basis: n = 257 used to return a one-term series
+        assert schmidt_series(N_MAX, 0.0).cutoff == 0
+        with pytest.raises(CutoffError, match=r"n=257, eta=0.0, .* needs K >= 0, so n \+ K exceeds the basis bound 256"):
+            schmidt_series(N_MAX + 1, 0.0)
+        assert walked == []
 
     def test_positive_and_decaying_for_ground_state(self):
         ser = schmidt_series(0, 0.9, tol=1e-12)

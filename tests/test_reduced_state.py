@@ -5,6 +5,7 @@ import math
 import sys
 from decimal import Decimal, localcontext
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -215,6 +216,15 @@ class TestTemperature:
             u = (-1 / (2 * Decimal(T))).exp()
             ref = float(((1 + u) / (1 - u)).ln() / 2)
         assert eta_for_temperature(T) == pytest.approx(ref, rel=4e-15)
+
+    @given(st.floats(0.0, 25.0, exclude_min=True))
+    @example(18.0)  # tanh^2 eta = 1 - 9e-16: -1 / ln(tanh^2 eta) was off by 4.5 %
+    @example(19.5)  # tanh^2 eta rounds to one: it divided by zero
+    @settings(max_examples=300, deadline=None)
+    def test_matches_mpmath_over_the_rapidity_domain(self, eta):
+        with mpmath.workdps(40):
+            ref = -1 / mpmath.log(mpmath.tanh(mpmath.mpf(eta)) ** 2)
+        assert temperature(eta) == pytest.approx(float(ref), rel=1e-15)
 
     def test_monotone_in_rapidity(self):
         etas = np.linspace(0.1, 2.5, 12)
