@@ -19,13 +19,14 @@ series so partial sums can be compared pointwise against the squeezed
 Gaussian itself.  The series and the sums over the probabilities A_k(n)^2 in
 `reduced_state` stop at the first k past a geometric seed whose log-domain
 term log A_k(n)^2 passes one tail bound, `_tail`.  The series walks k on
-floats (`_walk`), so the float and array identity routes and `schmidt_series`
-get one K, and raises CutoffError past the basis bound; the array route then
-builds its numpy table once, up to K.  Only the probability sums, whose tables
-run to millions of terms, grow a numpy table by half a round (`_log_terms`),
-and raise CutoffError past TERM_CAP.  The identity check, `_grid_deviation`,
-forms the series, the squeezed Gaussian and their deviation on floats up to
-LIST_WORK_MAX units of work, so it loads no numpy there, and on arrays above.
+floats (`_walk`) and raises CutoffError past the basis bound; `schmidt_series`
+then builds its numpy table once, up to K.  Only the probability sums, whose
+tables run to millions of terms, grow a numpy table by half a round
+(`_log_terms`), and raise CutoffError past TERM_CAP.  The identity check,
+`_grid_deviation`, walks once, then works on floats up to LIST_WORK_MAX units
+of work, so it loads no numpy there, and on arrays from the numpy table above.
+`_log_binom` and `_squeezed` serve both routes with the log1p or recurrence
+seed their caller passes, math's or numpy's, so each route keeps its bits.
 numpy loads only inside the array functions.  Arguments go through the
 package's one contract in `errors` (`integer`, `positive`, `rapidity` with
 |eta| <= ETA_MAX, `budget`) before any work.
@@ -59,24 +60,29 @@ class SchmidtSeries(NamedTuple):
     tail_bound: float
 
 
-def _squeezed(n: int, m: int, eta: float, x, y):
-    """chi_n(x') chi_m(y') at the squeezed coordinates of rapidity eta, on arrays."""
-    xp, yp = basis._light_cone(eta)(0.5 * (x + y), 0.5 * (x - y))
-    return basis.chi(n, xp) * basis.chi(m, yp)
+def _squeezed(n: int, m: int, squeeze, x, y, seed):
+    """chi_n(x') chi_m(y') at x', y' = squeeze((x + y)/2, (x - y)/2), n and m checked by the caller.
+
+    `seed` is `_float_seed` on floats or the Gaussian `_seeded` on arrays (1-d at least).
+    """
+    xp, yp = squeeze(0.5 * (x + y), 0.5 * (x - y))
+    return basis._last_row(basis._chi_rows(n, *seed(xp))) * basis._last_row(basis._chi_rows(m, *seed(yp)))
 
 
 def squeezed_wavefunction(n: int, eta, x, y):
     """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta."""
     import numpy as np
 
-    value = _squeezed(n, 0, rapidity(eta), np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    return float(value) if np.ndim(value) == 0 else value
+    n, eta = basis._check_index(n), rapidity(eta)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    value = _squeezed(n, 0, basis._light_cone(eta), x, y, basis._seeded)
+    return float(value[0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else value
 
 
 def coefficient(n: int, k: int, eta) -> float:
     """Closed-form Schmidt coefficient A_k(n).
 
-    Exact binomials below 20!.  Above, log binom(n + k, k) is `_log_binom_at`'s
+    Exact binomials below 20!.  Above, log binom(n + k, k) is `_log_binom`'s
     log1p sum over the smaller index (lgamma's difference past _LOG1P_TERMS
     terms, to bound the cost), and tanh(eta)^k one pow of its mantissa, with
     exp of the whole log only where a factor would leave the double range.  A
@@ -90,7 +96,7 @@ def coefficient(n: int, k: int, eta) -> float:
     if n + k < 20:
         return sign * math.sqrt(math.comb(n + k, k)) * math.tanh(eta) ** k / math.cosh(eta) ** (n + 1)
     if min(n, k) <= _LOG1P_TERMS:
-        log_binom = _log_binom_at(min(n, k), max(n, k))  # prod_{i <= min} (1 + max / i)
+        log_binom = _log_binom(min(n, k), max(n, k))  # prod_{i <= min} (1 + max / i)
     else:
         log_binom = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
     log_scale = 0.5 * log_binom - (n + 1) * _log_cosh(eta)  # ln(A_k / t^k)
@@ -109,22 +115,12 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
     return basis._overlap((n + k, k, 0.0), (n, 0, eta), order)
 
 
-def _coefficients(n: int, eta: float, tol: float, floats: bool):
-    """A_0(n)..A_K(n) with K chosen so the amplitude tail stays below tol (`_walk`): a list of floats, or an array.
-
-    The coefficients are (-1)^k [eta < 0] exp(log A_k^2 / 2).  The float route
-    reads log A_k^2 off the walk; the array route takes only K from it and
-    builds its numpy table once, up to K.
-    """
-    log_p = _walk(n, eta, tol)
-    sign = math.copysign(1.0, eta)
-    if floats:
-        return [sign**k * math.exp(0.5 * value) for k, value in enumerate(log_p)]
+def _coefficients(n: int, eta: float, K: int):
+    """A_0(n)..A_K(n) as an array, (-1)^k [eta < 0] exp(log A_k^2 / 2), from the numpy table up to the walk's K."""
     import numpy as np
 
-    K = len(log_p) - 1
     log_p = _log_table(n, abs(eta), K)[1] if eta else np.zeros(1)
-    return sign ** np.arange(K + 1.0) * np.exp(0.5 * log_p)
+    return math.copysign(1.0, eta) ** np.arange(K + 1.0) * np.exp(0.5 * log_p)
 
 
 def _walk(n: int, eta: float, tol: float) -> list[float]:
@@ -145,7 +141,7 @@ def _walk(n: int, eta: float, tol: float) -> list[float]:
     if k0 <= last:
         q, scale, shift, log_p = math.tanh(a) ** 2, 2.0 * _log_tanh(a), 2.0 * (n + 1) * _log_cosh(a), []
         for k in range(last + 1):
-            log_p.append(k * scale + _log_binom_at(n, k) - shift)
+            log_p.append(k * scale + _log_binom(n, k) - shift)
             if k >= k0 and _tail(n, q, k, math.exp(0.5 * log_p[k]), 0.5) <= tol / _CHI_PAIR_SUP:
                 return log_p
     raise CutoffError(
@@ -155,15 +151,20 @@ def _walk(n: int, eta: float, tol: float) -> list[float]:
 
 
 def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
-    """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol (`_coefficients`), as an array."""
+    """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol (`_walk`), as an array."""
     tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
-    coeffs = _coefficients(n, eta, tol, floats=False)
-    K, t = coeffs.size - 1, math.tanh(abs(eta))
+    K = len(_walk(n, eta, tol)) - 1
+    coeffs, t = _coefficients(n, eta, K), math.tanh(abs(eta))
     return SchmidtSeries(n=n, eta=eta, coeffs=coeffs, cutoff=K, tail_bound=float(_tail(n, t * t, K, coeffs[K] ** 2)))
 
 
 def series_sum(n: int, eta, x, y, tol: float = 1e-10):
-    """Partial sum sum_k A_k(n) chi_{n+k}(x) chi_k(y), accurate to tol pointwise.
+    """Partial sum sum_k A_k(n) chi_{n+k}(x) chi_k(y), accurate to tol pointwise (`_series_sum`)."""
+    return _series_sum(n, schmidt_series(n, eta, tol).coeffs, x, y)
+
+
+def _series_sum(n: int, coeffs, x, y):
+    """sum_k coeffs[k] chi_{n+k}(x) chi_k(y) for an array of coefficients.
 
     x and y are broadcast against each other like numpy operands, and each chi
     table is built on its own argument: an open mesh (x of shape (N, 1), y of
@@ -173,11 +174,11 @@ def series_sum(n: int, eta, x, y, tol: float = 1e-10):
     import numpy as np
 
     scalar = np.ndim(x) == 0 and np.ndim(y) == 0
-    ser = schmidt_series(n, eta, tol)
     budget(8.0 * np.broadcast(x, y).size, "the series sum's result")
-    cx = basis.chi_batch(ser.n + ser.cutoff, x)
-    cy = basis.chi_batch(ser.cutoff, y)
-    total = np.einsum("k,k...,k...->...", ser.coeffs, cx[ser.n :], cy)
+    K = coeffs.size - 1
+    cx = basis.chi_batch(n + K, x)
+    cy = basis.chi_batch(K, y)
+    total = np.einsum("k,k...,k...->...", coeffs, cx[n:], cy)
     return float(total.ravel()[0]) if scalar else total
 
 
@@ -193,19 +194,23 @@ LIST_WORK_MAX = 2_000_000
 def _grid_deviation(n: int, eta, axis: list[float], tol: float) -> float:
     """max |series_sum - squeezed_wavefunction| over the grid axis x axis, the series accurate to tol.
 
-    Up to LIST_WORK_MAX units of work the two sides are built on floats, so no
-    numpy loads; above it, on arrays over the open mesh of the axis.  Either
-    way a nan anywhere makes the result nan.
+    One `_walk` gives K.  Up to LIST_WORK_MAX units of work the two sides are
+    built on floats from the walk, so no numpy loads; above it, on arrays over
+    the open mesh of the axis.  Either way a nan anywhere makes the result nan.
     """
     tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
-    coeffs = _coefficients(n, eta, tol, floats=True)
-    if (len(coeffs) + 48 + 2.5 * n) * len(axis) ** 2 <= LIST_WORK_MAX:
-        rows = zip(_series_rows(n, coeffs, axis), _squeezed_rows(n, eta, axis))
-        return _peak(_peak(map(abs, map(operator.sub, series, gauss))) for series, gauss in rows)
+    log_p = _walk(n, eta, tol)
+    if (len(log_p) + 48 + 2.5 * n) * len(axis) ** 2 <= LIST_WORK_MAX:
+        sign, squeeze = math.copysign(1.0, eta), basis._light_cone(eta)
+        coeffs = [sign**k * math.exp(0.5 * value) for k, value in enumerate(log_p)]
+        gauss = ([_squeezed(n, 0, squeeze, x, y, basis._float_seed) for y in axis] for x in axis)
+        rows = zip(_series_rows(n, coeffs, axis), gauss)
+        return _peak(_peak(map(abs, map(operator.sub, series, row))) for series, row in rows)
     import numpy as np
 
     X, Y = np.meshgrid(np.array(axis), np.array(axis), indexing="ij", sparse=True)
-    return float(np.abs(series_sum(n, eta, X, Y, tol) - squeezed_wavefunction(n, eta, X, Y)).max())
+    series = _series_sum(n, _coefficients(n, eta, len(log_p) - 1), X, Y)
+    return float(np.abs(series - squeezed_wavefunction(n, eta, X, Y)).max())
 
 
 def _series_rows(n: int, coeffs: list[float], axis: list[float]):
@@ -222,38 +227,17 @@ def _series_rows(n: int, coeffs: list[float], axis: list[float]):
         yield [sum(map(operator.mul, terms, column)) for column in columns]
 
 
-def _squeezed_rows(n: int, eta: float, axis: list[float]):
-    """The rows x = axis[i] of chi_n(x') chi_0(y') over y in axis, as lists of floats."""
-    squeeze = basis._light_cone(eta)
-    for x in axis:
-        row = []
-        for y in axis:
-            xp, yp = squeeze(0.5 * (x + y), 0.5 * (x - y))
-            row.append(basis._last_row(basis._chi_rows(n, *basis._float_seed(xp))) * basis._float_seed(yp)[1])
-        yield row
-
-
 def _peak(values) -> float:
     """The largest of some floats >= 0, or nan if one is nan, as np.max has it (Python's max keeps only a first nan)."""
     values = list(values)
     return math.nan if math.isnan(sum(values)) else max(values)
 
 
-def _log_binom(n: int, k):
-    """log binom(n + k, k) elementwise on an array k as sum_{i=1..n} log1p(k / i): n passes, a few ulp each."""
-    import numpy as np
-
-    out = np.zeros(np.shape(k))
+def _log_binom(n: int, k, log1p=math.log1p):
+    """log binom(n + k, k) as sum_{i=1..n} log1p(k / i), n passes of a few ulp: k a number, or an array with np.log1p."""
+    total = 0.0 * k
     for i in range(1, n + 1):
-        out += np.log1p(k / i)
-    return out
-
-
-def _log_binom_at(n: int, k: int) -> float:
-    """`_log_binom` at one k in math, summed in the same order (math.log1p may differ from numpy's by an ulp)."""
-    total = 0.0
-    for i in range(1, n + 1):
-        total += math.log1p(k / i)
+        total += log1p(k / i)
     return total
 
 
@@ -274,7 +258,7 @@ def _log_table(n: int, eta: float, hi: int):
     import numpy as np
 
     log_p = np.arange(hi + 1.0)  # k, made log p_k in place
-    log_binom = _log_binom(n, log_p)
+    log_binom = _log_binom(n, log_p, np.log1p)
     log_p *= 2.0 * _log_tanh(eta)
     log_p += log_binom
     log_p -= 2.0 * (n + 1) * _log_cosh(eta)
@@ -337,13 +321,13 @@ def eigenvalue_residual(
     """
     import numpy as np
 
-    n, m, eta = integer("n", n), integer("m", m), rapidity(eta)
+    n, m, eta = basis._check_index(n), basis._check_index(m, "m"), rapidity(eta)
     steps = 2.0 * positive("half_width", half_width) / positive("spacing", spacing)
     budget(6.0 * 8 * (steps + 1.0) * (steps + 1.0), f"a residual grid of {steps + 1.0:.6g}^2 points")  # peak: 6 planes
     npts = integer("points per axis", round(steps) + 1, low=9)  # a core of 5 points inside the stencil's reach
     axis = -half_width + spacing * np.arange(npts)
     X, Y = axis[:, None], axis[None, :]
-    psi = _squeezed(n, m, eta, X, Y)
+    psi = _squeezed(n, m, basis._light_cone(eta), X, Y, basis._seeded)
 
     # central second-difference weights of 4th-order accuracy and the denominator they share with h^2
     weights, denom = (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0

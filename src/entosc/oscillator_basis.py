@@ -13,10 +13,11 @@ and `chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
 factor, leaving the orthonormal Hermite polynomial; it is what Gauss-Hermite
 quadrature wants, since the e^{-x^2} weight is folded into the quadrature
 weights.  Those three functions take arrays and load numpy when called.  The
-quadrature rule, the overlap kernel and `entangled_series`' float route run
-the recurrence on floats, the last from the same Gaussian seed rule,
-`_gaussian_seed`, so a process that only integrates overlaps or checks the
-Schmidt identity on a small grid loads no numpy.
+quadrature rule and the overlap kernel run the recurrence on floats, and
+`entangled_series` runs it on floats (`_float_seed`) or arrays (`_seeded`),
+both from the one Gaussian seed rule, `_gaussian_seed`, so a process that
+only integrates overlaps or checks the Schmidt identity on a small grid loads
+no numpy.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _float_seed(x: float) -> tuple[float, float]:
     return _gaussian_seed(x, abs(x), math.exp, _clip)
 
 
-def _seeded(x, gaussian: bool):
+def _seeded(x, gaussian: bool = True):
     """x as a 1-d float array, and row 0 there: pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4."""
     import numpy as np
 
@@ -96,7 +97,7 @@ def chi_batch(nmax: int, x):
 
     nmax = _check_index(nmax, "nmax")
     budget(8.0 * (nmax + 1) * np.size(x), f"a table of chi_0..chi_{nmax} at {np.size(x)} points")
-    rows = _chi_rows(nmax, *_seeded(x, gaussian=True))
+    rows = _chi_rows(nmax, *_seeded(x))
     first = next(rows)
     out = np.empty((nmax + 1,) + first.shape)
     out[0] = first

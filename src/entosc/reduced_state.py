@@ -9,13 +9,14 @@ For n = 0 this is exactly a thermal oscillator distribution, which is
 what lets the squeeze rapidity double as a temperature: matching
 (1 - q) q^k against (1 - e^{-1/T}) e^{-k/T} gives tanh(eta)^2 = e^{-1/T}.
 The von Neumann entropy comes from the probabilities (`entropy`) and from the
-closed form (`entropy_closed_form`, O(1) at n = 0, used by `thermo_point`),
-which the tests require to agree.  The probabilities come from
-`entangled_series`, whose sums run to the least K past a geometric seed with
-a certified tail (K ~ (46 + ln 1/(1 - beta^2)) / (1 - beta^2) at n = 0 and
-tol 1e-20: 5.8e6 terms, 92 MB at beta^2 = tanh^2 eta = 0.99999) and raise
-`CutoffError`, naming K, before allocating when (n + 1)(K + 1) passes
-`entangled_series.TERM_CAP` or tanh^2 eta rounds to one (|eta| >~ 18.7).
+closed form (`entropy_closed_form`, O(1) at n = 0), which the tests require to
+agree; `thermo_point` takes the n = 0 closed forms from beta^2 itself.  The
+probabilities come from `entangled_series`, whose sums run to the least K past
+a geometric seed with a certified tail (K ~ (46 + ln 1/(1 - beta^2)) /
+(1 - beta^2) at n = 0 and tol 1e-20: 5.8e6 terms, 92 MB at beta^2 = tanh^2 eta
+= 0.99999) and raise `CutoffError`, naming K, before allocating when
+(n + 1)(K + 1) passes `entangled_series.TERM_CAP` or tanh^2 eta rounds to one
+(|eta| >~ 18.7).
 
 The closed forms, the temperature and the thermal curve need only `math`:
 the series routes import numpy and `entangled_series` when they run, so
@@ -157,10 +158,15 @@ def eta_for_temperature(T: float) -> float:
 
 
 def thermo_point(beta_sq: float) -> ThermoPoint:
-    """Entropy (closed form, O(1)) and temperature at beta^2 = tanh(eta)^2."""
+    """Entropy -ln(1 - q) - q ln q / (1 - q) and temperature -1 / ln q at beta^2 = q, n = 0; 0, 0 at q = 0.
+
+    Taken from q, not through eta = atanh(sqrt q), they keep the digits of 1 - q.
+    """
     q = _beta_sq(beta_sq)
-    eta = math.atanh(math.sqrt(q))
-    return ThermoPoint(beta_sq=q, entropy=entropy_closed_form(0, eta), temperature=temperature(eta))
+    if q == 0.0:
+        return ThermoPoint(beta_sq=q, entropy=0.0, temperature=0.0)
+    log_q = math.log(q)
+    return ThermoPoint(beta_sq=q, entropy=-math.log1p(-q) - q * log_q / (1.0 - q), temperature=-1.0 / log_q)
 
 
 def thermo_curve(beta_sq_grid: Iterable[float]) -> list[ThermoPoint]:

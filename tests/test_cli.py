@@ -53,24 +53,32 @@ class TestIdentityCheck:
         assert "FAIL" in out
 
     def test_nan_deviation_exits_two(self, capsys, monkeypatch):
-        # the array route: series_sum is called only above the float route's work switch
+        # the array route: _series_sum is called only above the float route's work switch
         monkeypatch.setattr(entangled_series, "LIST_WORK_MAX", 0)
-        monkeypatch.setattr(entangled_series, "series_sum", lambda n, eta, x, y, tol: np.full((x.size, y.size), np.nan))
+        monkeypatch.setattr(entangled_series, "_series_sum", lambda n, coeffs, x, y: np.full((x.size, y.size), np.nan))
         code, out, _ = run(capsys, "identity-check", "--eta", "0.5")
         assert code == 2
         assert "max_deviation = nan" in out
         assert out.strip().splitlines()[-1].startswith("FAIL:")
 
-    @pytest.mark.parametrize("side", ["_series_rows", "_squeezed_rows"])
+    @pytest.mark.parametrize("side", ["_series_rows", "_squeezed"])
     def test_nan_on_the_float_route_exits_two(self, side, capsys, monkeypatch):
-        # one nan past the first point of a row and of the grid: Python's max would drop it
-        rows = getattr(entangled_series, side)
+        # one nan at point (3, 5), past the first point of a row and of the grid: Python's max would drop it
+        if side == "_series_rows":
+            rows = entangled_series._series_rows
 
-        def with_nan(*args):
-            for i, row in enumerate(rows(*args)):
-                if i == 3:
-                    row[5] = math.nan
-                yield row
+            def with_nan(*args):
+                for i, row in enumerate(rows(*args)):
+                    if i == 3:
+                        row[5] = math.nan
+                    yield row
+
+        else:  # the squeezed Gaussian, one point per call, row by row
+            squeezed, calls = entangled_series._squeezed, iter(range(33 * 33))
+
+            def with_nan(*args):
+                value = squeezed(*args)
+                return math.nan if next(calls) == 3 * 33 + 5 else value
 
         monkeypatch.setattr(entangled_series, side, with_nan)
         code, out, _ = run(capsys, "identity-check", "--eta", "0.5")
@@ -105,7 +113,8 @@ class TestIdentityCheck:
         def never(*args, **kwargs):
             raise AssertionError("summed the series")
 
-        monkeypatch.setattr(entangled_series, "series_sum", never)
+        monkeypatch.setattr(entangled_series, "_series_sum", never)  # the array route's series
+        monkeypatch.setattr(entangled_series, "_series_rows", never)  # the float route's
         code, _, err = run(capsys, "identity-check", "--eta", "0.5", *flags)
         assert code == 1
         assert err.startswith("error:")
@@ -120,11 +129,11 @@ class TestIdentityCheck:
         class Reached(Exception):
             pass
 
-        def reached(n, eta, x, y, *args, **kwargs):
+        def reached(n, coeffs, x, y):
             assert x.shape == (1601, 1) and y.shape == (1, 1601)
             raise Reached
 
-        monkeypatch.setattr(entangled_series, "series_sum", reached)
+        monkeypatch.setattr(entangled_series, "_series_sum", reached)
         with pytest.raises(Reached):
             main(["identity-check", "--eta", "0.5", "--spacing", "0.005"])
 
@@ -133,11 +142,11 @@ class TestIdentityCheck:
         class Reached(Exception):
             pass
 
-        def reached(n, eta, x, y, *args, **kwargs):
+        def reached(n, coeffs, x, y):
             assert n == 5 and x.shape == (7001, 1) and y.shape == (1, 7001)
             raise Reached
 
-        monkeypatch.setattr(entangled_series, "series_sum", reached)
+        monkeypatch.setattr(entangled_series, "_series_sum", reached)
         with pytest.raises(Reached):
             main(["identity-check", "--n", "5", "--eta", "0.5", "--xmin=-3.5", "--xmax", "3.5", "--spacing", "0.001"])
 
@@ -171,8 +180,18 @@ class TestIdentityCheck:
         ]
         devs = [float(line.split(" = ")[1]) for line in floats + arrays if line.startswith("max_deviation")]
         assert abs(devs[0] - devs[1]) <= 1e-15
-        float_coeffs = entangled_series._coefficients(n, eta, 1e-10, floats=True)
-        assert len(float_coeffs) - 1 == entangled_series.schmidt_series(n, eta, 1e-10).cutoff
+        assert len(entangled_series._walk(n, eta, 1e-10)) - 1 == entangled_series.schmidt_series(n, eta, 1e-10).cutoff
+
+    @pytest.mark.parametrize("limit, route", [(math.inf, "_series_rows"), (0, "_series_sum")])
+    def test_walks_the_cutoff_once(self, limit, route, capsys, monkeypatch):
+        # the route is picked from the walk's K, and each route reads its coefficients from that one walk
+        walks, sums, walk, series = [], [], entangled_series._walk, getattr(entangled_series, route)
+        monkeypatch.setattr(entangled_series, "_walk", lambda *args: (walks.append(args), walk(*args))[1])
+        monkeypatch.setattr(entangled_series, route, lambda *args: (sums.append(args), series(*args))[1])
+        monkeypatch.setattr(entangled_series, "LIST_WORK_MAX", limit)
+        code, out, _ = run(capsys, "identity-check", "--n", "3", "--eta", "-1.0", "--spacing", "0.25")
+        assert code == 0 and "(33^2 points)" in out
+        assert walks == [(3, -1.0, 1e-10)] and len(sums) == 1
 
 
 class TestAlgebraCheck:

@@ -102,19 +102,35 @@ def probability_seed(n, eta, tol):
 
 
 @pytest.fixture
-def built(monkeypatch):
-    """The largest k of each log-term array table `entangled_series` builds during the test."""
-    seen, log_binom = [], entangled_series._log_binom
-    monkeypatch.setattr(entangled_series, "_log_binom", lambda n, k: (seen.append(np.max(k)), log_binom(n, k))[1])
-    return seen
+def log_binoms(monkeypatch):
+    """The ks of the log binomials `entangled_series` forms during the test: (array tables, float walk).
+
+    The one `_log_binom` takes an array k from the numpy tables and an int k
+    from the series' float walk, so the type of k tells the two apart.
+    """
+    built, walked, log_binom = [], [], entangled_series._log_binom
+
+    def spy(n, k, *log1p):
+        if isinstance(k, np.ndarray):
+            built.append(np.max(k))
+        else:
+            walked.append(k)
+        return log_binom(n, k, *log1p)
+
+    monkeypatch.setattr(entangled_series, "_log_binom", spy)
+    return built, walked
 
 
 @pytest.fixture
-def walked(monkeypatch):
+def built(log_binoms):
+    """The largest k of each log-term array table `entangled_series` builds during the test."""
+    return log_binoms[0]
+
+
+@pytest.fixture
+def walked(log_binoms):
     """Each k whose log binom(n + k, k) the series' float walk forms during the test."""
-    seen, log_binom_at = [], entangled_series._log_binom_at
-    monkeypatch.setattr(entangled_series, "_log_binom_at", lambda n, k: (seen.append(k), log_binom_at(n, k))[1])
-    return seen
+    return log_binoms[1]
 
 
 class TestSqueezedWavefunction:
@@ -359,6 +375,31 @@ class TestSeriesSum:
         # tanh|eta| rounds to 1.0, which used to end in log(0)
         with pytest.raises(CutoffError, match=r"needs K >= [0-9.]+e\+(18|2[0-9])"):
             series_sum(0, eta, 0.0, 0.0)
+
+
+class TestBasisBound:
+    def test_squeezed_states_hold_chi_256(self):
+        assert math.isfinite(squeezed_wavefunction(N_MAX, 0.3, 0.5, -0.2))
+        res = eigenvalue_residual(N_MAX, 0.3, N_MAX, half_width=2.0, spacing=0.1)
+        assert res.eigenvalue == 0 and math.isfinite(res.value)
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda: squeezed_wavefunction(N_MAX + 1, 0.3, 0.5, -0.2), "n"),
+            (lambda: squeezed_wavefunction(N_MAX + 1, 0.0, np.zeros(3), 0.0), "n"),
+            (lambda: eigenvalue_residual(N_MAX + 1, 0.3, 0, half_width=2.0, spacing=0.1), "n"),
+            (lambda: eigenvalue_residual(0, 0.3, N_MAX + 1, half_width=2.0, spacing=0.1), "m"),
+        ],
+    )
+    def test_refuses_chi_257_before_any_work(self, call, name, monkeypatch):
+        # `_squeezed` runs the bare recurrence, which holds rows past N_MAX, so each caller checks n and m first
+        def never(*args):
+            raise AssertionError("formed a squeezed state")
+
+        monkeypatch.setattr(entangled_series, "_squeezed", never)
+        with pytest.raises(CutoffError, match=rf"^{name}=257 exceeds basis cutoff N_MAX=256$"):
+            call()
 
 
 class TestSchmidtSeries:

@@ -262,6 +262,18 @@ class TestThermoCurve:
         assert all(b > a for a, b in zip(entropies, entropies[1:]))
         assert all(b > a for a, b in zip(temperatures, temperatures[1:]))
 
+    def test_matches_mpmath_up_to_the_largest_q_below_one(self):
+        # beta^2 = 1 - 2^-k: a route through eta = atanh(sqrt q) loses the digits of 1 - q (T off by 50 % at k = 53)
+        for k in range(1, 54):
+            q = 1.0 - 2.0**-k
+            point = thermo_curve([q])[0]
+            with mpmath.workdps(50):
+                exact = mpmath.mpf(q)
+                entropy_ref = -mpmath.log1p(-exact) - exact * mpmath.log(exact) / (1 - exact)
+                temperature_ref = -1 / mpmath.log(exact)
+            assert point.entropy == pytest.approx(float(entropy_ref), rel=3e-16), k
+            assert point.temperature == pytest.approx(float(temperature_ref), rel=3e-16), k
+
     def test_domain(self):
         with pytest.raises(DomainError):
             thermo_curve([1.0])
@@ -275,21 +287,32 @@ class TestThermoCurve:
         assert lines[2].startswith("0.5,1.38629436112,")
 
 
+def log_binoms(n, ks, log1p):
+    """`_log_binom` at each k: one int at a time with math.log1p, one float array with np.log1p."""
+    if log1p is math.log1p:
+        return [_log_binom(n, k, log1p) for k in ks]
+    return _log_binom(n, np.array(ks, dtype=float), log1p).tolist()
+
+
 class TestLogBinomial:
-    @given(st.integers(0, 40), st.lists(st.integers(0, 10**7), min_size=1, max_size=20))
+    @given(
+        st.integers(0, 40),
+        st.lists(st.integers(0, 10**7), min_size=1, max_size=20),
+        st.sampled_from([math.log1p, np.log1p]),
+    )
     @settings(max_examples=60, deadline=None)
-    def test_matches_lgamma(self, n, ks):
-        got = _log_binom(n, np.array(ks, dtype=float))
+    def test_matches_lgamma(self, n, ks, log1p):
+        got = log_binoms(n, ks, log1p)
         for value, k in zip(got, ks):
             ref = math.lgamma(n + k + 1) - math.lgamma(n + 1) - math.lgamma(k + 1)
             # the reference rounds at the scale of lgamma(n + k + 1)
             assert abs(value - ref) <= 8 * sys.float_info.epsilon * (math.lgamma(n + k + 1) + 1.0)
 
     def test_exact_values(self):
-        got = _log_binom(3, np.arange(6, dtype=float))
         ref = [math.log(math.comb(3 + k, k)) for k in range(6)]
-        assert np.allclose(got, ref, rtol=4 * sys.float_info.epsilon, atol=0.0)
-        assert _log_binom(0, np.arange(4, dtype=float)).tolist() == [0.0] * 4
+        for log1p in (math.log1p, np.log1p):
+            assert np.allclose(log_binoms(3, range(6), log1p), ref, rtol=4 * sys.float_info.epsilon, atol=0.0)
+            assert log_binoms(0, range(4), log1p) == [0.0] * 4
 
 
 class TestWorkCap:
