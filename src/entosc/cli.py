@@ -7,7 +7,7 @@ so repeated runs are byte-stable.  Each subcommand imports only the
 modules it runs, numpy included: `wigner-grid` loads numpy, and so do
 `identity-check` on grids past entangled_series.LIST_WORK_MAX units of
 work (2e6, about 111^2 points at n = 3, eta = 1) and `algebra-check --rep
-fock` above cutoff 40 (dirac_algebra.LIST_STATES_MAX basis states), while
+fock` above cutoff 54 (dirac_algebra.LIST_STATES_MAX basis states), while
 the identity and Fock checks below those switches, the exact algebra reps,
 `thermo-curve`, `inner-product` and `decompose-shear` run in plain Python.
 """

@@ -26,17 +26,21 @@ realizations:
 
 matrix5 and sp4 are stored as integer tables and checked exactly with
 plain-Python integer products, so they load no numpy; only the fock check
-uses floating point.  The Fock generators are defined once, by band
-(G[j - k, j] = v[j] at flat basis column j), and the check forms each
-bracket band by band on the safe-sector columns alone; the dense matrices of
-fock_generators are materialised from the same bands.  Up to LIST_STATES_MAX
-basis states the band vectors are plain lists of floats, so the check loads
-no numpy; above it they are numpy arrays.  numpy loads on first use, in the
-array-backed check, fock_generators, safe_sector_mask and sp4_generators.
+uses floating point, and only in real arithmetic: each Fock generator is one
+exact scale (1/2, -i/2, 1/4, ...) times a real banded operator (G[j - k, j] =
+v[j] at flat basis column j) whose bands are +/- ten shared ladder products.
+The check forms each bracket on the real bands and the safe-sector columns
+alone, each product of two bands once for all pairs, and scales its deviation
+after; fock_generators builds its dense matrices from the same bands.  Up to
+LIST_STATES_MAX basis states the band vectors are plain lists of floats, so the
+check loads no numpy; above it they are numpy arrays.  numpy loads on first use,
+in the array-backed check, fock_generators, safe_sector_mask and sp4_generators.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import operator
 from typing import NamedTuple
@@ -152,18 +156,18 @@ def sp4_generators() -> dict[str, np.ndarray]:
 # truncated Fock representation, stored by band
 # ---------------------------------------------------------------------------
 
-# Bases of at most this many states (cutoff 40) hold their bands in _Floats, so the check loads no
-# numpy; larger ones use numpy arrays, as plain lists would run for minutes at the cap.  Measured on
-# 2 shared CPUs (Python 3.11.7, numpy 2.4.6), medians of 15 alternating console-entry runs, lists
-# against arrays: -39 ms at cutoff 30, -13 ms at 36, -4 ms at 40, +5 ms at 42 and +32 ms at 44.
-LIST_STATES_MAX = 41**2
-# tracemalloc peak of the whole check per basis state: 1.6-2.1 kB in _Floats, whose every entry is
-# a float or complex object, and 0.72 kB in arrays, charged at 1 kB as the caps have always been
+# Bases of at most this many states (cutoff 54) hold their bands in _Floats, so the check loads no numpy;
+# larger ones use numpy arrays, as plain lists would run for minutes at the cap.  Measured on 2 shared
+# CPUs (Python 3.11.7, numpy 2.4.6), medians of 15-21 alternating console-entry runs, lists against arrays:
+# -35 ms at cutoff 50, -10 to -14 ms at 52, -23 to -26 ms at 54, -1 to -12 ms at 56, +19 ms at 59, +15 at 60.
+LIST_STATES_MAX = 55**2
+# tracemalloc peak of the whole check per basis state, every band real: 1.3-1.4 kB in _Floats (a
+# float object per entry) and 0.39 kB in arrays, charged at 2.5 and 1 kB as the caps have always been
 _LIST_BYTES, _ARRAY_BYTES = 2500, 1000
 
 
 class _Floats(list):
-    """A band vector as a list of floats or complex, with the elementwise numpy operations _Banded uses."""
+    """A band vector as a list of floats, with the elementwise numpy operations _Banded uses."""
 
     __slots__ = ()
 
@@ -180,20 +184,14 @@ class _Floats(list):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, scalar):
-        return _Floats([x / scalar for x in self])
-
-    def __abs__(self):
-        return _Floats(map(abs, self))
-
-    def conj(self):
-        return _Floats([x.conjugate() for x in self])
-
     def take(self, index):
         return _Floats(map(self.__getitem__, index))
 
     def max(self):
         return max(self)
+
+    def min(self):
+        return min(self)
 
 
 def _shift(v, s: int):
@@ -208,16 +206,21 @@ def _shift(v, s: int):
     return u
 
 
-class _Banded:
-    """Square operator stored by flat offset, one vector per band: G[j - k, j] = bands[k][j].
+def _add(out: dict, k: int, v, sign: int = 1) -> None:
+    """out[k] += sign * v for sign +1 or -1; x - y rounds as x + (-1) * y does, to the bit of its magnitude."""
+    if k in out:
+        out[k] = out[k] + v if sign > 0 else out[k] - v
+    else:
+        out[k] = v if sign > 0 else -1.0 * v
 
-    A band is zero wherever its row j - k falls outside the basis.  A product
-    (A B)[j - k, j] sums A[j - k, j - k2] B[j - k2, j] over k1 + k2 = k, that is band
-    k1 of A at column j - k2 times band k2 of B at column j, so it can be formed on any
-    set of columns: read(v, s) is band vector v at each of them less s (_shift reads
-    every column).  The generators are products on every column; a bracket is formed
-    on the safe sector alone.
-    Ladder bilinears move (n, m) by at most 2 and keep at most 5 bands.
+
+class _Banded:
+    """Real square operator stored by flat offset, one vector per band: G[j - k, j] = bands[k][j].
+
+    A band is zero wherever its row j - k falls outside the basis.  A product (A B)[j - k, j] sums
+    A[j - k, j - k2] B[j - k2, j] over k1 + k2 = k, that is band k1 of A at column j - k2 times band
+    k2 of B at column j, so it can be formed on any set of columns: the generators' products on every
+    column, a bracket's on the safe sector.  Ladder bilinears move (n, m) by at most 2, in 5 bands.
     """
 
     __slots__ = ("bands",)
@@ -225,48 +228,21 @@ class _Banded:
     def __init__(self, bands: dict):
         self.bands = bands
 
-    def product(self, other: "_Banded", read) -> "_Banded":
-        """self @ other on the columns read picks, given other's bands already read there."""
+    def __matmul__(self, other: "_Banded") -> "_Banded":
         out: dict = {}
         for k1, a in self.bands.items():
             for k2, b in other.bands.items():
-                prod = read(a, k2) * b
-                k = k1 + k2
-                out[k] = out[k] + prod if k in out else prod
+                _add(out, k1 + k2, _shift(a, k2) * b)
         return _Banded(out)
 
-    def __matmul__(self, other: "_Banded") -> "_Banded":
-        return self.product(other, _shift)
-
-    def at(self, read) -> "_Banded":
-        """Each band at the columns read picks."""
-        return _Banded({k: read(v, 0) for k, v in self.bands.items()})
-
-    def __add__(self, other: "_Banded") -> "_Banded":
+    def __add__(self, other: "_Banded", sign: int = 1) -> "_Banded":
         out = dict(self.bands)
         for k, v in other.bands.items():
-            out[k] = out[k] + v if k in out else v
+            _add(out, k, v, sign)
         return _Banded(out)
 
     def __sub__(self, other: "_Banded") -> "_Banded":
-        # x - y rounds as x + (-1) * y does, to the bit of its magnitude, and in one pass
-        out = dict(self.bands)
-        for k, v in other.bands.items():
-            out[k] = out[k] - v if k in out else -1 * v
-        return _Banded(out)
-
-    def __mul__(self, scalar) -> "_Banded":
-        return _Banded({k: scalar * v for k, v in self.bands.items()})
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, scalar) -> "_Banded":
-        return _Banded({k: v / scalar for k, v in self.bands.items()})
-
-    @property
-    def H(self) -> "_Banded":
-        """Conjugate transpose: band -k holds conj(v[j + k]) at column j."""
-        return _Banded({-k: _shift(v, -k).conj() for k, v in self.bands.items()})
+        return self.__add__(other, -1)
 
     def dense(self) -> np.ndarray:
         import numpy as np
@@ -283,11 +259,10 @@ class _Banded:
 def _check_cutoff(cutoff, dense: bool = False) -> int:
     """cutoff, if the arrays it needs fit the package's byte budget (errors.BYTE_BUDGET), else CutoffError.
 
-    The banded check is charged 1 kB per basis state in numpy arrays, of which there
-    are (cutoff + 1)^2 (measured peak RSS 57 MB at cutoff 200, 143 MB at 400, 283 MB at
-    600, taking 2.5 s), and 2.5 kB per state in _Floats, which run only where that
-    fits too (_vector); one dense matrix takes 16 (cutoff + 1)^4 bytes, and
-    fock_generators returns ten.  At the default 4 GiB the caps are 2071 and 127.
+    The banded check is charged 1 kB per basis state in numpy arrays, of which there are (cutoff + 1)^2
+    (measured peak RSS 44 MB at cutoff 200, 90 MB at 400, 165 MB at 600, taking 1.2 s), and 2.5 kB per
+    state in _Floats, which run only where that fits too (_vector); one dense matrix takes
+    16 (cutoff + 1)^4 bytes, and fock_generators returns ten.  At the default 4 GiB the caps are 2071 and 127.
     """
     cutoff = integer("fock cutoff", cutoff, low=2)
     nbytes = errors.BYTE_BUDGET
@@ -339,43 +314,47 @@ def safe_sector_mask(cutoff: int) -> np.ndarray:
 def _safe_reader(cutoff: int):
     """read(v, s): band vector v at each safe column j less s, for brackets formed on the safe sector.
 
-    j - s never passes the basis' end and, below its start, indexes from the end as
-    Python and numpy do; the entry read there is a finite stand-in, since the other
-    factor of its product is a band entry whose row falls outside the basis, which is zero.
+    j - s never passes the basis' end and, below its start, indexes from the end as Python and numpy
+    do; the entry read there is a finite stand-in, since the other factor of its product is a band
+    entry whose row falls outside the basis, which is zero.
     """
     vector, safe = _vector(cutoff), _safe_columns(cutoff)
-    index: dict = {}
-
-    def read(v, s):
-        if s not in index:
-            index[s] = vector([j - s for j in safe])
-        return v.take(index[s])
-
-    return read
+    index = functools.cache(lambda s: vector([j - s for j in safe]))
+    return lambda v, s: v.take(index(s))
 
 
-def _fock_bands(cutoff: int) -> dict[str, _Banded]:
+# Each generator is one exact scale times a real banded operator whose bands are +1 or -1 times one
+# of the ten products _fock_bands names, in this band order: G = scale * sum(sign * product).
+_FOCK = {
+    "L1": (1 / 2, {"ad b": 1, "bd a": 1}),
+    "L2": (-1j / 2, {"ad b": 1, "bd a": -1}),
+    "L3": (1 / 2, {"L3": 1}),
+    "S3": (1 / 2, {"S3": 1}),
+    "K1": (-1 / 4, {"ad ad": 1, "a a": 1, "bd bd": -1, "b b": -1}),
+    "K2": (1j / 4, {"ad ad": 1, "a a": -1, "bd bd": 1, "b b": -1}),
+    "K3": (1 / 2, {"ad bd": 1, "a b": 1}),
+    # The sign of the s-boosts is pinned by the commutator table: with
+    # the opposite sign the nine brackets coupling Q to K and S3 flip.
+    "Q1": (1j / 4, {"ad ad": 1, "a a": -1, "bd bd": -1, "b b": 1}),
+    "Q2": (1 / 4, {"ad ad": 1, "a a": 1, "bd bd": 1, "b b": 1}),
+    "Q3": (-1j / 2, {"ad bd": 1, "a b": -1}),
+}
+
+
+def _fock_bands(cutoff: int) -> dict:
+    """The ten real products _FOCK names, each one band (k, v)."""
     a, b = _ladder_bands(cutoff)
-    ad, bd = a.H, b.H
-    eye = _Banded({0: _vector(cutoff)([1.0] * (cutoff + 1) ** 2)})
-    return {
-        "L1": (ad @ b + bd @ a) / 2.0,
-        "L2": (ad @ b - bd @ a) / 2j,
-        "L3": (ad @ a - bd @ b) / 2.0,
-        # bb^dag ordering kept (vacuum carries S3 eigenvalue 1/2), but
-        # written as b^dag b + 1 so the truncated matrix has the operator's
-        # true elements; the literal product b @ bd zeroes the top diagonal
-        # entry and corrupts commutators even on safe-sector columns.
-        "S3": (ad @ a + bd @ b + eye) / 2.0,
-        "K1": (ad @ ad + a @ a - bd @ bd - b @ b) / -4.0,
-        "K2": 1j * (ad @ ad - a @ a + bd @ bd - b @ b) / 4.0,
-        "K3": (ad @ bd + a @ b) / 2.0,
-        # The sign of the s-boosts is pinned by the commutator table: with
-        # the opposite sign the nine brackets coupling Q to K and S3 flip.
-        "Q1": 1j * (ad @ ad - a @ a - bd @ bd + b @ b) / 4.0,
-        "Q2": (ad @ ad + a @ a + bd @ bd + b @ b) / 4.0,
-        "Q3": -1j * (ad @ bd - a @ b) / 2.0,
+    ad, bd = (_Banded({-k: _shift(v, -k) for k, v in x.bands.items()}) for x in (a, b))  # the transposes
+    products = {
+        "ad ad": ad @ ad, "a a": a @ a, "bd bd": bd @ bd, "b b": b @ b,
+        "ad b": ad @ b, "bd a": bd @ a, "ad bd": ad @ bd, "a b": a @ b,
+        "L3": ad @ a - bd @ b,
+        # bb^dag ordering kept (vacuum carries S3 eigenvalue 1/2), but written as b^dag b + 1 so the truncated
+        # matrix has the operator's true elements; the literal product b @ bd zeroes the top diagonal entry
+        # and corrupts commutators even on safe-sector columns.
+        "S3": ad @ a + bd @ b + _Banded({0: _vector(cutoff)([1.0] * (cutoff + 1) ** 2)}),
     }
+    return {name: next(iter(p.bands.items())) for name, p in products.items()}
 
 
 def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
@@ -383,8 +362,9 @@ def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
 
     Each takes 16 (cutoff + 1)^4 bytes, so the byte budget caps cutoff (at 127 by default).
     """
-    gens = _fock_bands(_check_cutoff(cutoff, dense=True))
-    return {lab: gens[lab].dense().astype(complex) for lab in LABELS}
+    bands = _fock_bands(_check_cutoff(cutoff, dense=True))
+    real = {lab: {bands[n][0]: sign * bands[n][1] for n, sign in signs.items()} for lab, (_, signs) in _FOCK.items()}
+    return {lab: (_FOCK[lab][0] * _Banded(b).dense()).astype(complex) for lab, b in real.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -427,15 +407,35 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
         if cutoff is None:
             raise DomainError("rep='fock' requires a cutoff")
         cutoff = _check_cutoff(cutoff)
-        gens, read = _fock_bands(cutoff), _safe_reader(cutoff)
-        safe = {lab: g.at(read) for lab, g in gens.items()}
+        bands, read = _fock_bands(cutoff), _safe_reader(cutoff)
+        safe = {n: read(v, 0) for n, (_, v) in bands.items()}
+        terms = {(x, y): [(n1, n2, s1 * s2) for n1, s1 in _FOCK[x][1].items() for n2, s2 in _FOCK[y][1].items()]
+                 for x in LABELS for y in LABELS}
+        # each product of two of the ten is formed once per check and kept until its last pair has read it
+        uses = collections.Counter(key[:2] for x, y in canonical_pairs() for key in terms[x, y] + terms[y, x])
+        products: dict = {}
+
+        def half(left: str, right: str) -> _Banded:
+            """R @ R' on the safe columns for G = sL R and G' = sR R', its terms sign * (n1 @ n2) added in order."""
+            out: dict = {}
+            for n1, n2, sign in terms[left, right]:
+                if (n1, n2) not in products:
+                    products[n1, n2] = read(bands[n1][1], bands[n2][0]) * safe[n2]
+                uses[n1, n2] -= 1
+                p = products[n1, n2] if uses[n1, n2] else products.pop((n1, n2))
+                _add(out, bands[n1][0] + bands[n2][0], p, sign)
+            return _Banded(out)
 
         def deviation(left: str, right: str, entry: tuple[int, str] | None) -> float:
-            diff = gens[left].product(safe[right], read) - gens[right].product(safe[left], read)
+            # [G, G'] - i lam G'' = sL sR ([R, R'] - r R'') for G'' = sT R'', with r = i lam sT / (sL sR) real: the
+            # complex bracket's float operations on its one nonzero component, to the bit; max |v| from max and min
+            scale = _FOCK[left][0] * _FOCK[right][0]
+            diff = half(left, right) - half(right, left)
             if entry is not None:
                 lam, target = entry
-                diff = diff - 1j * lam * safe[target]
-            return max(float(abs(v).max()) for v in diff.bands.values())
+                ratio = (1j * lam * _FOCK[target][0] / scale).real
+                diff = diff - _Banded({bands[n][0]: (sign * ratio) * safe[n] for n, sign in _FOCK[target][1].items()})
+            return abs(scale) * max(abs(max(float(v.max()), -float(v.min()))) for v in diff.bands.values())
 
     elif rep in ("matrix5", "sp4"):
         if cutoff is not None:

@@ -180,7 +180,19 @@ class TestIdentityCheck:
         ]
         devs = [float(line.split(" = ")[1]) for line in floats + arrays if line.startswith("max_deviation")]
         assert abs(devs[0] - devs[1]) <= 1e-15
-        assert len(entangled_series._walk(n, eta, 1e-10)) - 1 == entangled_series.schmidt_series(n, eta, 1e-10).cutoff
+        # the walk's K is the first k >= K0 whose amplitude tail bound A_k sup|chi chi| r / (1 - r), from the
+        # closed-form coefficient, meets the tolerance: it does at K and, unless K = K0, not at K - 1
+        K, a, tol = len(entangled_series._walk(n, eta, 1e-10)) - 1, abs(eta), 1e-10
+        if a:
+            log_cosh, log_tanh = entangled_series._log_cosh(a), entangled_series._log_tanh(a)
+            k0 = max(math.ceil((math.log(tol) - 2 * log_cosh) / (2 * log_tanh)), 8)
+
+            def bound(k):
+                r = math.tanh(a) * math.sqrt((n + k + 1) / (k + 1))
+                return abs(entangled_series.coefficient(n, k, eta)) / math.sqrt(math.pi) * r / (1 - r) if r < 1 else math.inf
+
+            assert bound(K) <= tol * (1 + 1e-9)
+            assert K == k0 or bound(K - 1) > tol * (1 - 1e-9)
 
     @pytest.mark.parametrize("limit, route", [(math.inf, "_series_rows"), (0, "_series_sum")])
     def test_walks_the_cutoff_once(self, limit, route, capsys, monkeypatch):
@@ -804,7 +816,7 @@ def test_exact_algebra_checks_load_no_numpy():
     assert "numpy" in result.stderr
 
 
-@pytest.mark.parametrize("cutoff", [2, 10, 20, 30, math.isqrt(LIST_STATES_MAX) - 1])
+@pytest.mark.parametrize("cutoff", [2, 10, 20, 30, 40, math.isqrt(LIST_STATES_MAX) - 1])
 def test_fock_check_below_the_switch_loads_no_numpy(cutoff):
     # up to LIST_STATES_MAX basis states the band vectors are plain lists of floats
     result = subprocess.run(

@@ -24,6 +24,25 @@ from entosc.dirac_algebra import (
 
 FOCK_CUTOFF_MAX, DENSE_FOCK_CUTOFF_MAX = 2071, 127  # the caps at the default 4 GiB byte budget
 
+# algebra-check --rep fock as the complex-band check printed it: max_deviation at the README example
+# (cutoff 10), the benchmark's three jobs (30, 20, 10) and the CI array job (60), and at cutoff 30 every
+# per-pair deviation, in canonical pair order, as float.hex
+FOCK_PRINTED_MAX = {10: "5.3290705182e-15", 20: "2.13162820728e-14", 30: "4.97379915032e-14", 60: "2.82440737465e-13"}
+FOCK_PAIRS_30_HEX = [
+    "0x1.7000000000000p-45", "0x1.1800000000000p-45", "0x1.8000000000000p-45", "0x1.0000000000000p-46",
+    "0x1.1000000000000p-46", "0x1.6800000000000p-46", "0x1.0000000000000p-46", "0x1.1000000000000p-46",
+    "0x1.6800000000000p-46", "0x1.1800000000000p-45", "0x1.8000000000000p-45", "0x1.1000000000000p-46",
+    "0x1.0000000000000p-46", "0x1.6800000000000p-46", "0x1.1000000000000p-46", "0x1.0000000000000p-46",
+    "0x1.6800000000000p-46", "0x0.0p+0", "0x1.4000000000000p-45", "0x1.4000000000000p-45",
+    "0x1.2000000000000p-45", "0x1.4000000000000p-45", "0x1.4000000000000p-45", "0x1.2000000000000p-45",
+    "0x1.4000000000000p-45", "0x1.4000000000000p-45", "0x1.2800000000000p-45", "0x1.4000000000000p-45",
+    "0x1.4000000000000p-45", "0x1.2800000000000p-45", "0x1.1000000000000p-45", "0x1.0000000000000p-46",
+    "0x1.1000000000000p-45", "0x0.0p+0", "0x1.0000000000000p-46", "0x1.0000000000000p-46",
+    "0x0.0p+0", "0x1.1000000000000p-45", "0x1.0000000000000p-46", "0x1.0000000000000p-46",
+    "0x1.0000000000000p-46", "0x1.c000000000000p-45", "0x1.1000000000000p-45", "0x1.0000000000000p-46",
+    "0x1.0000000000000p-46",
+]
+
 O32_METRIC = np.diag([1.0, 1.0, 1.0, -1.0, -1.0])
 # symplectic form on (x, y, p, q) with conjugate pairs (x, p) and (y, q)
 SYMPLECTIC_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0.0, 0.0, 0.0], [0.0, -1.0, 0.0, 0.0]])
@@ -157,6 +176,24 @@ class TestBandedFock:
         assert dirac_algebra._vector(fits) is dirac_algebra._Floats
         assert dirac_algebra._vector(fits + 1) is not dirac_algebra._Floats
         assert check_algebra("fock", cutoff=fits + 1).max_deviation <= 1e-10
+
+    def test_printed_deviations_are_pinned_to_the_bit(self, capsys):
+        for cutoff, printed in FOCK_PRINTED_MAX.items():
+            assert main(["algebra-check", "--rep", "fock", "--cutoff", str(cutoff)]) == 0
+            assert f"max_deviation = {printed}\n" in capsys.readouterr().out
+        for kind, states_max in (("list", 10**9), ("array", 0)):
+            with mock.patch.object(dirac_algebra, "LIST_STATES_MAX", states_max):
+                assert [p.deviation.hex() for p in check_algebra("fock", cutoff=30).pairs] == FOCK_PAIRS_30_HEX, kind
+
+    def test_scales_leave_the_check_real(self):
+        # G = scale * R with R real: every scale is a power of two times 1, -1, i or -i, and for every pair
+        # the expected term's ratio r = i lam sT / (sL sR) is real, so no imaginary part is dropped
+        scales = {lab: complex(scale) for lab, (scale, _) in dirac_algebra._FOCK.items()}
+        assert all((s.real == 0) != (s.imag == 0) and math.log2(abs(s)).is_integer() for s in scales.values())
+        for left, right in canonical_pairs():
+            lam, target = structure_constant(left, right) or (0, left)
+            ratio = 1j * lam * scales[target] / (scales[left] * scales[right])
+            assert ratio.imag == 0 and (lam == 0 or math.log2(abs(ratio)).is_integer()), (left, right, ratio)
 
     @pytest.mark.parametrize("cutoff", [2, 3, 7])
     def test_generators_match_kron_reference(self, cutoff):
