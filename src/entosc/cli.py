@@ -3,13 +3,14 @@
 Exit codes are contractual across subcommands: 0 success, 1 usage or
 domain error, 2 tolerance breach, 3 I/O failure.  All numeric output is
 printed with 12 significant digits, decimal point, newline-delimited,
-so repeated runs are byte-stable.  Each subcommand imports only the
-modules it runs, numpy included: `wigner-grid` loads numpy, and so do
-`identity-check` on grids past entangled_series.LIST_WORK_MAX units of
-work (2e6, about 111^2 points at n = 3, eta = 1) and `algebra-check --rep
-fock` above cutoff 54 (dirac_algebra.LIST_STATES_MAX basis states), while
-the identity and Fock checks below those switches, the exact algebra reps,
-`thermo-curve`, `inner-product` and `decompose-shear` run in plain Python.
+so repeated runs are byte-stable.  Each subcommand loads `errors` and the
+modules it runs: `identity-check` entangled_series, oscillator_basis and
+reduced_state, `algebra-check` dirac_algebra, `thermo-curve` reduced_state,
+`decompose-shear` planar_transforms, `inner-product` covariant_inner and
+oscillator_basis, `wigner-grid` phase_space and oscillator_basis.  numpy
+loads for `wigner-grid`, for `identity-check` past entangled_series.LIST_WORK_MAX
+units of work and for `algebra-check --rep fock` past cutoff 54
+(dirac_algebra.LIST_STATES_MAX basis states); the rest is plain Python.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Lorentz-covariant oscillator states and frame-to-frame inner products.
 
 The boosted bound-state wave function chi_n(z') chi_0(t') is
-`entangled_series.squeezed_wavefunction(n, eta, z, t)`: the squeezed
+`oscillator_basis.squeezed_wavefunction(n, eta, z, t)`: the squeezed
 two-mode state with (x, y) read as the space and time separations (z, t).
 Excitations along t are forbidden, so the t mode stays in its ground
 state.  Boosting preserves the normalization (dz dt is invariant), while

@@ -10,26 +10,23 @@ entangles the modes into
     chi_n(x') chi_0(y') = sum_k A_k(n) chi_{n+k}(x) chi_k(y),
     A_k(n) = cosh(eta)^-(n+1) sqrt((n+k)!/(n! k!)) tanh(eta)^k.
 
-Every squeezed state and overlap forms x', y' in that light-cone form, without
-cancellation at any rapidity, through one helper, `oscillator_basis._light_cone`.
-The module computes the coefficients in closed form and, independently, as
-the overlap of two squeezed states on one light-cone Gauss-Hermite grid
-(`oscillator_basis._overlap`, which `covariant_inner` shares), and sums the
-series so partial sums can be compared pointwise against the squeezed
-Gaussian itself.  The series and the sums over the probabilities A_k(n)^2 in
-`reduced_state` stop at the first k past a geometric seed whose log-domain
-term log A_k(n)^2 passes one tail bound, `_tail`.  The series walks k on
-floats (`_walk`) and raises CutoffError past the basis bound; `schmidt_series`
-then builds its numpy table once, up to K.  Only the probability sums, whose
-tables run to millions of terms, grow a numpy table by half a round
-(`_log_terms`), and raise CutoffError past TERM_CAP.  The identity check,
-`_grid_deviation`, walks once, then works on floats up to LIST_WORK_MAX units
-of work, so it loads no numpy there, and on arrays from the numpy table above.
-`_log_binom` and `_squeezed` serve both routes with the log1p or recurrence
-seed their caller passes, math's or numpy's, so each route keeps its bits.
-numpy loads only inside the array functions.  Arguments go through the
-package's one contract in `errors` (`integer`, `positive`, `rapidity` with
-|eta| <= ETA_MAX, `budget`) before any work.
+This module owns the amplitudes A_k(n), the walk that picks their cutoff and
+the series.  The squeezed states (`squeezed_wavefunction`, its body `_squeezed`)
+live in `oscillator_basis` and the probability law p_k = A_k(n)^2 (`_log_binom`,
+the tail bound `_tail`, the table `_log_table`) in `reduced_state`.  The
+coefficients come in closed form and, independently, as the overlap of two
+squeezed states on one light-cone Gauss-Hermite grid (`oscillator_basis._overlap`),
+and the series is summed so partial sums can be compared pointwise against the
+squeezed Gaussian itself.  The series walks k on floats (`_walk`) to the first
+k past a geometric seed whose term log A_k(n)^2 passes `_tail`, and raises
+CutoffError past the basis bound; `schmidt_series` then builds its numpy table
+once, up to K.  The identity check, `_grid_deviation`, walks once, then works
+on floats up to LIST_WORK_MAX units of work, so it loads no numpy there, and on
+arrays from the numpy table above.  `_log_binom` and `_squeezed` serve both
+routes with the log1p or recurrence seed their caller passes, so each route
+keeps its bits.  numpy loads only inside the array functions.  Arguments go
+through the package's one contract in `errors` (`integer`, `positive`,
+`rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
 """
 
 from __future__ import annotations
@@ -41,13 +38,13 @@ from typing import NamedTuple
 
 from . import oscillator_basis as basis
 from .errors import CutoffError, budget, integer, positive, rapidity
-from .reduced_state import _log_cosh, _log_tanh
+from .oscillator_basis import squeezed_wavefunction
+from .reduced_state import _log_binom, _log_cosh, _log_table, _log_tanh, _tail
 
 # sup_x |chi_j(x)| <= pi^(-1/4), so any product of two factors is below this.
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
 
 _LOG1P_TERMS = 10**4  # the longest log1p sum `coefficient` takes for log binom(n + k, k), ~1.4 ms
-TERM_CAP = 2**23  # (n + 1)(K + 1) terms, 16 B each at the peak (tracemalloc); n = 0 at tanh^2 eta = 0.99999 fits
 
 
 class SchmidtSeries(NamedTuple):
@@ -58,25 +55,6 @@ class SchmidtSeries(NamedTuple):
     coeffs: np.ndarray
     cutoff: int
     tail_bound: float
-
-
-def _squeezed(n: int, m: int, squeeze, x, y, seed):
-    """chi_n(x') chi_m(y') at x', y' = squeeze((x + y)/2, (x - y)/2), n and m checked by the caller.
-
-    `seed` is `_float_seed` on floats or the Gaussian `_seeded` on arrays (1-d at least).
-    """
-    xp, yp = squeeze(0.5 * (x + y), 0.5 * (x - y))
-    return basis._last_row(basis._chi_rows(n, *seed(xp))) * basis._last_row(basis._chi_rows(m, *seed(yp)))
-
-
-def squeezed_wavefunction(n: int, eta, x, y):
-    """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta."""
-    import numpy as np
-
-    n, eta = basis._check_index(n), rapidity(eta)
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    value = _squeezed(n, 0, basis._light_cone(eta), x, y, basis._seeded)
-    return float(value[0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else value
 
 
 def coefficient(n: int, k: int, eta) -> float:
@@ -203,7 +181,7 @@ def _grid_deviation(n: int, eta, axis: list[float], tol: float) -> float:
     if (len(log_p) + 48 + 2.5 * n) * len(axis) ** 2 <= LIST_WORK_MAX:
         sign, squeeze = math.copysign(1.0, eta), basis._light_cone(eta)
         coeffs = [sign**k * math.exp(0.5 * value) for k, value in enumerate(log_p)]
-        gauss = ([_squeezed(n, 0, squeeze, x, y, basis._float_seed) for y in axis] for x in axis)
+        gauss = ([basis._squeezed(n, 0, squeeze, x, y, basis._float_seed) for y in axis] for x in axis)
         rows = zip(_series_rows(n, coeffs, axis), gauss)
         return _peak(_peak(map(abs, map(operator.sub, series, row))) for series, row in rows)
     import numpy as np
@@ -231,70 +209,6 @@ def _peak(values) -> float:
     """The largest of some floats >= 0, or nan if one is nan, as np.max has it (Python's max keeps only a first nan)."""
     values = list(values)
     return math.nan if math.isnan(sum(values)) else max(values)
-
-
-def _log_binom(n: int, k, log1p=math.log1p):
-    """log binom(n + k, k) as sum_{i=1..n} log1p(k / i), n passes of a few ulp: k a number, or an array with np.log1p."""
-    total = 0.0 * k
-    for i in range(1, n + 1):
-        total += log1p(k / i)
-    return total
-
-
-def _tail(n: int, q: float, k: int, term: float, power: float = 1.0) -> float:
-    """Certified bound on sum_{j>k} A_j(n)^(2 power) at tanh^2 eta = q from term = A_k(n)^(2 power).
-
-    The ratio p_{j+1}/p_j = q (n+j+1)/(j+1) of the probabilities p_j = A_j^2
-    falls with j, so the tail is below the geometric series term r/(1 - r)
-    with r = (q (n+k+1)/(k+1))^power; inf where r >= 1.  Power 1 bounds the
-    probabilities, power 1/2 the amplitudes.
-    """
-    r = (q * (n + k + 1.0) / (k + 1.0)) ** power
-    return term * r / (1.0 - r) if r < 1.0 else math.inf
-
-
-def _log_table(n: int, eta: float, hi: int):
-    """(log binom(n + k, k), log A_k(n)^2) for k = 0..hi at eta > 0, as arrays."""
-    import numpy as np
-
-    log_p = np.arange(hi + 1.0)  # k, made log p_k in place
-    log_binom = _log_binom(n, log_p, np.log1p)
-    log_p *= 2.0 * _log_tanh(eta)
-    log_p += log_binom
-    log_p -= 2.0 * (n + 1) * _log_cosh(eta)
-    return log_binom, log_p
-
-
-def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K at eta >= 0, the probability tail past K below tol.
-
-    K is the first k >= K0 whose `_tail` is <= tol (K = 0 at eta = 0).  The
-    table starts at the seed K0 and grows by half each round (to 1.5 k + 8, at
-    most kmax = TERM_CAP / (n + 1) - 1), and each round checks the k it added,
-    so no term past 1.5 K + 8 or kmax is built; CutoffError past kmax.
-    """
-    import numpy as np
-
-    n = integer("n", n)
-    if not eta:
-        return np.zeros(1), np.zeros(1)
-    k0 = max(32, math.ceil((math.log(tol) - 2.0 * (n + 1) * _log_cosh(eta)) / (2.0 * _log_tanh(eta))))
-    q, lo, hi, kmax = math.tanh(eta) ** 2, k0, k0, TERM_CAP // (n + 1) - 1
-    while lo <= kmax:
-        hi = min(hi, kmax)
-        log_binom, log_p = _log_table(n, eta, hi)
-        k = np.arange(lo, hi + 1.0)  # the k this round added, each checked against `_tail`'s bound
-        r = q * (n + k + 1.0) / (k + 1.0)
-        bound = np.divide(np.exp(log_p[lo:]) * r, 1.0 - r, out=np.full(k.size, math.inf), where=r < 1.0)
-        fits = np.flatnonzero(bound <= tol)
-        if fits.size:
-            K = lo + int(fits[0])
-            return log_binom[: K + 1], log_p[: K + 1]
-        lo, hi = hi + 1, int(1.5 * hi) + 8
-    raise CutoffError(
-        f"Schmidt probability series for n={n}, eta={eta} needs K >= {max(k0, kmax + 1):.3g} terms, "
-        f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
-    )
 
 
 class EigenvalueResidual(NamedTuple):
@@ -327,7 +241,7 @@ def eigenvalue_residual(
     npts = integer("points per axis", round(steps) + 1, low=9)  # a core of 5 points inside the stencil's reach
     axis = -half_width + spacing * np.arange(npts)
     X, Y = axis[:, None], axis[None, :]
-    psi = _squeezed(n, m, basis._light_cone(eta), X, Y, basis._seeded)
+    psi = basis._squeezed(n, m, basis._light_cone(eta), X, Y, basis._seeded)
 
     # central second-difference weights of 4th-order accuracy and the denominator they share with h^2
     weights, denom = (-1.0, 16.0, -30.0, 16.0, -1.0), 12.0

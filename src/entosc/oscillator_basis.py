@@ -1,4 +1,4 @@
-"""Harmonic-oscillator eigenfunctions, Gauss-Hermite quadrature and the light-cone overlap kernel.
+"""Harmonic-oscillator eigenfunctions, squeezed states, Gauss-Hermite quadrature and the overlap kernel.
 
 The eigenfunctions in the physicists' convention,
 
@@ -13,11 +13,12 @@ and `chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
 factor, leaving the orthonormal Hermite polynomial; it is what Gauss-Hermite
 quadrature wants, since the e^{-x^2} weight is folded into the quadrature
 weights.  Those three functions take arrays and load numpy when called.  The
-quadrature rule and the overlap kernel run the recurrence on floats, and
-`entangled_series` runs it on floats (`_float_seed`) or arrays (`_seeded`),
-both from the one Gaussian seed rule, `_gaussian_seed`, so a process that
-only integrates overlaps or checks the Schmidt identity on a small grid loads
-no numpy.
+quadrature rule and the overlap kernel run the recurrence on floats.  The
+squeezed states chi_n(x') chi_m(y') of `entangled_series` and `phase_space`
+live here (`_squeezed`, `squeezed_wavefunction`), formed through the one squeeze
+map `_light_cone` on floats (`_float_seed`) or arrays (`_seeded`), both from one
+Gaussian seed rule, `_gaussian_seed`, so a process that only integrates overlaps
+or checks the Schmidt identity on a small grid loads no numpy.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .errors import CutoffError, NumericsError, budget, integer
+from .errors import CutoffError, NumericsError, budget, integer, rapidity
 
 N_MAX = 256
 DEFAULT_QUAD_ORDER = 64
@@ -209,6 +210,25 @@ def _light_cone(eta: float):
         return es + ed, es - ed
 
     return squeeze
+
+
+def _squeezed(n: int, m: int, squeeze, x, y, seed):
+    """chi_n(x') chi_m(y') at x', y' = squeeze((x + y)/2, (x - y)/2), n and m checked by the caller.
+
+    `seed` is `_float_seed` on floats or the Gaussian `_seeded` on arrays (1-d at least).
+    """
+    xp, yp = squeeze(0.5 * (x + y), 0.5 * (x - y))
+    return _last_row(_chi_rows(n, *seed(xp))) * _last_row(_chi_rows(m, *seed(yp)))
+
+
+def squeezed_wavefunction(n: int, eta, x, y):
+    """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta."""
+    import numpy as np
+
+    n, eta = _check_index(n), rapidity(eta)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    value = _squeezed(n, 0, _light_cone(eta), x, y, _seeded)
+    return float(value[0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else value
 
 
 def _overlap(bra, ket, order: int) -> float:

@@ -32,10 +32,11 @@ All of them raise NumericsError, instead of numpy's floating-point warnings,
 when the imaginary residual of the sum passes IMAG_TOL or the sum
 overflows, and DomainError on non-finite momenta before summing.
 
-The reference states are closed forms.  A linear canonical map S of
-(x, y, p, q) sends the ground state to a Gaussian whose exponent is a
-Moebius image of the old one (Littlejohn, Phys. Rep. 138 (1986) 193):
-with P S P = [[A, B], [C, D]] in 2x2 blocks and P = diag(1, 1, -1, -1),
+`squeezed_state_grid` samples `oscillator_basis.squeezed_wavefunction`, and
+at eta = 0 it is `ground_state_grid`.  The flow states are closed forms: a
+linear canonical map S of (x, y, p, q) sends the ground state to a Gaussian
+whose exponent is a Moebius image of the old one (Littlejohn, Phys. Rep. 138
+(1986) 193): with P S P = [[A, B], [C, D]] in 2x2 blocks and P = diag(1, 1, -1, -1),
 
     psi(v) = det(A + iB)^(-1/2) pi^(-1/2) exp(i v^T Gamma v / 2),  Gamma = (C + iD)(A + iB)^-1,
 
@@ -61,8 +62,8 @@ from typing import Callable, NamedTuple, TextIO
 
 import numpy as np
 
-from .entangled_series import squeezed_wavefunction
 from .errors import DomainError, NumericsError, budget, positive, rapidity
+from .oscillator_basis import squeezed_wavefunction
 
 DEFAULT_HALF_WIDTH = 6.0
 DEFAULT_SPACING = 0.05
@@ -338,7 +339,7 @@ def _gaussian_state(S: np.ndarray, half_width: float, spacing: float) -> GridFun
 
 
 def ground_state_grid(half_width: float = DEFAULT_HALF_WIDTH, spacing: float = DEFAULT_SPACING) -> GridFunction2D:
-    return _gaussian_state(np.eye(4), half_width, spacing)
+    return squeezed_state_grid(0.0, half_width, spacing)
 
 
 def squeezed_state_grid(

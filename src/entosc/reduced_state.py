@@ -11,17 +11,18 @@ what lets the squeeze rapidity double as a temperature: matching
 The von Neumann entropy comes from the probabilities (`entropy`) and from the
 closed form (`entropy_closed_form`, O(1) at n = 0), which the tests require to
 agree; `thermo_point` takes the n = 0 closed forms from beta^2 itself.  The
-probabilities come from `entangled_series`, whose sums run to the least K past
-a geometric seed with a certified tail (K ~ (46 + ln 1/(1 - beta^2)) /
+law p_k and its table live here: `_log_binom`, the tail bound `_tail` and
+`_log_terms`, which grows a numpy table by half a round from a geometric seed
+to the least K with a certified tail (K ~ (46 + ln 1/(1 - beta^2)) /
 (1 - beta^2) at n = 0 and tol 1e-20: 5.8e6 terms, 92 MB at beta^2 = tanh^2 eta
-= 0.99999) and raise `CutoffError`, naming K, before allocating when
-(n + 1)(K + 1) passes `entangled_series.TERM_CAP` or tanh^2 eta rounds to one
-(|eta| >~ 18.7).
+= 0.99999) and raises `CutoffError`, naming K, before allocating when
+(n + 1)(K + 1) passes TERM_CAP or tanh^2 eta rounds to one (|eta| >~ 18.7).
+`entangled_series` reads its amplitudes A_k(n) = sqrt(p_k) off the same law.
 
-The closed forms, the temperature and the thermal curve need only `math`:
-the series routes import numpy and `entangled_series` when they run, so
-`thermo-curve` loads neither.  The cancellation-free ln cosh and ln tanh
-that both modules use live here; through ln tanh the temperature and its
+This module imports no entosc module but `errors`.  The closed forms, the
+temperature and the thermal curve need only `math`: the probability tables
+load numpy when they run, so `thermo-curve` loads none.  The cancellation-free
+ln cosh and ln tanh live here too; through ln tanh the temperature and its
 inverse are accurate to rounding over the whole rapidity domain |eta| <= 25.
 """
 
@@ -30,7 +31,9 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, TextIO
 
-from .errors import DomainError, finite, positive, rapidity
+from .errors import CutoffError, DomainError, finite, integer, positive, rapidity
+
+TERM_CAP = 2**23  # (n + 1)(K + 1) terms, 16 B each at the peak (tracemalloc); n = 0 at tanh^2 eta = 0.99999 fits
 
 
 def _log_cosh(eta: float) -> float:
@@ -49,6 +52,70 @@ def _log_tanh(eta: float) -> float:
         return math.log(math.tanh(eta))
     x = math.exp(-2.0 * eta)
     return math.log1p(-x) - math.log1p(x)
+
+
+def _log_binom(n: int, k, log1p=math.log1p):
+    """log binom(n + k, k) as sum_{i=1..n} log1p(k / i), n passes of a few ulp: k a number, or an array with np.log1p."""
+    total = 0.0 * k
+    for i in range(1, n + 1):
+        total += log1p(k / i)
+    return total
+
+
+def _tail(n: int, q: float, k: int, term: float, power: float = 1.0) -> float:
+    """Certified bound on sum_{j>k} A_j(n)^(2 power) at tanh^2 eta = q from term = A_k(n)^(2 power).
+
+    The ratio p_{j+1}/p_j = q (n+j+1)/(j+1) of the probabilities p_j = A_j^2
+    falls with j, so the tail is below the geometric series term r/(1 - r)
+    with r = (q (n+k+1)/(k+1))^power; inf where r >= 1.  Power 1 bounds the
+    probabilities, power 1/2 the amplitudes.
+    """
+    r = (q * (n + k + 1.0) / (k + 1.0)) ** power
+    return term * r / (1.0 - r) if r < 1.0 else math.inf
+
+
+def _log_table(n: int, eta: float, hi: int):
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..hi at eta > 0, as arrays."""
+    import numpy as np
+
+    log_p = np.arange(hi + 1.0)  # k, made log p_k in place
+    log_binom = _log_binom(n, log_p, np.log1p)
+    log_p *= 2.0 * _log_tanh(eta)
+    log_p += log_binom
+    log_p -= 2.0 * (n + 1) * _log_cosh(eta)
+    return log_binom, log_p
+
+
+def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(log binom(n + k, k), log A_k(n)^2) for k = 0..K at eta >= 0, the probability tail past K below tol.
+
+    K is the first k >= K0 whose `_tail` is <= tol (K = 0 at eta = 0).  The
+    table starts at the seed K0 and grows by half each round (to 1.5 k + 8, at
+    most kmax = TERM_CAP / (n + 1) - 1), and each round checks the k it added,
+    so no term past 1.5 K + 8 or kmax is built; CutoffError past kmax.
+    """
+    import numpy as np
+
+    n = integer("n", n)
+    if not eta:
+        return np.zeros(1), np.zeros(1)
+    k0 = max(32, math.ceil((math.log(tol) - 2.0 * (n + 1) * _log_cosh(eta)) / (2.0 * _log_tanh(eta))))
+    q, lo, hi, kmax = math.tanh(eta) ** 2, k0, k0, TERM_CAP // (n + 1) - 1
+    while lo <= kmax:
+        hi = min(hi, kmax)
+        log_binom, log_p = _log_table(n, eta, hi)
+        k = np.arange(lo, hi + 1.0)  # the k this round added, each checked against `_tail`'s bound
+        r = q * (n + k + 1.0) / (k + 1.0)
+        bound = np.divide(np.exp(log_p[lo:]) * r, 1.0 - r, out=np.full(k.size, math.inf), where=r < 1.0)
+        fits = np.flatnonzero(bound <= tol)
+        if fits.size:
+            K = lo + int(fits[0])
+            return log_binom[: K + 1], log_p[: K + 1]
+        lo, hi = hi + 1, int(1.5 * hi) + 8
+    raise CutoffError(
+        f"Schmidt probability series for n={n}, eta={eta} needs K >= {max(k0, kmax + 1):.3g} terms, "
+        f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
+    )
 
 
 class ReducedDensity(NamedTuple):
@@ -78,7 +145,6 @@ def _beta_sq(q: float) -> float:
 def reduced_density(n: int, eta, tol: float = 1e-14) -> ReducedDensity:
     """Probabilities p_k with sum within tol of one."""
     import numpy as np
-    from .entangled_series import _log_terms, _tail
     eta = abs(rapidity(eta))
     probs = np.exp(_log_terms(n, eta, positive("tol", tol))[1])
     n, cutoff = int(n), probs.size - 1
@@ -95,7 +161,6 @@ def purity(n: int, eta) -> float:
 def entropy(n: int, eta) -> float:
     """Von Neumann entropy -sum p_k ln p_k in nats (0 ln 0 = 0), from the probabilities."""
     import numpy as np
-    from .entangled_series import _log_terms
     eta = abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
@@ -117,7 +182,6 @@ def entropy_closed_form(n: int, eta) -> float:
     if n == 0:
         return lead
     import numpy as np
-    from .entangled_series import _log_terms
     log_binom, log_p = _log_terms(n, eta, 1e-20)
     return lead - float(np.sum(np.exp(log_p) * log_binom))
 

@@ -1,5 +1,6 @@
 """Exit-code contract, CSV/JSON formats, and config handling of the CLI."""
 
+import ast
 import contextlib
 import gc
 import io
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import entosc
-from entosc import entangled_series, errors, phase_space
+from entosc import entangled_series, errors, oscillator_basis, phase_space
 from entosc.cli import THERMO_CURVE_MAX_STEPS, _arange, _linspace, main
 from entosc.dirac_algebra import LIST_STATES_MAX
 from entosc.reduced_state import ThermoPoint, entropy, temperature, write_thermo_csv
@@ -74,13 +75,13 @@ class TestIdentityCheck:
                     yield row
 
         else:  # the squeezed Gaussian, one point per call, row by row
-            squeezed, calls = entangled_series._squeezed, iter(range(33 * 33))
+            squeezed, calls = oscillator_basis._squeezed, iter(range(33 * 33))
 
             def with_nan(*args):
                 value = squeezed(*args)
                 return math.nan if next(calls) == 3 * 33 + 5 else value
 
-        monkeypatch.setattr(entangled_series, side, with_nan)
+        monkeypatch.setattr(oscillator_basis if side == "_squeezed" else entangled_series, side, with_nan)
         code, out, _ = run(capsys, "identity-check", "--eta", "0.5")
         assert code == 2
         assert "(33^2 points)" in out and "max_deviation = nan" in out
@@ -745,16 +746,63 @@ README_EXAMPLES = [
 # algebra-check --rep fock above dirac_algebra.LIST_STATES_MAX basis states, while the identity
 # check and the Fock check below those switches, the exact algebra reps, thermo-curve,
 # decompose-shear and inner-product are plain Python (oscillator_basis and entangled_series load
-# numpy only inside their array functions); entangled_series reads ln cosh and ln tanh from
-# reduced_state, so every series command loads it
+# numpy only inside their array functions); entangled_series reads the Schmidt probability law
+# and ln cosh, ln tanh from reduced_state, so every series command loads it, while wigner-grid
+# samples the squeezed state through oscillator_basis alone
 COMMAND_MODULES = {
     "identity-check": {"entangled_series", "oscillator_basis", "reduced_state"},
     "algebra-check": {"dirac_algebra"},
     "thermo-curve": {"reduced_state"},
     "decompose-shear": {"planar_transforms"},
     "inner-product": {"covariant_inner", "oscillator_basis"},
-    "wigner-grid": {"phase_space", "entangled_series", "oscillator_basis", "reduced_state"},
+    "wigner-grid": {"phase_space", "oscillator_basis"},
 }
+
+# the entosc modules each library module imports at load time, and those it imports inside a function
+# (flow_matrix reads the sp(4) generators when called); together an acyclic graph
+MODULE_IMPORTS = {
+    "errors": set(),
+    "oscillator_basis": {"errors"},
+    "reduced_state": {"errors"},
+    "planar_transforms": {"errors"},
+    "dirac_algebra": {"errors"},
+    "entangled_series": {"errors", "oscillator_basis", "reduced_state"},
+    "phase_space": {"errors", "oscillator_basis"},
+    "covariant_inner": {"errors", "oscillator_basis"},
+}
+FUNCTION_IMPORTS = {"phase_space": {"dirac_algebra"}}
+
+
+def _source_imports(module: str) -> set[str]:
+    """The entosc modules a source file imports anywhere: `from . import m` and `from .m import name`."""
+    tree = ast.parse((Path(entosc.__file__).parent / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {alias.name for alias in node.names}
+    return found
+
+
+def _reached(imports: dict[str, set[str]], module: str) -> set[str]:
+    """Every module reachable from `module`'s own imports."""
+    seen, todo = set(), list(imports[module])
+    while todo:
+        name = todo.pop()
+        if name not in seen:
+            seen.add(name)
+            todo.extend(imports.get(name, ()))
+    return seen
+
+
+@pytest.mark.parametrize("module", sorted(MODULE_IMPORTS))
+def test_import_graph(module):
+    source = {name: _source_imports(name) for name in MODULE_IMPORTS}
+    assert module not in _reached(source, module), f"{module} imports a module that imports it back"
+    assert source[module] == MODULE_IMPORTS[module] | FUNCTION_IMPORTS.get(module, set())
+    probe = f"import sys, entosc.{module}\nprint(sorted(m.split('.')[1] for m in sys.modules if m.startswith('entosc.')))\n"
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=source_env(), timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"{sorted(_reached(MODULE_IMPORTS, module) | {module})}\n"
 
 
 def test_module_entry_runs_without_runpy_warning(tmp_path):

@@ -14,9 +14,8 @@ import pytest
 from numpy.polynomial.hermite import hermgauss
 from hypothesis import assume, example, given, settings, strategies as st
 
-from entosc import CutoffError, DomainError, entangled_series
+from entosc import CutoffError, DomainError, entangled_series, oscillator_basis, reduced_state
 from entosc.entangled_series import (
-    TERM_CAP,
     EigenvalueResidual,
     coefficient,
     coefficient_by_quadrature,
@@ -29,7 +28,7 @@ from entosc.entangled_series import (
     _log_tanh,
 )
 from entosc.oscillator_basis import N_MAX, chi_bare, quadrature
-from entosc.reduced_state import entropy, reduced_density
+from entosc.reduced_state import TERM_CAP, entropy, reduced_density
 
 LN2 = math.log(2.0)
 
@@ -117,7 +116,8 @@ def log_binoms(monkeypatch):
             walked.append(k)
         return log_binom(n, k, *log1p)
 
-    monkeypatch.setattr(entangled_series, "_log_binom", spy)
+    monkeypatch.setattr(reduced_state, "_log_binom", spy)  # the tables' `_log_table`
+    monkeypatch.setattr(entangled_series, "_log_binom", spy)  # the walk and `coefficient`
     return built, walked
 
 
@@ -397,7 +397,7 @@ class TestBasisBound:
         def never(*args):
             raise AssertionError("formed a squeezed state")
 
-        monkeypatch.setattr(entangled_series, "_squeezed", never)
+        monkeypatch.setattr(oscillator_basis, "_squeezed", never)
         with pytest.raises(CutoffError, match=rf"^{name}=257 exceeds basis cutoff N_MAX=256$"):
             call()
 

@@ -60,6 +60,13 @@ class TestGridFunction:
         with pytest.raises(DomainError):
             grid.indices(0, 0.1)
 
+    @pytest.mark.parametrize("half_width, spacing", [(6.0, 0.05), (10.0, 0.05), (1.0, 0.25)])
+    def test_ground_state_is_the_squeezed_state_at_rest(self, half_width, spacing):
+        # one ground state: the lattice `wigner-grid --state ground` samples, squeezed_state_grid at eta 0
+        ground, rest = ground_state_grid(half_width, spacing), squeezed_state_grid(0.0, half_width, spacing)
+        assert (ground.origin, ground.spacing, ground.values.dtype) == (rest.origin, rest.spacing, rest.values.dtype)
+        assert np.array_equal(ground.values, rest.values)
+
     def test_csv_roundtrip_stability(self):
         grid = ground_state_grid(half_width=0.5, spacing=0.25)
         buf1, buf2 = io.StringIO(), io.StringIO()

@@ -11,9 +11,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError
-from entosc.entangled_series import TERM_CAP, _log_binom
 from entosc.oscillator_basis import chi_batch, quadrature
 from entosc.reduced_state import (
+    TERM_CAP,
     ThermoPoint,
     entropy,
     entropy_closed_form,
@@ -25,6 +25,7 @@ from entosc.reduced_state import (
     thermo_curve,
     width,
     write_thermo_csv,
+    _log_binom,
 )
 
 LN2 = math.log(2.0)
