@@ -8,8 +8,8 @@ on the o(3,2) = sp(4,R) Lie algebra:
     [Li, S3] = 0                 [Ki, Qj] = -i delta_ij S3
     [Ki, S3] = -i Qi             [Qi, S3] = +i Ki
 
-One 45-entry structure-constant table is checked against three
-realizations:
+One structure-constant table, its 30 nonzero brackets (any other pair
+commutes), is checked on all 45 pairs against three realizations:
 
 ``fock``
     Hermitian bilinears in two-mode ladder operators on the truncated
@@ -28,7 +28,8 @@ matrix5 and sp4 are stored as integer tables and checked exactly with
 plain-Python integer products, so they load no numpy; only the fock check
 uses floating point, and only in real arithmetic: each Fock generator is one
 exact scale (1/2, -i/2, 1/4, ...) times a real banded operator (G[j - k, j] =
-v[j] at flat basis column j) whose bands are +/- ten shared ladder products.
+v[j] at flat basis column j) whose bands are +/- ten shared ladder products,
+each one band stored as a plain (offset k, vector v) pair.
 The check forms each bracket on the real bands and the safe-sector columns
 alone, each product of two bands once for all pairs, and scales its deviation
 after; fock_generators builds its dense matrices from the same bands.  Up to
@@ -58,8 +59,9 @@ LABELS = ("L1", "L2", "L3", "S3", "K1", "K2", "K3", "Q1", "Q2", "Q3")
 _EPS = {(1, 2): (3, 1), (2, 3): (1, 1), (1, 3): (2, -1)}
 
 
-def _build_table() -> dict[tuple[str, str], tuple[int, str] | None]:
-    table: dict[tuple[str, str], tuple[int, str] | None] = {}
+def _build_table() -> dict[tuple[str, str], tuple[int, str]]:
+    """The nonzero brackets, each in one order; a pair found in neither order commutes."""
+    table: dict[tuple[str, str], tuple[int, str]] = {}
     for (i, j), (k, sign) in _EPS.items():
         table[(f"L{i}", f"L{j}")] = (sign, f"L{k}")
         table[(f"L{i}", f"K{j}")] = (sign, f"K{k}")
@@ -70,16 +72,9 @@ def _build_table() -> dict[tuple[str, str], tuple[int, str] | None]:
         table[(f"K{i}", f"K{j}")] = (-sign, f"L{k}")
         table[(f"Q{i}", f"Q{j}")] = (-sign, f"L{k}")
     for i in (1, 2, 3):
-        table[(f"L{i}", f"K{i}")] = None
-        table[(f"L{i}", f"Q{i}")] = None
-        table[(f"L{i}", "S3")] = None
         table[(f"K{i}", f"Q{i}")] = (-1, "S3")
         table[(f"K{i}", "S3")] = (-1, f"Q{i}")
         table[(f"Q{i}", "S3")] = (1, f"K{i}")
-        for j in (1, 2, 3):
-            if i != j:
-                table[(f"K{i}", f"Q{j}")] = None
-                table[(f"Q{j}", f"K{i}")] = None
     return table
 
 
@@ -90,13 +85,10 @@ def structure_constant(left: str, right: str) -> tuple[int, str] | None:
     """(lam, target) with [left, right] = i * lam * target, or None if zero."""
     if left not in LABELS or right not in LABELS:
         raise DomainError(f"unknown generator label in ({left!r}, {right!r})")
-    if (left, right) in _TABLE:
-        return _TABLE[(left, right)]
-    entry = _TABLE.get((right, left))
-    if entry is None:
-        return None
-    lam, target = entry
-    return -lam, target
+    if (right, left) in _TABLE:
+        lam, target = _TABLE[right, left]
+        return -lam, target
+    return _TABLE.get((left, right))
 
 
 def canonical_pairs() -> list[tuple[str, str]]:
@@ -167,7 +159,7 @@ _LIST_BYTES, _ARRAY_BYTES = 2500, 1000
 
 
 class _Floats(list):
-    """A band vector as a list of floats, with the elementwise numpy operations _Banded uses."""
+    """A band vector as a list of floats, with the elementwise numpy operations the band products use."""
 
     __slots__ = ()
 
@@ -214,46 +206,23 @@ def _add(out: dict, k: int, v, sign: int = 1) -> None:
         out[k] = v if sign > 0 else -1.0 * v
 
 
-class _Banded:
-    """Real square operator stored by flat offset, one vector per band: G[j - k, j] = bands[k][j].
+def _sub(x: dict, y: dict) -> dict:
+    """The band dict x - y, y's bands subtracted in their order."""
+    out = dict(x)
+    for k, v in y.items():
+        _add(out, k, v, -1)
+    return out
 
-    A band is zero wherever its row j - k falls outside the basis.  A product (A B)[j - k, j] sums
-    A[j - k, j - k2] B[j - k2, j] over k1 + k2 = k, that is band k1 of A at column j - k2 times band
-    k2 of B at column j, so it can be formed on any set of columns: the generators' products on every
-    column, a bracket's on the safe sector.  Ladder bilinears move (n, m) by at most 2, in 5 bands.
-    """
 
-    __slots__ = ("bands",)
-
-    def __init__(self, bands: dict):
-        self.bands = bands
-
-    def __matmul__(self, other: "_Banded") -> "_Banded":
-        out: dict = {}
-        for k1, a in self.bands.items():
-            for k2, b in other.bands.items():
-                _add(out, k1 + k2, _shift(a, k2) * b)
-        return _Banded(out)
-
-    def __add__(self, other: "_Banded", sign: int = 1) -> "_Banded":
-        out = dict(self.bands)
-        for k, v in other.bands.items():
-            _add(out, k, v, sign)
-        return _Banded(out)
-
-    def __sub__(self, other: "_Banded") -> "_Banded":
-        return self.__add__(other, -1)
-
-    def dense(self) -> np.ndarray:
-        import numpy as np
-        bands = {k: np.asarray(v) for k, v in self.bands.items()}
-        d = next(iter(bands.values())).size
-        out = np.zeros((d, d), dtype=np.result_type(*bands.values()))
-        cols = np.arange(d)
-        for k, v in bands.items():
-            keep = (cols - k >= 0) & (cols - k < d)
-            out[cols[keep] - k, cols[keep]] = v[keep]
-        return out
+def _dense(bands: dict) -> np.ndarray:
+    """The square matrix G[j - k, j] = bands[k][j], zero where row j - k falls outside the basis."""
+    import numpy as np
+    d = len(next(iter(bands.values())))
+    out = np.zeros((d, d))
+    for k, v in bands.items():
+        j = np.arange(max(k, 0), d + min(k, 0))  # the columns whose row j - k is in the basis
+        out[j - k, j] = np.asarray(v)[j]
+    return out
 
 
 def _check_cutoff(cutoff, dense: bool = False) -> int:
@@ -279,17 +248,6 @@ def _vector(cutoff: int):
         return _Floats
     import numpy as np
     return np.array
-
-
-def _ladder_bands(cutoff: int) -> tuple[_Banded, _Banded]:
-    cutoff = _check_cutoff(cutoff)
-    vector, dim = _vector(cutoff), cutoff + 1
-    root = [math.sqrt(k) for k in range(dim)]
-    # a|n, m> = sqrt(n)|n - 1, m> sits at column (n, m), one a-mode block (dim columns) right of the diagonal
-    return (
-        _Banded({dim: vector([r for r in root for _ in range(dim)])}),
-        _Banded({1: vector(root * dim)}),
-    )
 
 
 def _safe_columns(cutoff: int) -> list[int]:
@@ -342,19 +300,30 @@ _FOCK = {
 
 
 def _fock_bands(cutoff: int) -> dict:
-    """The ten real products _FOCK names, each one band (k, v)."""
-    a, b = _ladder_bands(cutoff)
-    ad, bd = (_Banded({-k: _shift(v, -k) for k, v in x.bands.items()}) for x in (a, b))  # the transposes
-    products = {
-        "ad ad": ad @ ad, "a a": a @ a, "bd bd": bd @ bd, "b b": b @ b,
-        "ad b": ad @ b, "bd a": bd @ a, "ad bd": ad @ bd, "a b": a @ b,
-        "L3": ad @ a - bd @ b,
+    """The ten real products _FOCK names, each one band (k, v): P[j - k, j] = v[j], zero off the basis.
+
+    Band (k1, v1) times band (k2, v2) is band k1 + k2 with entries v1[j - k2] v2[j], so a product can be
+    formed on any set of columns: here on every column, in the check on the safe sector.
+    """
+    vector, dim = _vector(cutoff), cutoff + 1
+    root = [math.sqrt(k) for k in range(dim)]
+    # a|n, m> = sqrt(n)|n - 1, m> sits at column (n, m), one a-mode block (dim columns) right of the diagonal
+    a, b = (dim, vector([r for r in root for _ in range(dim)])), (1, vector(root * dim))
+    ad, bd = ((-k, _shift(v, -k)) for k, v in (a, b))  # the transposes
+
+    def mul(x, y):
+        return x[0] + y[0], _shift(x[1], y[0]) * y[1]
+
+    ad_a, bd_b = mul(ad, a)[1], mul(bd, b)[1]
+    return {
+        "ad ad": mul(ad, ad), "a a": mul(a, a), "bd bd": mul(bd, bd), "b b": mul(b, b),
+        "ad b": mul(ad, b), "bd a": mul(bd, a), "ad bd": mul(ad, bd), "a b": mul(a, b),
+        "L3": (0, ad_a - bd_b),
         # bb^dag ordering kept (vacuum carries S3 eigenvalue 1/2), but written as b^dag b + 1 so the truncated
-        # matrix has the operator's true elements; the literal product b @ bd zeroes the top diagonal entry
+        # matrix has the operator's true elements; the literal product b bd zeroes the top diagonal entry
         # and corrupts commutators even on safe-sector columns.
-        "S3": ad @ a + bd @ b + _Banded({0: _vector(cutoff)([1.0] * (cutoff + 1) ** 2)}),
+        "S3": (0, ad_a + bd_b + vector([1.0] * dim**2)),
     }
-    return {name: next(iter(p.bands.items())) for name, p in products.items()}
 
 
 def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
@@ -364,7 +333,7 @@ def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
     """
     bands = _fock_bands(_check_cutoff(cutoff, dense=True))
     real = {lab: {bands[n][0]: sign * bands[n][1] for n, sign in signs.items()} for lab, (_, signs) in _FOCK.items()}
-    return {lab: (_FOCK[lab][0] * _Banded(b).dense()).astype(complex) for lab, b in real.items()}
+    return {lab: (_FOCK[lab][0] * _dense(b)).astype(complex) for lab, b in real.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +384,7 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
         uses = collections.Counter(key[:2] for x, y in canonical_pairs() for key in terms[x, y] + terms[y, x])
         products: dict = {}
 
-        def half(left: str, right: str) -> _Banded:
+        def half(left: str, right: str) -> dict:
             """R @ R' on the safe columns for G = sL R and G' = sR R', its terms sign * (n1 @ n2) added in order."""
             out: dict = {}
             for n1, n2, sign in terms[left, right]:
@@ -424,18 +393,18 @@ def check_algebra(rep: str, cutoff: int | None = None) -> AlgebraReport:
                 uses[n1, n2] -= 1
                 p = products[n1, n2] if uses[n1, n2] else products.pop((n1, n2))
                 _add(out, bands[n1][0] + bands[n2][0], p, sign)
-            return _Banded(out)
+            return out
 
         def deviation(left: str, right: str, entry: tuple[int, str] | None) -> float:
             # [G, G'] - i lam G'' = sL sR ([R, R'] - r R'') for G'' = sT R'', with r = i lam sT / (sL sR) real: the
             # complex bracket's float operations on its one nonzero component, to the bit; max |v| from max and min
             scale = _FOCK[left][0] * _FOCK[right][0]
-            diff = half(left, right) - half(right, left)
+            diff = _sub(half(left, right), half(right, left))
             if entry is not None:
                 lam, target = entry
                 ratio = (1j * lam * _FOCK[target][0] / scale).real
-                diff = diff - _Banded({bands[n][0]: (sign * ratio) * safe[n] for n, sign in _FOCK[target][1].items()})
-            return abs(scale) * max(abs(max(float(v.max()), -float(v.min()))) for v in diff.bands.values())
+                diff = _sub(diff, {bands[n][0]: (sign * ratio) * safe[n] for n, sign in _FOCK[target][1].items()})
+            return abs(scale) * max(abs(max(float(v.max()), -float(v.min()))) for v in diff.values())
 
     elif rep in ("matrix5", "sp4"):
         if cutoff is not None:

@@ -388,8 +388,8 @@ def flow_matrix(label: str) -> np.ndarray:
 
 
 def flow_exponential(label: str, t: float) -> np.ndarray:
-    """exp(t A) for A = flow_matrix(label): A^2 is I/4 (boosts), -I/4 (L1-L3, S3) or 0 (Q3-L2)."""
-    A = flow_matrix(label)
+    """exp(t A) for A = flow_matrix(label): A^2 is I/4 (boosts), -I/4 (L1-L3, S3) or 0 (Q3-L2); t is a rapidity."""
+    t, A = rapidity(t), flow_matrix(label)
     square = (A @ A)[0, 0]  # exact, as the entries are 0 and +/- 1/2
     if square == 0:
         return np.eye(4) + t * A
@@ -399,7 +399,7 @@ def flow_exponential(label: str, t: float) -> np.ndarray:
 
 def transformed_state_grid(label: str, eta: float, half_width: float, spacing: float) -> GridFunction2D:
     """The wave function whose Wigner function is W0(exp(eta A_label)^-1 v)."""
-    return _gaussian_state(flow_exponential(label, rapidity(eta)), half_width, spacing)
+    return _gaussian_state(flow_exponential(label, eta), half_width, spacing)
 
 
 def flow_covariance_check(label: str, eta: float) -> float:

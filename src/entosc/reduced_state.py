@@ -161,7 +161,7 @@ def purity(n: int, eta) -> float:
 def entropy(n: int, eta) -> float:
     """Von Neumann entropy -sum p_k ln p_k in nats (0 ln 0 = 0), from the probabilities."""
     import numpy as np
-    eta = abs(rapidity(eta))
+    n, eta = integer("n", n), abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
     log_p = _log_terms(n, eta, 1e-20)[1]
@@ -175,7 +175,7 @@ def entropy_closed_form(n: int, eta) -> float:
     lead term is 2(n+1) [cosh^2 ln cosh - sinh^2 ln sinh] without its
     cancellation, and the sum vanishes for n = 0, so that case costs O(1).
     """
-    eta = abs(rapidity(eta))
+    n, eta = integer("n", n), abs(rapidity(eta))
     if eta == 0.0:
         return 0.0
     lead = 2.0 * (n + 1) * (_log_cosh(eta) - math.sinh(eta) ** 2 * _log_tanh(eta))

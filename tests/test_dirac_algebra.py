@@ -25,9 +25,12 @@ from entosc.dirac_algebra import (
 FOCK_CUTOFF_MAX, DENSE_FOCK_CUTOFF_MAX = 2071, 127  # the caps at the default 4 GiB byte budget
 
 # algebra-check --rep fock as the complex-band check printed it: max_deviation at the README example
-# (cutoff 10), the benchmark's three jobs (30, 20, 10) and the CI array job (60), and at cutoff 30 every
-# per-pair deviation, in canonical pair order, as float.hex
-FOCK_PRINTED_MAX = {10: "5.3290705182e-15", 20: "2.13162820728e-14", 30: "4.97379915032e-14", 60: "2.82440737465e-13"}
+# (cutoff 10), the benchmark's three jobs (30, 20, 10), the CI array job (60) and the array route at scale
+# (200), and at cutoff 30 every per-pair deviation, in canonical pair order, as float.hex
+FOCK_PRINTED_MAX = {
+    10: "5.3290705182e-15", 20: "2.13162820728e-14", 30: "4.97379915032e-14", 60: "2.82440737465e-13",
+    200: "2.74269496003e-12",
+}
 FOCK_PAIRS_30_HEX = [
     "0x1.7000000000000p-45", "0x1.1800000000000p-45", "0x1.8000000000000p-45", "0x1.0000000000000p-46",
     "0x1.1000000000000p-46", "0x1.6800000000000p-46", "0x1.0000000000000p-46", "0x1.1000000000000p-46",
@@ -49,9 +52,14 @@ SYMPLECTIC_FORM = np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0], [-1.0, 0
 
 
 def two_mode_ladders(cutoff):
-    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff, a-mode outer, as dense arrays."""
-    a, b = dirac_algebra._ladder_bands(dirac_algebra._check_cutoff(cutoff, dense=True))
-    return a.dense(), b.dense()
+    """Annihilation matrices (a, b) on |n, m>, n, m <= cutoff, a-mode outer, as dense arrays.
+
+    Each is one band G[j - k, j] = v[j] as _fock_bands lays the ladders out, v[(n, m)] = sqrt(n) at
+    k = cutoff + 1 for a and sqrt(m) at k = 1 for b, assembled by the _dense that fock_generators uses.
+    """
+    dim = dirac_algebra._check_cutoff(cutoff, dense=True) + 1
+    root = np.sqrt(np.arange(dim))
+    return dirac_algebra._dense({dim: np.repeat(root, dim)}), dirac_algebra._dense({1: np.tile(root, dim)})
 
 
 def matrix5_generators():
@@ -161,7 +169,8 @@ class TestBandedFock:
         reports = {}
         for kind, states_max in (("list", 10**9), ("array", 0)):
             with mock.patch.object(dirac_algebra, "LIST_STATES_MAX", states_max):
-                assert isinstance(dirac_algebra._ladder_bands(cutoff)[0].bands[cutoff + 1], list) == (kind == "list")
+                vectors = [v for _, v in dirac_algebra._fock_bands(cutoff).values()]
+                assert all(isinstance(v, list) == (kind == "list") for v in vectors)
                 reports[kind] = check_algebra("fock", cutoff=cutoff)
         assert reports["list"] == reports["array"]
         assert all(type(p.deviation) is float for p in reports["list"].pairs)
@@ -208,6 +217,17 @@ class TestBandedFock:
         a, b = two_mode_ladders(5)
         assert np.array_equal(a, np.kron(lower, np.eye(6)))
         assert np.array_equal(b, np.kron(np.eye(6), lower))
+        # the ten products the generators are built from, each one band, are the dense products to the bit
+        ad, bd = a.T, b.T
+        dense = {
+            "ad ad": ad @ ad, "a a": a @ a, "bd bd": bd @ bd, "b b": b @ b,
+            "ad b": ad @ b, "bd a": bd @ a, "ad bd": ad @ bd, "a b": a @ b,
+            "L3": ad @ a - bd @ b, "S3": ad @ a + bd @ b + np.eye(36),
+        }
+        bands = dirac_algebra._fock_bands(5)
+        assert set(bands) == set(dense)
+        for name, (k, v) in bands.items():
+            assert np.array_equal(dirac_algebra._dense({k: v}), dense[name]), name
 
     def test_large_cutoff_on_the_command_line(self, capsys):
         code = main(["algebra-check", "--rep", "fock", "--cutoff", "200"])
@@ -335,8 +355,26 @@ class TestAlgebraTable:
         pairs = canonical_pairs()
         assert len(pairs) == 45
         assert len(set(pairs)) == 45
-        for left, right in pairs:
-            structure_constant(left, right)  # raises on any gap
+        # every one of the 90 ordered pairs against the brackets of the module docstring, built here from
+        # eps_ijk and delta_ij: the table holds only the nonzero ones, so a missing entry would read as zero
+        eps = {(1, 2, 3): 1, (2, 3, 1): 1, (3, 1, 2): 1, (2, 1, 3): -1, (3, 2, 1): -1, (1, 3, 2): -1}
+        expected = {}
+        for (i, j, k), e in eps.items():
+            expected[f"L{i}", f"L{j}"] = (e, f"L{k}")
+            expected[f"L{i}", f"K{j}"] = (e, f"K{k}")
+            expected[f"L{i}", f"Q{j}"] = (e, f"Q{k}")
+            expected[f"K{i}", f"K{j}"] = expected[f"Q{i}", f"Q{j}"] = (-e, f"L{k}")
+        for i in (1, 2, 3):
+            expected[f"K{i}", f"Q{i}"] = (-1, "S3")  # delta_ij: Ki and Qj commute for i != j
+            expected[f"K{i}", "S3"] = (-1, f"Q{i}")
+            expected[f"Q{i}", "S3"] = (1, f"K{i}")
+        for (left, right), (lam, target) in list(expected.items()):
+            assert expected.setdefault((right, left), (-lam, target)) == (-lam, target)  # [B, A] = -[A, B]
+        assert len(expected) == 60  # 30 nonzero brackets, in both orders; the other 30 ordered pairs commute
+        for left in LABELS:
+            for right in LABELS:
+                if left != right:
+                    assert structure_constant(left, right) == expected.get((left, right)), (left, right)
 
     def test_report_serialization(self, tmp_path):
         # the JSON report is the CLI's; the library returns the AlgebraReport it serializes

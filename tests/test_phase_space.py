@@ -396,6 +396,13 @@ class TestFlowExponential:
     def test_closed_form_matches_expm(self, label, t):
         assert np.abs(flow_exponential(label, t) - expm(t * flow_matrix(label))).max() <= 1e-14
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, 25.5, 1500.0, -1500.0])
+    def test_time_outside_the_rapidity_domain_raises(self, t):
+        # nan used to give an all-nan matrix, and |t| past ~1421 an OverflowError from cosh
+        for label in ALL_LABELS:
+            with pytest.raises(DomainError):
+                flow_exponential(label, t)
+
 
 class TestTransformedStates:
     def test_sheared_state_matches_pushforward(self):

@@ -139,6 +139,13 @@ class TestEntropy:
             with pytest.raises(DomainError):
                 fn(1.5, 0.5)
 
+    @pytest.mark.parametrize("n", [-3, 2.5, "x", None])
+    def test_index_validation_at_rest(self, n):
+        # the eta = 0 shortcut answers only for a valid n
+        for fn in (entropy, entropy_closed_form, reduced_density, purity):
+            with pytest.raises(DomainError):
+                fn(n, 0.0)
+
     def test_strictly_increasing_in_rapidity(self):
         etas = np.linspace(0.0, 2.0, 15)
         values = [entropy(0, e) for e in etas]
