@@ -3,14 +3,15 @@
 Exit codes are contractual across subcommands: 0 success, 1 usage or
 domain error, 2 tolerance breach, 3 I/O failure.  All numeric output is
 printed with 12 significant digits, decimal point, newline-delimited,
-so repeated runs are byte-stable.  Each subcommand loads `errors` and the
-modules it runs: `identity-check` entangled_series, oscillator_basis and
-reduced_state, `algebra-check` dirac_algebra, `thermo-curve` reduced_state,
-`decompose-shear` planar_transforms, `inner-product` covariant_inner and
-oscillator_basis, `wigner-grid` phase_space and oscillator_basis.  numpy
-loads for `wigner-grid`, for `identity-check` past entangled_series.LIST_WORK_MAX
-units of work and for `algebra-check --rep fock` past cutoff 54
-(dirac_algebra.LIST_STATES_MAX basis states); the rest is plain Python.
+so repeated runs are byte-stable.  Each subcommand parses its flags, makes
+one kernel call, prints from what it returns and picks the exit code.  It
+loads `errors` and the modules it runs: `identity-check` entangled_series,
+oscillator_basis and reduced_state, `algebra-check` dirac_algebra,
+`thermo-curve` reduced_state, `decompose-shear` planar_transforms,
+`inner-product` covariant_inner and oscillator_basis, `wigner-grid` phase_space
+and oscillator_basis.  cli imports no numpy; the kernels load it for `wigner-grid`,
+for `identity-check` past entangled_series.LIST_WORK_MAX units of work and for
+`algebra-check --rep fock` past cutoff 54 (dirac_algebra.LIST_STATES_MAX basis states).
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import gc
-import math
 import os
 import sys
 import typing
 
-from .errors import CutoffError, DomainError, NumericsError, budget, finite, integer, positive
+from .errors import CutoffError, DomainError, NumericsError, integer, positive
 
 
 def _fmt(x: float) -> str:
@@ -107,19 +107,12 @@ def _cmd_identity_check(args, cfg: RunConfig) -> int:
     from . import entangled_series
     tol = positive("--tol", args.tol if args.tol is not None else cfg.identity_tol)
     series_tol = positive("--series-tol", args.series_tol if args.series_tol is not None else cfg.series_tol)
-    n, xmin, xmax = integer("--n", args.n), finite("--xmin", args.xmin), finite("--xmax", args.xmax)
-    if xmax <= xmin:
-        raise DomainError("grid requires xmax > xmin")
-    # the series, the Gaussian side and the deviation peak at 7 doubles per grid point; series_sum charges its tables
-    side = (xmax - xmin) / positive("--spacing", args.spacing) + 1.0
-    budget(8.0 * 7 * side * side, f"a grid of {side:.6g}^2 points")
-    axis = _arange(xmin, finite("--xmax + --spacing / 2", xmax + 0.5 * args.spacing), args.spacing)
-    dev = entangled_series._grid_deviation(n, args.eta, axis, series_tol)
+    run = entangled_series.identity_check(args.n, args.eta, args.xmin, args.xmax, args.spacing, series_tol)
     print(f"n = {args.n}, eta = {_fmt(args.eta)}")
-    print(f"grid = [{_fmt(args.xmin)}, {_fmt(args.xmax)}] step {_fmt(args.spacing)} ({len(axis)}^2 points)")
-    print(f"max_deviation = {_fmt(dev)}")
+    print(f"grid = [{_fmt(args.xmin)}, {_fmt(args.xmax)}] step {_fmt(args.spacing)} ({run.points}^2 points)")
+    print(f"max_deviation = {_fmt(run.deviation)}")
     print(f"tolerance = {_fmt(tol)}")
-    return _verdict(dev <= tol, "series does not reproduce the squeezed Gaussian at tolerance")
+    return _verdict(run.deviation <= tol, "series does not reproduce the squeezed Gaussian at tolerance")
 
 
 def _cmd_algebra_check(args, cfg: RunConfig) -> int:
@@ -149,31 +142,10 @@ def _cmd_algebra_check(args, cfg: RunConfig) -> int:
     return _verdict(report.max_deviation <= tol, "commutator table not satisfied at tolerance")
 
 
-def _linspace(lo: float, hi: float, steps: int) -> list[float]:
-    """np.linspace(lo, hi, steps) bit for bit, for steps >= 2, as a list of floats."""
-    div, delta = steps - 1, hi - lo
-    step = delta / div
-    if step == 0:  # numpy's order for a span so small that delta / div underflows
-        grid = [i / div * delta + lo for i in range(steps)]
-    else:
-        grid = [i * step + lo for i in range(steps)]
-    grid[-1] = hi
-    return grid
-
-
-def _arange(start: float, stop: float, step: float) -> list[float]:
-    """np.arange(start, stop, step) bit for bit, for finite floats, as a list of floats."""
-    length = max(math.ceil((stop - start) / step), 0)
-    delta = (start + step) - start  # numpy fills from the first two entries, start and start + step
-    return [start, start + step, *(start + i * delta for i in range(2, length))][:length]
-
-
 def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
     from . import reduced_state
     steps = integer("--steps", args.steps, low=2, high=THERMO_CURVE_MAX_STEPS)
-    lo, hi = finite("--beta-sq-min", args.beta_sq_min), finite("--beta-sq-max", args.beta_sq_max)
-    # every grid point lies between the two ends, so checking them refuses a bad range before any row
-    grid = _linspace(reduced_state._beta_sq(lo), reduced_state._beta_sq(hi), steps)
+    grid = reduced_state.beta_sq_grid(args.beta_sq_min, args.beta_sq_max, steps)
     with _output(args.out) as stream:
         # each row is written as it is computed, so memory stays flat in --steps
         reduced_state.write_thermo_csv(map(reduced_state.thermo_point, grid), stream)
@@ -185,46 +157,7 @@ def _cmd_thermo_curve(args, cfg: RunConfig) -> int:
 def _cmd_decompose_shear(args, cfg: RunConfig) -> int:
     import json
     from . import planar_transforms
-    alpha, lam = positive("--alpha", args.alpha), finite("--lam", args.lam)
-    # the two factorizations that check their domains go first, so a refused input computes nothing
-    theta_rs, eta_rs = planar_transforms.shear_as_rotated_squeeze(alpha)
-    sr = planar_transforms.wigner_decompose(alpha, lam)
-    theta_prime, eta_b = planar_transforms.bargmann_decompose(alpha)
-    recon = planar_transforms.bargmann_reconstruct(theta_prime, eta_b)
-    target = planar_transforms.shear(alpha)
-    form_dev = planar_transforms._residual(
-        planar_transforms.rotated_squeeze_form(theta_rs, eta_rs), planar_transforms.sheared_gaussian_form(alpha)
-    )
-    omega = planar_transforms._omega(alpha, lam)  # the angle whose cosine sits on the matrix's diagonal
-    bound = 2.0 * alpha * math.exp(-2.0 * lam) + (1.0 - math.cos(omega))
-    payload = {
-        "alpha": alpha,
-        # the residuals are absolute; this is the scale they are judged against
-        "shear_max_entry": max(1.0, 2.0 * alpha),
-        "bargmann": {
-            # theta_prime + pi/4 is the rotated squeeze's angle, which keeps its digits at large alpha
-            "theta": theta_rs,
-            "theta_prime": theta_prime,
-            "eta": eta_b,
-            "reconstruction_residual": planar_transforms._residual(recon, target),
-        },
-        "rotated_squeeze": {
-            "theta": theta_rs,
-            "eta": eta_rs,
-            "exp_2eta": math.exp(2.0 * eta_rs),
-            "form_residual": form_dev,
-            # the form's largest entry, the scale form_residual is judged against
-            "form_max_entry": 1.0 + 4.0 * alpha * alpha,
-        },
-        "squeezed_rotation": {
-            "lambda": lam,
-            "omega": omega,
-            "matrix": sr,
-            "residual_vs_shear": planar_transforms._residual(sr, target),
-            "residual_bound": bound,
-        },
-    }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(planar_transforms.decompose_shear(args.alpha, args.lam), indent=2))
     return 0
 
 
@@ -240,52 +173,21 @@ def _cmd_inner_product(args, cfg: RunConfig) -> int:
     return _verdict(result.deviation <= tol, "quadrature and closed form disagree at tolerance")
 
 
-# Points per axis of the lattice wigner-grid samples; at the cap the lattice
-# is 34 MB and the xy plane's FFT work arrays take a few times that.
-WIGNER_GRID_MAX_SIDE = 2049
 # Rows of thermo-curve; at the cap a run takes about 4.5 s and 53 MB end to end (2 CPUs, Python 3.11).
 THERMO_CURVE_MAX_STEPS = 10**6
 
 
 def _cmd_wigner_grid(args, cfg: RunConfig) -> int:
-    if args.state == "squeezed":
-        if args.eta is None:
-            raise DomainError("--eta is required for --state squeezed")
-        eta = args.eta
-    elif args.eta is not None:
+    if args.state == "squeezed" and args.eta is None:
+        raise DomainError("--eta is required for --state squeezed")
+    if args.state == "ground" and args.eta is not None:
         raise DomainError("--eta applies only to --state squeezed")
-    else:
-        eta = 0.0
-    import numpy as np
     from . import phase_space
-    step, half_width = positive("--step", args.step), positive("--half-width", args.half_width)
-    base_spacing = phase_space.DEFAULT_SPACING
-    ratio = step / base_spacing
-    if not (math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
-        raise DomainError(f"--step must be a positive multiple of the sampling spacing {base_spacing}")
-    psi_halfwidth = half_width + phase_space.DEFAULT_HALF_WIDTH
-    steps = psi_halfwidth / base_spacing
-    if 2 * steps + 1 > WIGNER_GRID_MAX_SIDE:
-        raise DomainError(
-            f"--half-width {half_width} samples {2 * steps + 1:.0f} points per axis; "
-            f"the cap is {WIGNER_GRID_MAX_SIDE}"
-        )
-    psi = phase_space.squeezed_state_grid(eta, half_width=psi_halfwidth)
-    n = int(round(half_width / step))
-    axis = step * np.arange(-n, n + 1)
-    if args.plane == "xy":
-        plane = phase_space.wigner_xy(psi)
-        values = plane.values[np.ix_(plane.indices(0, axis), plane.indices(1, axis))]
-    else:  # xp
-        plane = phase_space.wigner_xp(psi, 0.0, axis)
-        values = plane.values[plane.indices(0, axis)]
-    grid = phase_space.GridFunction2D(
-        origin=(float(axis[0]), float(axis[0])), spacing=(step, step), values=values, labels=plane.labels
-    )
+    grid = phase_space.wigner_plane(0.0 if args.eta is None else args.eta, args.plane, args.half_width, args.step)
     with _output(args.out) as stream:
         grid.write_csv(stream)
     if args.out != "-":
-        print(f"wrote {axis.size * axis.size} rows to {args.out}")
+        print(f"wrote {grid.values.size} rows to {args.out}")
     return 0
 
 

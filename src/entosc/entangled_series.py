@@ -20,13 +20,14 @@ and the series is summed so partial sums can be compared pointwise against the
 squeezed Gaussian itself.  The series walks k on floats (`_walk`) to the first
 k past a geometric seed whose term log A_k(n)^2 passes `_tail`, and raises
 CutoffError past the basis bound; `schmidt_series` then builds its numpy table
-once, up to K.  The identity check, `_grid_deviation`, walks once, then works
-on floats up to LIST_WORK_MAX units of work, so it loads no numpy there, and on
-arrays from the numpy table above.  `_log_binom` and `_squeezed` serve both
-routes with the log1p or recurrence seed their caller passes, so each route
-keeps its bits.  numpy loads only inside the array functions.  Arguments go
-through the package's one contract in `errors` (`integer`, `positive`,
-`rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
+once, up to K.  The identity check, `identity_check`, walks once, then works on
+floats up to LIST_WORK_MAX units of work, so it loads no numpy there, and on
+arrays from the numpy table above; its `IdentityRun` keeps K and the route.
+`_log_binom` and `_squeezed` serve both routes with the log1p or recurrence
+seed their caller passes, so each route keeps its bits.  numpy loads only
+inside the array functions.  Arguments go through the package's one contract
+in `errors` (`integer`, `positive`, `finite`, `rapidity` with |eta| <= ETA_MAX,
+`budget`) before any work.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import sys
 from typing import NamedTuple
 
 from . import oscillator_basis as basis
-from .errors import CutoffError, budget, integer, positive, rapidity
+from .errors import CutoffError, DomainError, budget, finite, integer, positive, rapidity
 from .oscillator_basis import squeezed_wavefunction
 from .reduced_state import _log_binom, _log_cosh, _log_table, _log_tanh, _tail
 
@@ -169,26 +170,50 @@ def _series_sum(n: int, coeffs, x, y):
 LIST_WORK_MAX = 2_000_000
 
 
-def _grid_deviation(n: int, eta, axis: list[float], tol: float) -> float:
-    """max |series_sum - squeezed_wavefunction| over the grid axis x axis, the series accurate to tol.
+class IdentityRun(NamedTuple):
+    """The identity check on a points^2 grid: its largest deviation, the series cutoff K and the route taken."""
 
-    One `_walk` gives K.  Up to LIST_WORK_MAX units of work the two sides are
-    built on floats from the walk, so no numpy loads; above it, on arrays over
-    the open mesh of the axis.  Either way a nan anywhere makes the result nan.
+    deviation: float
+    points: int
+    cutoff: int
+    route: str  # "floats" up to LIST_WORK_MAX units of work, "arrays" above
+
+
+def _arange(start: float, stop: float, step: float) -> list[float]:
+    """np.arange(start, stop, step) bit for bit, for finite floats, as a list of floats."""
+    length = max(math.ceil((stop - start) / step), 0)
+    delta = (start + step) - start  # numpy fills from the first two entries, start and start + step
+    return [start, start + step, *(start + i * delta for i in range(2, length))][:length]
+
+
+def identity_check(n: int, eta, xmin: float, xmax: float, spacing: float, tol: float) -> IdentityRun:
+    """max |series_sum - squeezed_wavefunction| on axis^2, axis = np.arange(xmin, xmax + spacing / 2, spacing).
+
+    The series is accurate to tol, and the budget charges its sides 7 doubles a point before any work.  One `_walk`
+    gives K.  Up to LIST_WORK_MAX units of work both sides are built on floats from the walk, so no numpy loads;
+    above it, on arrays over the open mesh of the axis.  Either way a nan anywhere makes the deviation nan.
     """
-    tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
+    tol, n, xmin, xmax = positive("tol", tol), integer("n", n), finite("xmin", xmin), finite("xmax", xmax)
+    if xmax <= xmin:
+        raise DomainError("grid requires xmax > xmin")
+    side = (xmax - xmin) / positive("spacing", spacing) + 1.0
+    budget(8.0 * 7 * side * side, f"a grid of {side:.6g}^2 points")
+    axis = _arange(xmin, finite("xmax + spacing / 2", xmax + 0.5 * spacing), spacing)
+    eta = rapidity(eta)
     log_p = _walk(n, eta, tol)
-    if (len(log_p) + 48 + 2.5 * n) * len(axis) ** 2 <= LIST_WORK_MAX:
+    K = len(log_p) - 1
+    if (K + 49 + 2.5 * n) * len(axis) ** 2 <= LIST_WORK_MAX:
         sign, squeeze = math.copysign(1.0, eta), basis._light_cone(eta)
         coeffs = [sign**k * math.exp(0.5 * value) for k, value in enumerate(log_p)]
         gauss = ([basis._squeezed(n, 0, squeeze, x, y, basis._float_seed) for y in axis] for x in axis)
         rows = zip(_series_rows(n, coeffs, axis), gauss)
-        return _peak(_peak(map(abs, map(operator.sub, series, row))) for series, row in rows)
+        deviation = _peak(_peak(map(abs, map(operator.sub, series, row))) for series, row in rows)
+        return IdentityRun(deviation, len(axis), K, "floats")
     import numpy as np
 
     X, Y = np.meshgrid(np.array(axis), np.array(axis), indexing="ij", sparse=True)
-    series = _series_sum(n, _coefficients(n, eta, len(log_p) - 1), X, Y)
-    return float(np.abs(series - squeezed_wavefunction(n, eta, X, Y)).max())
+    gap = _series_sum(n, _coefficients(n, eta, K), X, Y) - squeezed_wavefunction(n, eta, X, Y)
+    return IdentityRun(float(np.abs(gap).max()), len(axis), K, "arrays")
 
 
 def _series_rows(n: int, coeffs: list[float], axis: list[float]):

@@ -36,26 +36,35 @@ def integer(name: str, value, low=0, high=math.inf) -> int:
     return int(value)
 
 
-def positive(name: str, value: float) -> float:
-    """value if 0 < value < inf, else DomainError."""
-    if not 0 < value < math.inf:
+def _float(value) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):  # non-numbers, and ints past the float range
+        return math.nan
+
+
+def positive(name: str, value) -> float:
+    """value as a float if 0 < value < inf, else DomainError."""
+    number = _float(value)
+    if not 0 < number < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
-    return value
+    return number
 
 
-def finite(name: str, value: float) -> float:
-    """value if it is neither nan nor infinite, else DomainError."""
-    if not -math.inf < value < math.inf:
+def finite(name: str, value) -> float:
+    """value as a float if it is neither nan nor infinite, else DomainError."""
+    number = _float(value)
+    if not -math.inf < number < math.inf:
         raise DomainError(f"{name} must be finite, got {value!r}")
-    return value
+    return number
 
 
 def rapidity(eta) -> float:
     """eta as a float with |eta| <= ETA_MAX."""
-    eta = float(eta)
-    if not abs(eta) <= ETA_MAX:
+    number = _float(eta)
+    if not abs(number) <= ETA_MAX:
         raise DomainError(f"rapidity must be finite with |eta| <= {ETA_MAX}, got {eta!r}")
-    return eta
+    return number
 
 
 def budget(nbytes: float, what: str) -> None:

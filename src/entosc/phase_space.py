@@ -31,6 +31,8 @@ One direct sum and two plane kernels evaluate it:
 All of them raise NumericsError, instead of numpy's floating-point warnings,
 when the imaginary residual of the sum passes IMAG_TOL or the sum
 overflows, and DomainError on non-finite momenta before summing.
+`wigner_plane`, the `wigner-grid` kernel, sizes the lattice for an output
+plane, samples the squeezed state on it and cuts the plane to the output axis.
 
 `squeezed_state_grid` samples `oscillator_basis.squeezed_wavefunction`, and
 at eta = 0 it is `ground_state_grid`.  The flow states are closed forms: a
@@ -347,6 +349,39 @@ def squeezed_state_grid(
 ) -> GridFunction2D:
     eta = rapidity(eta)
     return GridFunction2D.from_function(lambda X, Y: squeezed_wavefunction(0, eta, X, Y), half_width, spacing)
+
+
+# Points per axis of the lattice wigner_plane samples; at the cap the lattice
+# is 34 MB and the xy plane's FFT work arrays take a few times that.
+WIGNER_GRID_MAX_SIDE = 2049
+
+
+def wigner_plane(eta, plane: str, half_width: float, step: float) -> GridFunction2D:
+    """W of the squeezed state on the plane "xy" (p = q = 0) or "xp" (y = q = 0), each axis step * (-m..m).
+
+    m = round(half_width / step), and step is a whole multiple of DEFAULT_SPACING.  The state is sampled at that
+    spacing out to half_width + DEFAULT_HALF_WIDTH, within WIGNER_GRID_MAX_SIDE points per axis (DomainError first).
+    """
+    if plane not in ("xy", "xp"):
+        raise DomainError(f"plane must be 'xy' or 'xp', got {plane!r}")
+    step, half_width = positive("step", step), positive("half_width", half_width)
+    ratio = step / DEFAULT_SPACING
+    if not (math.isfinite(ratio) and round(ratio) >= 1 and abs(ratio - round(ratio)) <= 1e-9):
+        raise DomainError(f"step must be a positive multiple of the sampling spacing {DEFAULT_SPACING}")
+    side = 2 * (half_width + DEFAULT_HALF_WIDTH) / DEFAULT_SPACING + 1
+    if side > WIGNER_GRID_MAX_SIDE:
+        raise DomainError(f"half_width {half_width} samples {side:.0f} points per axis; the cap is {WIGNER_GRID_MAX_SIDE}")
+    psi = squeezed_state_grid(eta, half_width=half_width + DEFAULT_HALF_WIDTH)
+    n = int(round(half_width / step))
+    axis = step * np.arange(-n, n + 1)
+    if plane == "xy":
+        full = wigner_xy(psi)
+        values = full.values[np.ix_(full.indices(0, axis), full.indices(1, axis))]
+    else:
+        full = wigner_xp(psi, 0.0, axis)
+        values = full.values[full.indices(0, axis)]
+    origin = (float(axis[0]), float(axis[0]))
+    return GridFunction2D(origin=origin, spacing=(step, step), values=values, labels=full.labels)
 
 
 # ---------------------------------------------------------------------------

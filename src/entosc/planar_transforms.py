@@ -140,3 +140,39 @@ def rotated_squeeze_form(theta: float, eta: float) -> _Matrix:
     cc, ss, cs = c * c, s * s, c * s
     return (em * cc + ep * ss, em * cs - ep * cs), (em * cs - ep * cs, em * ss + ep * cc)
 
+
+def decompose_shear(alpha: float, lam: float) -> dict:
+    """The three factorizations of shear(alpha) with their absolute residuals and the scales to judge them by.
+
+    The factorizations that check their domains go first, so a refused input computes nothing.
+    """
+    alpha, lam = positive("alpha", alpha), finite("lam", lam)
+    theta_rs, eta_rs = shear_as_rotated_squeeze(alpha)
+    sr = wigner_decompose(alpha, lam)
+    theta_prime, eta_b = bargmann_decompose(alpha)
+    omega = _omega(alpha, lam)  # the angle whose cosine sits on the matrix's diagonal
+    return {
+        "alpha": alpha,
+        "shear_max_entry": max(1.0, 2.0 * alpha),
+        "bargmann": {
+            # theta_prime + pi/4 is the rotated squeeze's angle, which keeps its digits at large alpha
+            "theta": theta_rs,
+            "theta_prime": theta_prime,
+            "eta": eta_b,
+            "reconstruction_residual": _residual(bargmann_reconstruct(theta_prime, eta_b), shear(alpha)),
+        },
+        "rotated_squeeze": {
+            "theta": theta_rs,
+            "eta": eta_rs,
+            "exp_2eta": math.exp(2.0 * eta_rs),
+            "form_residual": _residual(rotated_squeeze_form(theta_rs, eta_rs), sheared_gaussian_form(alpha)),
+            "form_max_entry": 1.0 + 4.0 * alpha * alpha,
+        },
+        "squeezed_rotation": {
+            "lambda": lam,
+            "omega": omega,
+            "matrix": sr,
+            "residual_vs_shear": _residual(sr, shear(alpha)),
+            "residual_bound": 2.0 * alpha * math.exp(-2.0 * lam) + (1.0 - math.cos(omega)),
+        },
+    }

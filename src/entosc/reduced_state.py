@@ -233,9 +233,23 @@ def thermo_point(beta_sq: float) -> ThermoPoint:
     return ThermoPoint(beta_sq=q, entropy=-math.log1p(-q) - q * log_q / (1.0 - q), temperature=-1.0 / log_q)
 
 
-def thermo_curve(beta_sq_grid: Iterable[float]) -> list[ThermoPoint]:
+def beta_sq_grid(beta_sq_min: float, beta_sq_max: float, steps: int) -> list[float]:
+    """np.linspace(beta_sq_min, beta_sq_max, steps) bit for bit as a list; ends in [0, 1) keep every point there."""
+    steps = integer("steps", steps, low=2)
+    lo, hi = map(_beta_sq, (finite("beta_sq_min", beta_sq_min), finite("beta_sq_max", beta_sq_max)))
+    div, delta = steps - 1, hi - lo
+    step = delta / div
+    if step == 0:  # numpy's order for a span so small that delta / div underflows
+        grid = [i / div * delta + lo for i in range(steps)]
+    else:
+        grid = [i * step + lo for i in range(steps)]
+    grid[-1] = hi
+    return grid
+
+
+def thermo_curve(grid: Iterable[float]) -> list[ThermoPoint]:
     """`thermo_point` along a grid of beta^2 values."""
-    return [thermo_point(q) for q in beta_sq_grid]
+    return [thermo_point(q) for q in grid]
 
 
 def write_thermo_csv(points: Iterable[ThermoPoint], stream: TextIO) -> None:

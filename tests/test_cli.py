@@ -20,9 +20,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import entosc
 from entosc import entangled_series, errors, oscillator_basis, phase_space
-from entosc.cli import THERMO_CURVE_MAX_STEPS, _arange, _linspace, main
+from entosc.cli import THERMO_CURVE_MAX_STEPS, main
 from entosc.dirac_algebra import LIST_STATES_MAX
-from entosc.reduced_state import ThermoPoint, entropy, temperature, write_thermo_csv
+from entosc.entangled_series import _arange
+from entosc.reduced_state import ThermoPoint, beta_sq_grid, entropy, temperature, write_thermo_csv
 
 
 def run(capsys, *argv):
@@ -163,27 +164,23 @@ class TestIdentityCheck:
     @example(0, 0.5, -4.0, 8.0, "0.25")  # the README's first example, below it
     @example(300, 0.0, -4.0, 8.0, "0.25")  # chi_300 is past the basis bound at eta = 0 too, on both routes
     def test_float_and_array_routes_agree(self, n, eta, xmin, width, spacing):
-        argv = ["identity-check", f"--n={n}", f"--eta={eta!r}", f"--xmin={xmin!r}", f"--xmax={xmin + width!r}"]
         runs = []
         for limit in (math.inf, 0):  # every grid on floats, then every grid on arrays
-            out, err = io.StringIO(), io.StringIO()
             with mock.patch.object(entangled_series, "LIST_WORK_MAX", limit):
-                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                    code = main([*argv, f"--spacing={spacing}"])
-            runs.append((code, err.getvalue(), out.getvalue().splitlines()))
-        (code, err, floats), (array_code, array_err, arrays) = runs
-        assert (code, err) == (array_code, array_err)
-        if code == 1:  # the series' CutoffError, the same on both routes
-            assert err.startswith("error: series cutoff")
+                try:
+                    runs.append(entangled_series.identity_check(n, eta, xmin, xmin + width, float(spacing), 1e-10))
+                except errors.CutoffError as exc:
+                    runs.append(str(exc))
+        floats, arrays = runs
+        if isinstance(floats, str):  # the series' CutoffError, the same on both routes
+            assert floats == arrays and floats.startswith("series cutoff")
             return
-        assert [line for line in floats if "max_deviation" not in line] == [
-            line for line in arrays if "max_deviation" not in line
-        ]
-        devs = [float(line.split(" = ")[1]) for line in floats + arrays if line.startswith("max_deviation")]
-        assert abs(devs[0] - devs[1]) <= 1e-15
+        assert (floats.route, arrays.route) == ("floats", "arrays")
+        assert (floats.points, floats.cutoff) == (arrays.points, arrays.cutoff)
+        assert abs(floats.deviation - arrays.deviation) <= 1e-15
         # the walk's K is the first k >= K0 whose amplitude tail bound A_k sup|chi chi| r / (1 - r), from the
         # closed-form coefficient, meets the tolerance: it does at K and, unless K = K0, not at K - 1
-        K, a, tol = len(entangled_series._walk(n, eta, 1e-10)) - 1, abs(eta), 1e-10
+        K, a, tol = floats.cutoff, abs(eta), 1e-10
         if a:
             log_cosh, log_tanh = entangled_series._log_cosh(a), entangled_series._log_tanh(a)
             k0 = max(math.ceil((math.log(tol) - 2 * log_cosh) / (2 * log_tanh)), 8)
@@ -196,15 +193,22 @@ class TestIdentityCheck:
             assert K == k0 or bound(K - 1) > tol * (1 - 1e-9)
 
     @pytest.mark.parametrize("limit, route", [(math.inf, "_series_rows"), (0, "_series_sum")])
-    def test_walks_the_cutoff_once(self, limit, route, capsys, monkeypatch):
+    def test_walks_the_cutoff_once(self, limit, route, monkeypatch):
         # the route is picked from the walk's K, and each route reads its coefficients from that one walk
         walks, sums, walk, series = [], [], entangled_series._walk, getattr(entangled_series, route)
         monkeypatch.setattr(entangled_series, "_walk", lambda *args: (walks.append(args), walk(*args))[1])
         monkeypatch.setattr(entangled_series, route, lambda *args: (sums.append(args), series(*args))[1])
         monkeypatch.setattr(entangled_series, "LIST_WORK_MAX", limit)
-        code, out, _ = run(capsys, "identity-check", "--n", "3", "--eta", "-1.0", "--spacing", "0.25")
-        assert code == 0 and "(33^2 points)" in out
-        assert walks == [(3, -1.0, 1e-10)] and len(sums) == 1
+        result = entangled_series.identity_check(3, -1.0, -4.0, 4.0, 0.25, 1e-10)
+        assert (result.points, result.route) == (33, "floats" if limit else "arrays") and result.deviation <= 1e-8
+        assert walks == [(3, -1.0, 1e-10)] and len(sums) == 1 and result.cutoff == len(sums[0][1]) - 1
+
+    @pytest.mark.parametrize("over, route", [(0.0, "floats"), (1.0, "arrays")])
+    def test_route_switches_at_the_work_limit(self, over, route, monkeypatch):
+        # a grid of (K + 49 + 2.5 n) N^2 units of work runs on floats at exactly LIST_WORK_MAX, on arrays one unit past
+        K = len(entangled_series._walk(3, -1.0, 1e-10)) - 1
+        monkeypatch.setattr(entangled_series, "LIST_WORK_MAX", (K + 49 + 2.5 * 3) * 33**2 - over)
+        assert entangled_series.identity_check(3, -1.0, -4.0, 4.0, 0.25, 1e-10).route == route
 
 
 class TestAlgebraCheck:
@@ -296,7 +300,7 @@ class TestThermoCurve:
         st.integers(2, 10**4),
     )
     def test_grid_is_numpy_linspace_bit_for_bit(self, lo, hi, steps):
-        assert np.array(_linspace(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
+        assert np.array(beta_sq_grid(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3), st.floats(1e-3, 1e2))
@@ -308,7 +312,7 @@ class TestThermoCurve:
     def test_grid_of_a_subnormal_span_is_numpy_linspace(self, lo, hi, steps):
         # (hi - lo) / (steps - 1) rounds to zero, so numpy scales i / (steps - 1) by the span instead
         assert (hi - lo) / (steps - 1) == 0.0
-        assert np.array(_linspace(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
+        assert np.array(beta_sq_grid(lo, hi, steps)).tobytes() == np.linspace(lo, hi, steps).tobytes()
 
     def test_rows_are_written_as_they_are_computed(self, tmp_path, capsys):
         # the whole curve used to be held as ThermoPoints first: 160 B a row here, 198 MB at the step cap
@@ -803,6 +807,25 @@ def test_import_graph(module):
     result = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=source_env(), timeout=60)
     assert result.returncode == 0, result.stderr
     assert result.stdout == f"{sorted(_reached(MODULE_IMPORTS, module) | {module})}\n"
+
+
+def test_cli_reads_no_private_name_and_imports_no_numpy():
+    # each subcommand is one kernel call: cli reads only the public names of the library modules, and
+    # numpy, where a command needs it, loads inside the kernel
+    tree = ast.parse((Path(entosc.__file__).parent / "cli.py").read_text())
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            modules |= {alias.asname or alias.name for alias in node.names} if not node.module else set()
+            found += [f"from .{node.module} import {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+            found += [f"import {name}" for name in names if name.split(".")[0] == "numpy"]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            found += [f"{node.value.id}.{node.attr}"] if node.attr.startswith("_") else []
+    assert modules == set(MODULE_IMPORTS) - {"errors", "oscillator_basis"}
+    assert found == []
 
 
 def test_module_entry_runs_without_runpy_warning(tmp_path):

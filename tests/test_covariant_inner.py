@@ -114,6 +114,15 @@ class TestContractionFactor:
         overlap = inner_product(n, math.atanh(beta), n, 0.0).quadrature
         assert abs(overlap - contraction_factor(n, beta)) <= 1e-6
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("eta1, eta2", [(0.4, -0.3), (1.2, 0.5), (-0.9, 0.6), (2.0, 0.1)])
+    def test_is_the_overlap_of_two_moving_frames(self, n, eta1, eta2):
+        # beta = tanh(eta1 - eta2) is the relative velocity; both routes of inner_product agree with it
+        result = inner_product(n, eta1, n, eta2)
+        factor = contraction_factor(n, math.tanh(eta1 - eta2))
+        assert factor == pytest.approx(result.closed_form, rel=1e-14)
+        assert factor == pytest.approx(result.quadrature, rel=1e-14)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             contraction_factor(0, 1.0)

@@ -12,7 +12,7 @@ from entosc.entangled_series import coefficient, eigenvalue_residual, schmidt_se
 from entosc.errors import DomainError, budget, finite, integer, positive, rapidity
 from entosc.phase_space import GridFunction2D, PhasePoint, ground_state_grid, wigner_section, wigner_transform, wigner_xp
 from entosc.planar_transforms import bargmann_decompose, shear_as_rotated_squeeze, wigner_decompose
-from entosc.reduced_state import eta_for_temperature, reduced_density
+from entosc.reduced_state import eta_for_temperature, reduced_density, temperature, width
 
 
 class TestValidators:
@@ -47,6 +47,28 @@ class TestValidators:
         for eta in (25.000001, math.nan, math.inf):
             with pytest.raises(DomainError, match=r"\|eta\| <= 25.0"):
                 rapidity(eta)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: positive("a", None), "a must be positive and finite, got None"),
+            (lambda: positive("a", "x"), "a must be positive and finite, got 'x'"),
+            (lambda: finite("a", "x"), "a must be finite, got 'x'"),
+            (lambda: finite("a", 1j), "a must be finite, got 1j"),
+            (lambda: finite("a", -(10**400)), "a must be finite, got -1" + "0" * 400),
+            (lambda: rapidity("x"), "rapidity must be finite with |eta| <= 25.0, got 'x'"),
+            (lambda: rapidity(None), "rapidity must be finite with |eta| <= 25.0, got None"),
+            (lambda: temperature("x"), "rapidity must be finite with |eta| <= 25.0, got 'x'"),
+            (lambda: width(None), "rapidity must be finite with |eta| <= 25.0, got None"),
+            (lambda: coefficient(0, 0, "x"), "rapidity must be finite with |eta| <= 25.0, got 'x'"),
+        ],
+        ids=["positive-None", "positive-str", "finite-str", "finite-complex", "finite-huge-int", "rapidity-str",
+             "rapidity-None", "temperature-str", "width-None", "coefficient-str"],
+    )
+    def test_non_numbers_raise_domain_error(self, call, message):
+        # the validators convert inside their own try, as `integer` does: no TypeError or ValueError escapes
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call()
 
     def test_budget_reads_the_module_constant(self, monkeypatch):
         budget(errors.BYTE_BUDGET, "exactly the budget")

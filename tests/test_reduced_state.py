@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from entosc import CutoffError, DomainError
 from entosc.oscillator_basis import chi_batch, quadrature
+from entosc.phase_space import squeezed_state_grid
 from entosc.reduced_state import (
     TERM_CAP,
     ThermoPoint,
@@ -186,6 +187,18 @@ class TestPositionDensity:
         )
         assert moment == pytest.approx(c2 / 2.0, rel=1e-10)
         assert width(eta) ** 2 == pytest.approx(c2, rel=1e-15)
+
+    @pytest.mark.parametrize("eta", [0.0, 0.3, -0.5, 0.8])
+    def test_is_the_partial_trace_of_the_squeezed_state(self, eta):
+        # rho(x, r) = int psi(x, y) psi(r, y) dy over the sampled two-mode state; the trapezoidal sum of a
+        # Gaussian that has died out at the lattice's edge is exact to rounding, so every route agrees to ~1e-15
+        psi = squeezed_state_grid(eta, half_width=10.0)
+        h, x = psi.spacing[0], psi.axis(0)
+        trace = h * psi.values @ psi.values.T
+        assert np.abs(trace - position_density(eta, x[:, None], x[None, :])).max() <= 1e-14
+        # the diagonal's second moment, from the trace and from the closed form, is width^2 / 2
+        for diagonal in (np.diag(trace), position_density(eta, x, x)):
+            assert h * float(np.sum(x * x * diagonal)) == pytest.approx(width(eta) ** 2 / 2.0, rel=1e-14)
 
 
 class TestWidth:
