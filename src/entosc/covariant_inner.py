@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple
 
 from . import oscillator_basis as basis
-from .errors import DomainError, integer, rapidity
+from .errors import DomainError, finite, integer, rapidity
 
 _INDEX_BUDGET = 12  # quadrature degree budget for the overlap integrals
 
@@ -53,7 +53,7 @@ def inner_product(n: int, eta1, m: int, eta2, order: int = basis.DEFAULT_QUAD_OR
 
 def contraction_factor(n: int, beta: float) -> float:
     """Net overlap decay (sqrt(1 - beta^2))^(n+1) between rest and moving frames."""
-    n = integer("n", n)
+    n, beta = integer("n", n), finite("beta", beta)
     if not -1.0 < beta < 1.0:
         raise DomainError(f"|beta| must be below 1, got {beta}")
     return math.sqrt(1.0 - beta * beta) ** (n + 1)

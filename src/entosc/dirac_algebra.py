@@ -230,12 +230,12 @@ def _check_cutoff(cutoff, dense: bool = False) -> int:
 
     The banded check is charged 1 kB per basis state in numpy arrays, of which there are (cutoff + 1)^2
     (measured peak RSS 44 MB at cutoff 200, 90 MB at 400, 165 MB at 600, taking 1.2 s), and 2.5 kB per
-    state in _Floats, which run only where that fits too (_vector); one dense matrix takes
-    16 (cutoff + 1)^4 bytes, and fock_generators returns ten.  At the default 4 GiB the caps are 2071 and 127.
+    state in _Floats, which run only where that fits too (_vector); fock_generators returns ten dense matrices of
+    16 (cutoff + 1)^4 bytes, peaks at 11.1-11.4 (cutoffs 12-30) and is charged 12: caps 2071 and 67 at 4 GiB.
     """
     cutoff = integer("fock cutoff", cutoff, low=2)
     nbytes = errors.BYTE_BUDGET
-    cap = math.isqrt(math.isqrt(nbytes // 16)) - 1 if dense else math.isqrt(nbytes // _ARRAY_BYTES) - 1
+    cap = math.isqrt(math.isqrt(nbytes // (12 * 16))) - 1 if dense else math.isqrt(nbytes // _ARRAY_BYTES) - 1
     if cutoff > cap:
         raise CutoffError(f"fock cutoff {cutoff} is above the cap of {cap} (a {nbytes / 2**30:.3g} GiB budget)")
     return cutoff
@@ -329,7 +329,7 @@ def _fock_bands(cutoff: int) -> dict:
 def fock_generators(cutoff: int) -> dict[str, np.ndarray]:
     """The ten Hermitian bilinears on the truncated two-mode basis, as dense matrices.
 
-    Each takes 16 (cutoff + 1)^4 bytes, so the byte budget caps cutoff (at 127 by default).
+    Each takes 16 (cutoff + 1)^4 bytes and the call peaks near twelve, so the byte budget caps cutoff at 67 by default.
     """
     bands = _fock_bands(_check_cutoff(cutoff, dense=True))
     real = {lab: {bands[n][0]: sign * bands[n][1] for n, sign in signs.items()} for lab, (_, signs) in _FOCK.items()}

@@ -10,24 +10,23 @@ entangles the modes into
     chi_n(x') chi_0(y') = sum_k A_k(n) chi_{n+k}(x) chi_k(y),
     A_k(n) = cosh(eta)^-(n+1) sqrt((n+k)!/(n! k!)) tanh(eta)^k.
 
-This module owns the amplitudes A_k(n), the walk that picks their cutoff and
-the series.  The squeezed states (`squeezed_wavefunction`, its body `_squeezed`)
-live in `oscillator_basis` and the probability law p_k = A_k(n)^2 (`_log_binom`,
-the tail bound `_tail`, the table `_log_table`) in `reduced_state`.  The
-coefficients come in closed form and, independently, as the overlap of two
-squeezed states on one light-cone Gauss-Hermite grid (`oscillator_basis._overlap`),
-and the series is summed so partial sums can be compared pointwise against the
-squeezed Gaussian itself.  The series walks k on floats (`_walk`) to the first
-k past a geometric seed whose term log A_k(n)^2 passes `_tail`, and raises
-CutoffError past the basis bound; `schmidt_series` then builds its numpy table
-once, up to K.  The identity check, `identity_check`, walks once, then works on
-floats up to LIST_WORK_MAX units of work, so it loads no numpy there, and on
-arrays from the numpy table above; its `IdentityRun` keeps K and the route.
-`_log_binom` and `_squeezed` serve both routes with the log1p or recurrence
-seed their caller passes, so each route keeps its bits.  numpy loads only
-inside the array functions.  Arguments go through the package's one contract
-in `errors` (`integer`, `positive`, `finite`, `rapidity` with |eta| <= ETA_MAX,
-`budget`) before any work.
+This module owns the amplitudes A_k(n), the walk that lists them to their
+cutoff and the series.  The squeezed states (`squeezed_wavefunction`, its body
+`_squeezed`) live in `oscillator_basis` and the probability law p_k = A_k(n)^2
+(`_log_binom`, the tail bound `_tail`, the one cutoff search `_cutoff`, the
+table `_log_table`) in `reduced_state`.  The coefficients come in closed form
+and, independently, as the overlap of two squeezed states on one light-cone
+Gauss-Hermite grid (`oscillator_basis._overlap`), and the series is summed so
+partial sums can be compared pointwise against the squeezed Gaussian itself.
+`_walk` takes K from `_cutoff` and raises CutoffError past the basis bound
+before any table; `schmidt_series` then builds one numpy table, up to K.
+`identity_check` walks once, then works on floats up to LIST_WORK_MAX units of
+work, so it loads no numpy there, and on arrays from the numpy table above; its
+`IdentityRun` keeps K and the route.  `_log_binom` and `_squeezed` serve both
+routes with the log1p or recurrence seed their caller passes, so each route
+keeps its bits.  numpy loads only inside the array functions.  Arguments go
+through the package's one contract in `errors` (`integer`, `positive`,
+`finite`, `rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import NamedTuple
 from . import oscillator_basis as basis
 from .errors import CutoffError, DomainError, budget, finite, integer, positive, rapidity
 from .oscillator_basis import squeezed_wavefunction
-from .reduced_state import _log_binom, _log_cosh, _log_table, _log_tanh, _tail
+from .reduced_state import _cutoff, _log_binom, _log_cosh, _log_prob, _log_table, _log_tanh, _tail
 
 # sup_x |chi_j(x)| <= pi^(-1/4), so any product of two factors is below this.
 _CHI_PAIR_SUP = 1.0 / math.sqrt(math.pi)
@@ -103,26 +102,21 @@ def _coefficients(n: int, eta: float, K: int):
 
 
 def _walk(n: int, eta: float, tol: float) -> list[float]:
-    """log A_k(n)^2 for k = 0..K on floats, one k at a time, with K the series cutoff.
+    """log A_k(n)^2 for k = 0..K on floats, with K the series cutoff.
 
-    K is the first k >= K0 with A_k sup|chi chi| r / (1 - r) <= tol, the
-    amplitude `_tail`, r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|; K = 0 at
-    eta = 0.  The seed K0 = max(8, ceil((log tol - 2 log cosh eta) / (2 log t)))
-    is the geometric estimate, in logs accurate where t rounds to one; it
-    undershoots the pointwise tolerance once t is close to one.  CutoffError
-    names the least K needed where no k with n + k <= N_MAX fits, before any
-    term is built when n + K0 passes N_MAX.
+    K is `_cutoff`'s first k in [K0, N_MAX - n] with A_k sup|chi chi| r / (1 - r) <= tol, the amplitude
+    `_tail`, r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|; K = 0 at eta = 0.  The seed
+    K0 = max(8, ceil((log tol - 2 log cosh eta) / (2 log t))) is the geometric estimate, in logs accurate
+    where t rounds to one; it undershoots the pointwise tolerance once t is close to one.  Where no k with
+    n + k <= N_MAX fits, CutoffError names the least K needed, with no term but k = N_MAX - n built.
     """
     a, last = abs(eta), basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
     k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(a)) / (2.0 * _log_tanh(a))), 8) if a else 0
     if not a and last >= 0:
         return [0.0]  # A_0 = 1 alone
-    if k0 <= last:
-        q, scale, shift, log_p = math.tanh(a) ** 2, 2.0 * _log_tanh(a), 2.0 * (n + 1) * _log_cosh(a), []
-        for k in range(last + 1):
-            log_p.append(k * scale + _log_binom(n, k) - shift)
-            if k >= k0 and _tail(n, q, k, math.exp(0.5 * log_p[k]), 0.5) <= tol / _CHI_PAIR_SUP:
-                return log_p
+    K = _cutoff(n, a, tol / _CHI_PAIR_SUP, k0, last, 0.5) if a else None
+    if K is not None:
+        return list(map(_log_prob(n, a), range(K + 1)))
     raise CutoffError(
         f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
         f"so n + K exceeds the basis bound {basis.N_MAX}"

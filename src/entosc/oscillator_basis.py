@@ -8,12 +8,12 @@ are evaluated with one three-term recurrence carried out on the normalized
 functions themselves, so intermediate values stay O(1) and no factorial
 overflow occurs for any n up to ``N_MAX``.  The recurrence, `_chi_rows`, runs
 on a float or on an array from the row 0 its caller passes, and keeps two
-rows live: `chi` and `chi_bare` hold two arrays the size of x whatever n is,
-and `chi_batch` stores every row.  The "bare" variant drops the exp(-x^2/2)
-factor, leaving the orthonormal Hermite polynomial; it is what Gauss-Hermite
-quadrature wants, since the e^{-x^2} weight is folded into the quadrature
-weights.  Those three functions take arrays and load numpy when called.  The
-quadrature rule and the overlap kernel run the recurrence on floats.  The
+rows live: `chi` holds two arrays the size of x whatever n is, and
+`chi_batch` stores every row; both take arrays and load numpy when called.
+From the bare row 0, pi^-1/4, the recurrence gives the orthonormal Hermite
+polynomials without exp(-x^2/2), which is what Gauss-Hermite quadrature wants,
+since the e^{-x^2} weight is folded into the quadrature weights; the
+quadrature rule and the overlap kernel run them on floats.  The
 squeezed states chi_n(x') chi_m(y') of `entangled_series` and `phase_space`
 live here (`_squeezed`, `squeezed_wavefunction`), formed through the one squeeze
 map `_light_cone` on floats (`_float_seed`) or arrays (`_seeded`), both from one
@@ -82,13 +82,11 @@ def _float_seed(x: float) -> tuple[float, float]:
     return _gaussian_seed(x, abs(x), math.exp, _clip)
 
 
-def _seeded(x, gaussian: bool = True):
-    """x as a 1-d float array, and row 0 there: pi^-1/4 exp(-x^2/2) or, bare, pi^-1/4."""
+def _seeded(x):
+    """x as a 1-d float array, and row 0 there, pi^-1/4 exp(-x^2/2)."""
     import numpy as np
 
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if not gaussian:
-        return x, np.full(x.shape, _BARE_SEED)
     return _gaussian_seed(x, max(-x.min(), x.max()) if x.size else 0.0, np.exp, np.clip)
 
 
@@ -113,22 +111,13 @@ def _last_row(rows):
     return value
 
 
-def _array_row(n: int, x, gaussian: bool):
+def chi(n: int, x):
+    """Normalized oscillator eigenfunction chi_n(x)."""
     import numpy as np
 
     n = _check_index(n, "nmax")
-    value = _last_row(_chi_rows(n, *_seeded(x, gaussian)))
+    value = _last_row(_chi_rows(n, *_seeded(x)))
     return float(value[0]) if np.ndim(x) == 0 else value
-
-
-def chi(n: int, x):
-    """Normalized oscillator eigenfunction chi_n(x)."""
-    return _array_row(n, x, gaussian=True)
-
-
-def chi_bare(n: int, x):
-    """chi_n(x) with the exp(-x^2/2) factor removed."""
-    return _array_row(n, x, gaussian=False)
 
 
 class QuadratureRule(NamedTuple):

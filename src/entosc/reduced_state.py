@@ -11,13 +11,14 @@ what lets the squeeze rapidity double as a temperature: matching
 The von Neumann entropy comes from the probabilities (`entropy`) and from the
 closed form (`entropy_closed_form`, O(1) at n = 0), which the tests require to
 agree; `thermo_point` takes the n = 0 closed forms from beta^2 itself.  The
-law p_k and its table live here: `_log_binom`, the tail bound `_tail` and
-`_log_terms`, which grows a numpy table by half a round from a geometric seed
-to the least K with a certified tail (K ~ (46 + ln 1/(1 - beta^2)) /
-(1 - beta^2) at n = 0 and tol 1e-20: 5.8e6 terms, 92 MB at beta^2 = tanh^2 eta
-= 0.99999) and raises `CutoffError`, naming K, before allocating when
-(n + 1)(K + 1) passes TERM_CAP or tanh^2 eta rounds to one (|eta| >~ 18.7).
-`entangled_series` reads its amplitudes A_k(n) = sqrt(p_k) off the same law.
+law p_k lives here: `_log_binom`, the tail bound `_tail`, and the package's
+one cutoff search `_cutoff`, which bisects on floats for the least K past a
+geometric seed with a certified tail.  `_log_terms` builds one numpy table to
+K (K ~ (46 + ln 1/(1 - beta^2)) / (1 - beta^2) at n = 0 and tol 1e-20: 5.8e6
+terms, 92 MB at beta^2 = tanh^2 eta = 0.99999) and raises `CutoffError`,
+naming K, before any table when (n + 1)(K + 1) passes TERM_CAP or tanh^2 eta
+rounds to one (|eta| >~ 18.7).  `entangled_series` takes its series cutoff
+from the same search and its amplitudes A_k(n) = sqrt(p_k) from the same law.
 
 This module imports no entosc module but `errors`.  The closed forms, the
 temperature and the thermal curve need only `math`: the probability tables
@@ -86,13 +87,36 @@ def _log_table(n: int, eta: float, hi: int):
     return log_binom, log_p
 
 
+def _log_prob(n: int, eta: float):
+    """k -> log A_k(n)^2 at eta > 0 for an int k, on floats in `_log_table`'s order of operations."""
+    scale, shift = 2.0 * _log_tanh(eta), 2.0 * (n + 1) * _log_cosh(eta)
+    return lambda k: k * scale + _log_binom(n, k) - shift
+
+
+def _cutoff(n: int, eta: float, tol: float, k0: int, kmax: int, power: float = 1.0) -> int | None:
+    """The first k in [k0, kmax] whose `_tail` of A_k(n)^(2 power) at eta > 0 is <= tol, or None, on floats.
+
+    The bound is inf while p_{k+1}/p_k >= 1 and falls after, so one check at kmax decides a refusal and
+    bisection finds the first k: about 1 + log2(kmax - k0) terms of O(n) each, whatever K is.
+    """
+    q, log_p = math.tanh(eta) ** 2, _log_prob(n, eta)
+
+    def fits(k: int) -> bool:
+        return _tail(n, q, k, math.exp(power * log_p(k)), power) <= tol
+
+    if k0 > kmax or not fits(kmax):
+        return None
+    while k0 < kmax:
+        mid = (k0 + kmax) // 2
+        k0, kmax = (k0, mid) if fits(mid) else (mid + 1, kmax)
+    return k0
+
+
 def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(log binom(n + k, k), log A_k(n)^2) for k = 0..K at eta >= 0, the probability tail past K below tol.
 
-    K is the first k >= K0 whose `_tail` is <= tol (K = 0 at eta = 0).  The
-    table starts at the seed K0 and grows by half each round (to 1.5 k + 8, at
-    most kmax = TERM_CAP / (n + 1) - 1), and each round checks the k it added,
-    so no term past 1.5 K + 8 or kmax is built; CutoffError past kmax.
+    K is `_cutoff`'s first k in [K0, TERM_CAP / (n + 1) - 1] from the geometric seed K0 (K = 0 at eta = 0),
+    and the one table is built to K; where no k fits, CutoffError comes before any table.
     """
     import numpy as np
 
@@ -100,22 +124,13 @@ def _log_terms(n, eta: float, tol: float) -> tuple[np.ndarray, np.ndarray]:
     if not eta:
         return np.zeros(1), np.zeros(1)
     k0 = max(32, math.ceil((math.log(tol) - 2.0 * (n + 1) * _log_cosh(eta)) / (2.0 * _log_tanh(eta))))
-    q, lo, hi, kmax = math.tanh(eta) ** 2, k0, k0, TERM_CAP // (n + 1) - 1
-    while lo <= kmax:
-        hi = min(hi, kmax)
-        log_binom, log_p = _log_table(n, eta, hi)
-        k = np.arange(lo, hi + 1.0)  # the k this round added, each checked against `_tail`'s bound
-        r = q * (n + k + 1.0) / (k + 1.0)
-        bound = np.divide(np.exp(log_p[lo:]) * r, 1.0 - r, out=np.full(k.size, math.inf), where=r < 1.0)
-        fits = np.flatnonzero(bound <= tol)
-        if fits.size:
-            K = lo + int(fits[0])
-            return log_binom[: K + 1], log_p[: K + 1]
-        lo, hi = hi + 1, int(1.5 * hi) + 8
-    raise CutoffError(
-        f"Schmidt probability series for n={n}, eta={eta} needs K >= {max(k0, kmax + 1):.3g} terms, "
-        f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
-    )
+    K = _cutoff(n, eta, tol, k0, TERM_CAP // (n + 1) - 1)
+    if K is None:
+        raise CutoffError(
+            f"Schmidt probability series for n={n}, eta={eta} needs K >= {max(k0, TERM_CAP // (n + 1)):.3g} terms, "
+            f"past the cap (n + 1)(K + 1) <= {TERM_CAP}"
+        )
+    return _log_table(n, eta, K)
 
 
 class ReducedDensity(NamedTuple):
@@ -136,7 +151,7 @@ class ThermoPoint(NamedTuple):
 
 def _beta_sq(q: float) -> float:
     """q as a float if it lies in [0, 1), the range of beta^2 = tanh(eta)^2, else DomainError."""
-    q = float(q)
+    q = finite("beta_sq", q)
     if not 0.0 <= q < 1.0:
         raise DomainError(f"beta_sq must lie in [0, 1), got {q}")
     return q

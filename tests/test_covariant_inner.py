@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from entosc import DomainError
 from entosc.covariant_inner import contraction_factor, inner_product
 from entosc.entangled_series import squeezed_wavefunction
-from entosc.oscillator_basis import chi, chi_bare, quadrature
+from entosc.oscillator_basis import chi, quadrature
 
 LN2 = math.log(2.0)
 
@@ -39,7 +39,7 @@ class TestInnerProduct:
         assert inner_product(0, 0.3, 0, 0.3).quadrature == pytest.approx(1.0, abs=1e-10)
         assert inner_product(2, 0.3, 3, 0.3).quadrature == pytest.approx(0.0, abs=1e-10)
 
-    def test_log_two_gap(self):
+    def test_log_two_gap(self, bare_row):
         result = inner_product(0, LN2, 0, 0.0)
         assert result.closed_form == pytest.approx(0.8, abs=1e-15)
         assert result.quadrature == pytest.approx(0.8, abs=1e-6)
@@ -51,7 +51,7 @@ class TestInnerProduct:
         v = nodes[None, :] / math.sqrt(2.0 * b)
         eu, ev = math.exp(-LN2) * u, math.exp(LN2) * v
         w2 = weights[:, None] * weights[None, :]
-        poly = w2 * chi_bare(2, eu + ev) * np.pi**-0.25 * chi_bare(2, u + v) * np.pi**-0.25
+        poly = w2 * bare_row(2, eu + ev) * np.pi**-0.25 * bare_row(2, u + v) * np.pi**-0.25
         assert abs(value - float(np.sum(poly) / math.sqrt(a * b))) <= 1e-15
         # the plain-Python kernel written out, bit for bit: the library's rule, the order^2 products
         # summed exactly by fsum, and the two index-0 seeds pi^-1/4 applied to the sum
@@ -60,7 +60,7 @@ class TestInnerProduct:
         v = np.array(rule.nodes)[None, :] / math.sqrt(2.0 * b)
         eu, ev = math.exp(-LN2) * u, math.exp(LN2) * v
         w2 = np.array(rule.weights)[:, None] * np.array(rule.weights)[None, :]
-        terms = w2 * chi_bare(2, eu + ev) * chi_bare(2, u + v)
+        terms = w2 * bare_row(2, eu + ev) * bare_row(2, u + v)
         assert value == math.fsum(terms.ravel()) * (math.pi**-0.25 * math.pi**-0.25) / math.sqrt(a * b)
 
     def test_orthogonality_across_excitations(self):

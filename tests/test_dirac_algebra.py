@@ -22,7 +22,7 @@ from entosc.dirac_algebra import (
     structure_constant,
 )
 
-FOCK_CUTOFF_MAX, DENSE_FOCK_CUTOFF_MAX = 2071, 127  # the caps at the default 4 GiB byte budget
+FOCK_CUTOFF_MAX, DENSE_FOCK_CUTOFF_MAX = 2071, 67  # the caps at the default 4 GiB byte budget
 
 # algebra-check --rep fock as the complex-band check printed it: max_deviation at the README example
 # (cutoff 10), the benchmark's three jobs (30, 20, 10), the CI array job (60) and the array route at scale
@@ -261,7 +261,7 @@ class TestBandedFock:
             safe_sector_mask(cutoff)
 
     def test_caps_follow_the_byte_budget(self, monkeypatch):
-        # about 1 kB per basis state for the banded check, 16 (c + 1)^4 bytes per dense matrix;
+        # about 1 kB per basis state for the banded check, 12 dense matrices of 16 (c + 1)^4 bytes each;
         # the caps are read at call time, so a patched budget moves them
         for budget in (errors.BYTE_BUDGET, 2**20):
             monkeypatch.setattr(errors, "BYTE_BUDGET", budget)
@@ -271,8 +271,8 @@ class TestBandedFock:
                 fock_generators(10**6)
             cap, dense_cap = (int(re.search(r"cap of (\d+)", str(e.value))[1]) for e in (banded, dense))
             assert 1000 * (cap + 1) ** 2 <= budget < 1000 * (cap + 2) ** 2
-            assert 16 * (dense_cap + 1) ** 4 <= budget < 16 * (dense_cap + 2) ** 4
-        # the 1 MiB caps, 31 and 15, admit their own cutoff and refuse the next
+            assert 12 * 16 * (dense_cap + 1) ** 4 <= budget < 12 * 16 * (dense_cap + 2) ** 4
+        # the 1 MiB caps, 31 and 7, admit their own cutoff and refuse the next
         assert check_algebra("fock", cutoff=cap).max_deviation <= 1e-10
         assert set(fock_generators(dense_cap)) == set(LABELS)
         for call, refused in ((safe_sector_mask, cap + 1), (two_mode_ladders, dense_cap + 1)):

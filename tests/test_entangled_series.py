@@ -27,7 +27,7 @@ from entosc.entangled_series import (
     _log_cosh,
     _log_tanh,
 )
-from entosc.oscillator_basis import N_MAX, chi_bare, quadrature
+from entosc.oscillator_basis import N_MAX, quadrature
 from entosc.reduced_state import TERM_CAP, entropy, reduced_density
 
 LN2 = math.log(2.0)
@@ -102,10 +102,10 @@ def probability_seed(n, eta, tol):
 
 @pytest.fixture
 def log_binoms(monkeypatch):
-    """The ks of the log binomials `entangled_series` forms during the test: (array tables, float walk).
+    """The ks of the log binomials the package forms during the test: (array tables, float search and walk).
 
     The one `_log_binom` takes an array k from the numpy tables and an int k
-    from the series' float walk, so the type of k tells the two apart.
+    from the float cutoff search and the series' walk, so the type of k tells the two apart.
     """
     built, walked, log_binom = [], [], entangled_series._log_binom
 
@@ -116,20 +116,20 @@ def log_binoms(monkeypatch):
             walked.append(k)
         return log_binom(n, k, *log1p)
 
-    monkeypatch.setattr(reduced_state, "_log_binom", spy)  # the tables' `_log_table`
-    monkeypatch.setattr(entangled_series, "_log_binom", spy)  # the walk and `coefficient`
+    monkeypatch.setattr(reduced_state, "_log_binom", spy)  # `_log_table`, `_cutoff` and the walk's `_log_prob`
+    monkeypatch.setattr(entangled_series, "_log_binom", spy)  # `coefficient`
     return built, walked
 
 
 @pytest.fixture
 def built(log_binoms):
-    """The largest k of each log-term array table `entangled_series` builds during the test."""
+    """The largest k of each log-term array table the package builds during the test."""
     return log_binoms[0]
 
 
 @pytest.fixture
 def walked(log_binoms):
-    """Each k whose log binom(n + k, k) the series' float walk forms during the test."""
+    """Each k whose log binom(n + k, k) the float cutoff search and the series' walk form during the test."""
     return log_binoms[1]
 
 
@@ -252,7 +252,7 @@ class TestCoefficientQuadrature:
             math.tanh(0.5) ** 2 / math.cosh(0.5), abs=1e-9
         )
 
-    def test_matches_closed_form(self):
+    def test_matches_closed_form(self, bare_row):
         assert coefficient_by_quadrature(2, 3, 0.9) == pytest.approx(
             coefficient(2, 3, 0.9), abs=1e-8
         )
@@ -264,7 +264,7 @@ class TestCoefficientQuadrature:
         v = nodes[None, :] / math.sqrt(2.0 * b)
         eu, ev = math.exp(-0.9) * u, math.exp(0.9) * v
         w2 = weights[:, None] * weights[None, :]
-        poly = w2 * chi_bare(5, u + v) * chi_bare(3, u - v) * chi_bare(2, eu + ev) * np.pi**-0.25
+        poly = w2 * bare_row(5, u + v) * bare_row(3, u - v) * bare_row(2, eu + ev) * np.pi**-0.25
         assert abs(value - float(np.sum(poly) / math.sqrt(a * b))) <= 1e-15
         # the plain-Python kernel written out, bit for bit: the library's rule, the order^2 products
         # summed exactly by fsum, and the one index-0 seed pi^-1/4 applied to the sum
@@ -273,7 +273,7 @@ class TestCoefficientQuadrature:
         v = np.array(rule.nodes)[None, :] / math.sqrt(2.0 * b)
         eu, ev = math.exp(-0.9) * u, math.exp(0.9) * v
         w2 = np.array(rule.weights)[:, None] * np.array(rule.weights)[None, :]
-        terms = w2 * chi_bare(5, u + v) * chi_bare(3, u - v) * chi_bare(2, eu + ev)
+        terms = w2 * bare_row(5, u + v) * bare_row(3, u - v) * bare_row(2, eu + ev)
         assert value == math.fsum(terms.ravel()) * math.pi**-0.25 / math.sqrt(a * b)
 
     @given(st.integers(0, 40), st.integers(0, 40), st.floats(-25.0, 25.0))
@@ -445,32 +445,43 @@ class TestSchmidtSeries:
         [(0, 0.3, 1e-12), (3, 1.0, 1e-10), (0, 1.0, 1e-14), (7, 0.6, 1e-10), (2, -1.3, 1e-10), (10, 0.2, 1e-6)],
     )
     def test_table_stops_at_the_cutoff(self, n, eta, tol, built):
-        # the table used to run to k = N_MAX - n whatever K was; the float walk finds K, so the array table stops there
+        # the table used to run to k = N_MAX - n whatever K was; the float search finds K, so the array table stops there
         ser = schmidt_series(n, eta, tol)
         assert built and max(built) == ser.cutoff
-        # the probability sums grow their table by half a round
+        # and so do the probability sums, which grew theirs by half a round, to as far as 1.5 K + 8
         built.clear()
         rho = reduced_density(n, eta, tol)
-        assert built and max(built) <= int(1.5 * rho.cutoff) + 8
+        assert built and max(built) == rho.cutoff
+
+    def test_probability_sums_build_one_table(self, monkeypatch):
+        # K = 65: the rounds k0, 1.5 k0 + 8, ... used to build a table to 63 and then another to 102
+        tables, log_table = [], reduced_state._log_table
+
+        def spy(n, eta, hi):
+            tables.append(hi)
+            return log_table(n, eta, hi)
+
+        monkeypatch.setattr(reduced_state, "_log_table", spy)
+        assert reduced_density(1, 1.0, 1e-14).cutoff == 65
+        assert tables == [65]
 
     @pytest.mark.parametrize(
         "call, last",
         [
-            # the seed fits, no k within the basis does: the float walk runs to the bound
+            # the seed fits, no k within the basis does: the float search checks the bound alone
             (lambda: schmidt_series(0, 1.6, 1e-10), N_MAX),
             (lambda: schmidt_series(3, 3.0, 1e-10), None),  # the seed alone passes the basis bound: no term is formed
-            # the seed 117 fits the cap at n = 50000, the mean k ~ 505 does not
+            # the seed 117 fits the cap at n = 50000, the mean k ~ 505 does not; tables to 117 and 166 were built
             (lambda: reduced_density(50000, math.atanh(0.1)), TERM_CAP // 50001 - 1),
             (lambda: entropy(0, 10.0), None),
         ],
     )
     def test_refusals_build_nothing_past_the_bound(self, call, last, built, walked):
-        # the series refuses from its float walk, before any array table; the probability sums never walk
+        # the series and the probability sums both refuse from the float search, before any array table
         with pytest.raises(CutoffError):
             call()
-        assert built == [] or walked == []
-        terms = built + walked
-        assert (max(terms) == last) if last is not None else (terms == [])
+        assert built == []
+        assert (max(walked) == last) if last is not None else (walked == [])
 
     def test_basis_bound_holds_at_zero_rapidity(self, built, walked):
         # A_0 = 1 alone, but chi_n itself must fit the basis: n = 257 used to return a one-term series
@@ -508,7 +519,7 @@ class TestNormalization:
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 8), st.floats(0.05, 2.0), st.floats(-20.0, -6.0))
-    @example(1, 1.0, -14.0)  # K = 65, where the walk k0, 1.5 k0 + 8, ... stopped at 102
+    @example(1, 1.0, -14.0)  # K = 65, where the table rounds k0, 1.5 k0 + 8, ... once stopped at 102
     def test_cutoff_is_certified_and_least(self, n, eta, log_tol):
         # K is the first k past the seed whose geometric tail bound is below tol, not a later point of a walk
         tol = 10.0**log_tol
@@ -543,12 +554,12 @@ class TestUnnormalizedRatio:
                 fn()
             assert time.perf_counter() - started < 0.05
 
-    def test_quadrature_norm_oracle(self):
+    def test_quadrature_norm_oracle(self, bare_row):
         # || sum_k t^k chi_k chi_k || by two-dimensional quadrature
         eta, kmax = 0.5, 40
         t = math.tanh(eta)
         rule = quadrature(64)
-        bx = np.array([chi_bare(k, rule.nodes) for k in range(kmax + 1)])
+        bx = np.array([bare_row(k, rule.nodes) for k in range(kmax + 1)])
         weights_t = t ** np.arange(kmax + 1)
         g_bare = np.einsum("k,ki,kj->ij", weights_t, bx, bx)
         norm_sq = float(rule.weights @ (g_bare * g_bare) @ rule.weights)

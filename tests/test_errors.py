@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 from entosc import errors
+from entosc.covariant_inner import contraction_factor
 from entosc.entangled_series import coefficient, eigenvalue_residual, schmidt_series, series_sum, squeezed_wavefunction
 from entosc.errors import DomainError, budget, finite, integer, positive, rapidity
 from entosc.phase_space import GridFunction2D, PhasePoint, ground_state_grid, wigner_section, wigner_transform, wigner_xp
 from entosc.planar_transforms import bargmann_decompose, shear_as_rotated_squeeze, wigner_decompose
-from entosc.reduced_state import eta_for_temperature, reduced_density, temperature, width
+from entosc.reduced_state import eta_for_temperature, reduced_density, temperature, thermo_point, width
 
 
 class TestValidators:
@@ -61,9 +62,14 @@ class TestValidators:
             (lambda: temperature("x"), "rapidity must be finite with |eta| <= 25.0, got 'x'"),
             (lambda: width(None), "rapidity must be finite with |eta| <= 25.0, got None"),
             (lambda: coefficient(0, 0, "x"), "rapidity must be finite with |eta| <= 25.0, got 'x'"),
+            (lambda: thermo_point("x"), "beta_sq must be finite, got 'x'"),
+            (lambda: thermo_point(None), "beta_sq must be finite, got None"),
+            (lambda: contraction_factor(1, "x"), "beta must be finite, got 'x'"),
+            (lambda: contraction_factor(1, None), "beta must be finite, got None"),
         ],
         ids=["positive-None", "positive-str", "finite-str", "finite-complex", "finite-huge-int", "rapidity-str",
-             "rapidity-None", "temperature-str", "width-None", "coefficient-str"],
+             "rapidity-None", "temperature-str", "width-None", "coefficient-str", "thermo_point-str",
+             "thermo_point-None", "contraction_factor-str", "contraction_factor-None"],
     )
     def test_non_numbers_raise_domain_error(self, call, message):
         # the validators convert inside their own try, as `integer` does: no TypeError or ValueError escapes

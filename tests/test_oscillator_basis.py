@@ -17,7 +17,6 @@ from entosc.oscillator_basis import (
     _check_index,
     _chi_rows,
     chi,
-    chi_bare,
     chi_batch,
     quadrature,
 )
@@ -134,9 +133,9 @@ class TestChi:
         assert not rows[:, [0, 1, 3, 4]].any()
         assert chi(0, 1e300) == 0.0
 
-    def test_bare_matches_weighted(self):
+    def test_bare_matches_weighted(self, bare_row):
         xs = np.linspace(-4, 4, 9)
-        assert np.allclose(chi_bare(5, xs) * np.exp(-xs * xs / 2), chi(5, xs), atol=1e-14)
+        assert np.allclose(bare_row(5, xs) * np.exp(-xs * xs / 2), chi(5, xs), atol=1e-14)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(11, N_MAX), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
@@ -201,15 +200,15 @@ class TestQuadrature:
             rule = quadrature(order)
             assert np.sum(rule.weights) == pytest.approx(math.sqrt(math.pi), abs=1e-12)
 
-    def test_chi2_normalization(self):
+    def test_chi2_normalization(self, bare_row):
         rule = quadrature(64)
         bare = chi_batch(4, rule.nodes)
-        bare = chi_bare(2, rule.nodes)
+        bare = bare_row(2, rule.nodes)
         assert rule.weights @ (bare * bare) == pytest.approx(1.0, abs=1e-12)
 
-    def test_chi2_chi4_orthogonal(self):
+    def test_chi2_chi4_orthogonal(self, bare_row):
         rule = quadrature(64)
-        assert rule.weights @ (chi_bare(2, rule.nodes) * chi_bare(4, rule.nodes)) == pytest.approx(
+        assert rule.weights @ (bare_row(2, rule.nodes) * bare_row(4, rule.nodes)) == pytest.approx(
             0.0, abs=1e-12
         )
 

@@ -26,7 +26,10 @@ from entosc.reduced_state import (
     thermo_curve,
     width,
     write_thermo_csv,
+    _cutoff,
     _log_binom,
+    _log_prob,
+    _tail,
 )
 
 LN2 = math.log(2.0)
@@ -334,6 +337,34 @@ class TestLogBinomial:
         for log1p in (math.log1p, np.log1p):
             assert np.allclose(log_binoms(3, range(6), log1p), ref, rtol=4 * sys.float_info.epsilon, atol=0.0)
             assert log_binoms(0, range(4), log1p) == [0.0] * 4
+
+
+def first_fit(n, eta, tol, k0, kmax, power):
+    """The first k in [k0, kmax] whose `_tail` of A_k(n)^(2 power) is <= tol, by a linear scan; None if none fits."""
+    q, log_p = math.tanh(eta) ** 2, _log_prob(n, eta)
+    for k in range(k0, kmax + 1):
+        if _tail(n, q, k, math.exp(power * log_p(k)), power) <= tol:
+            return k
+    return None
+
+
+class TestCutoffSearch:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(0, 12),
+        st.floats(1e-3, 2.5),
+        st.floats(-20.0, -4.0),
+        st.integers(0, 200),
+        st.integers(0, 10**4),
+        st.sampled_from((0.5, 1.0)),
+    )
+    @example(1, 1.0, -14.0, 65, 10**4, 1.0)  # the first fit is k0 itself
+    @example(0, 1.0, -10.0, 0, 10**4, 0.5)  # the bound is inf before the peak only at n > 0; here it falls from k = 0
+    @example(12, 0.05, -20.0, 0, 5, 1.0)  # refused: the bound at kmax is still above tol
+    def test_bisection_finds_the_first_fit(self, n, eta, log_tol, k0, kmax, power):
+        # bisection is exact only while the bound is inf up to the peak of p_k and falls after it, K <= 10^4 here
+        tol = 10.0**log_tol
+        assert _cutoff(n, eta, tol, k0, kmax, power) == first_fit(n, eta, tol, k0, kmax, power)
 
 
 class TestWorkCap:
