@@ -10,23 +10,24 @@ entangles the modes into
     chi_n(x') chi_0(y') = sum_k A_k(n) chi_{n+k}(x) chi_k(y),
     A_k(n) = cosh(eta)^-(n+1) sqrt((n+k)!/(n! k!)) tanh(eta)^k.
 
-This module owns the amplitudes A_k(n), the walk that lists them to their
-cutoff and the series.  The squeezed states (`squeezed_wavefunction`, its body
-`_squeezed`) live in `oscillator_basis` and the probability law p_k = A_k(n)^2
-(`_log_binom`, the tail bound `_tail`, the one cutoff search `_cutoff`, the
-table `_log_table`) in `reduced_state`.  The coefficients come in closed form
+This module owns the amplitudes A_k(n), their cutoff and the series.  The
+squeezed states (`squeezed_wavefunction`, its body `_squeezed`) live in
+`oscillator_basis` and the law p_k = A_k(n)^2 (`_log_binom`, the tail bound
+`_tail`, the one cutoff search `_cutoff`, the table `_log_table` and its float
+form `_log_prob`) in `reduced_state`.  The coefficients come in closed form
 and, independently, as the overlap of two squeezed states on one light-cone
 Gauss-Hermite grid (`oscillator_basis._overlap`), and the series is summed so
 partial sums can be compared pointwise against the squeezed Gaussian itself.
-`_walk` takes K from `_cutoff` and raises CutoffError past the basis bound
-before any table; `schmidt_series` then builds one numpy table, up to K.
-`identity_check` walks once, then works on floats up to LIST_WORK_MAX units of
-work, so it loads no numpy there, and on arrays from the numpy table above; its
-`IdentityRun` keeps K and the route.  `_log_binom` and `_squeezed` serve both
-routes with the log1p or recurrence seed their caller passes, so each route
-keeps its bits.  numpy loads only inside the array functions.  Arguments go
-through the package's one contract in `errors` (`integer`, `positive`,
-`finite`, `rapidity` with |eta| <= ETA_MAX, `budget`) before any work.
+`_series_cutoff` asks `_cutoff` for K alone and raises CutoffError past the
+basis bound; `schmidt_series` then builds one numpy table, up to K.
+`identity_check` finds K once, then works on floats up to LIST_WORK_MAX units
+of work, each A_k from `_log_prob`, so it loads no numpy there, and on arrays
+from the numpy table above; its `IdentityRun` keeps K and the route.
+`_log_binom` and `_squeezed` serve both routes with the log1p or recurrence
+seed their caller passes, so each route keeps its bits.  numpy loads only
+inside the array functions.  Arguments go through the package's one contract in
+`errors` (`integer`, `positive`, `finite`, `rapidity` with |eta| <= ETA_MAX,
+`budget`) before any work.
 """
 
 from __future__ import annotations
@@ -94,39 +95,37 @@ def coefficient_by_quadrature(n: int, k: int, eta, order: int = basis.DEFAULT_QU
 
 
 def _coefficients(n: int, eta: float, K: int):
-    """A_0(n)..A_K(n) as an array, (-1)^k [eta < 0] exp(log A_k^2 / 2), from the numpy table up to the walk's K."""
+    """A_0(n)..A_K(n) as an array, (-1)^k [eta < 0] exp(log A_k^2 / 2), from the numpy table up to K."""
     import numpy as np
 
     log_p = _log_table(n, abs(eta), K)[1] if eta else np.zeros(1)
     return math.copysign(1.0, eta) ** np.arange(K + 1.0) * np.exp(0.5 * log_p)
 
 
-def _walk(n: int, eta: float, tol: float) -> list[float]:
-    """log A_k(n)^2 for k = 0..K on floats, with K the series cutoff.
+def _series_cutoff(n: int, eta: float, tol: float) -> int:
+    """The series cutoff K alone, from the float bisection's few probes: no term up to K is listed.
 
     K is `_cutoff`'s first k in [K0, N_MAX - n] with A_k sup|chi chi| r / (1 - r) <= tol, the amplitude
     `_tail`, r = t sqrt((n+k+1)/(k+1)), t = tanh|eta|; K = 0 at eta = 0.  The seed
     K0 = max(8, ceil((log tol - 2 log cosh eta) / (2 log t))) is the geometric estimate, in logs accurate
     where t rounds to one; it undershoots the pointwise tolerance once t is close to one.  Where no k with
-    n + k <= N_MAX fits, CutoffError names the least K needed, with no term but k = N_MAX - n built.
+    n + k <= N_MAX fits, CutoffError names the least K needed, with no term but k = N_MAX - n formed.
     """
     a, last = abs(eta), basis.N_MAX - n  # the largest k whose chi_{n+k} the basis holds
     k0 = max(math.ceil((math.log(tol) - 2.0 * _log_cosh(a)) / (2.0 * _log_tanh(a))), 8) if a else 0
-    if not a and last >= 0:
-        return [0.0]  # A_0 = 1 alone
-    K = _cutoff(n, a, tol / _CHI_PAIR_SUP, k0, last, 0.5) if a else None
-    if K is not None:
-        return list(map(_log_prob(n, a), range(K + 1)))
-    raise CutoffError(
-        f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
-        f"so n + K exceeds the basis bound {basis.N_MAX}"
-    )
+    K = _cutoff(n, a, tol / _CHI_PAIR_SUP, k0, last, 0.5) if a else (0 if last >= 0 else None)  # A_0 = 1 alone
+    if K is None:
+        raise CutoffError(
+            f"series cutoff for n={n}, eta={eta}, tol={tol} needs K >= {max(k0, last + 1):.4g}, "
+            f"so n + K exceeds the basis bound {basis.N_MAX}"
+        )
+    return K
 
 
 def schmidt_series(n: int, eta, tol: float = 1e-12) -> SchmidtSeries:
-    """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol (`_walk`), as an array."""
+    """Coefficients A_0..A_K with K chosen so the amplitude tail stays below tol (`_series_cutoff`), as an array."""
     tol, n, eta = positive("tol", tol), integer("n", n), rapidity(eta)
-    K = len(_walk(n, eta, tol)) - 1
+    K = _series_cutoff(n, eta, tol)
     coeffs, t = _coefficients(n, eta, K), math.tanh(abs(eta))
     return SchmidtSeries(n=n, eta=eta, coeffs=coeffs, cutoff=K, tail_bound=float(_tail(n, t * t, K, coeffs[K] ** 2)))
 
@@ -183,8 +182,8 @@ def _arange(start: float, stop: float, step: float) -> list[float]:
 def identity_check(n: int, eta, xmin: float, xmax: float, spacing: float, tol: float) -> IdentityRun:
     """max |series_sum - squeezed_wavefunction| on axis^2, axis = np.arange(xmin, xmax + spacing / 2, spacing).
 
-    The series is accurate to tol, and the budget charges its sides 7 doubles a point before any work.  One `_walk`
-    gives K.  Up to LIST_WORK_MAX units of work both sides are built on floats from the walk, so no numpy loads;
+    The series is accurate to tol, and the budget charges its sides 7 doubles a point before any work.  K comes
+    from one `_series_cutoff`.  Up to LIST_WORK_MAX units of work both sides are built on floats, so no numpy loads;
     above it, on arrays over the open mesh of the axis.  Either way a nan anywhere makes the deviation nan.
     """
     tol, n, xmin, xmax = positive("tol", tol), integer("n", n), finite("xmin", xmin), finite("xmax", xmax)
@@ -194,10 +193,10 @@ def identity_check(n: int, eta, xmin: float, xmax: float, spacing: float, tol: f
     budget(8.0 * 7 * side * side, f"a grid of {side:.6g}^2 points")
     axis = _arange(xmin, finite("xmax + spacing / 2", xmax + 0.5 * spacing), spacing)
     eta = rapidity(eta)
-    log_p = _walk(n, eta, tol)
-    K = len(log_p) - 1
+    K = _series_cutoff(n, eta, tol)
     if (K + 49 + 2.5 * n) * len(axis) ** 2 <= LIST_WORK_MAX:
         sign, squeeze = math.copysign(1.0, eta), basis._light_cone(eta)
+        log_p = map(_log_prob(n, abs(eta)), range(K + 1)) if eta else [0.0]
         coeffs = [sign**k * math.exp(0.5 * value) for k, value in enumerate(log_p)]
         gauss = ([basis._squeezed(n, 0, squeeze, x, y, basis._float_seed) for y in axis] for x in axis)
         rows = zip(_series_rows(n, coeffs, axis), gauss)

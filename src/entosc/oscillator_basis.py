@@ -66,9 +66,9 @@ def _gaussian_seed(x, largest: float, exp, clip):
     """x and row 0 of chi there, pi^-1/4 exp(-x^2/2): x a float (`math.exp`, `_clip`) or an array (numpy's).
 
     `largest` is max |x|.  The seed is 0 past |x| ~ 38.6, so once some |x| passes 1e150, clipping x to
-    [-40, 40] changes no row and keeps x * x and the update finite.
+    [-40, 40] changes no row and keeps x * x and the update finite.  A nan makes `largest` nan and clips too.
     """
-    if largest > 1e150:
+    if not largest <= 1e150:
         x = clip(x, -40.0, 40.0)
     return x, _BARE_SEED * exp(-0.5 * x * x)
 

@@ -41,6 +41,7 @@ def _residual(m: _Matrix, n: _Matrix) -> float:
 
 
 def rotation(theta: float) -> _Matrix:
+    theta = finite("theta", theta)
     c, s = math.cos(theta), math.sin(theta)
     return (c, -s), (s, c)
 
@@ -51,13 +52,17 @@ def boost(eta: float) -> _Matrix:
     Diagonal in the normal coordinates (x+y)/sqrt2, (x-y)/sqrt2; with
     (x, y) read as (z, t) it is the Lorentz boost of rapidity eta.
     """
+    eta = finite("eta", eta)
+    if abs(eta) > _EXP_ARG_MAX + math.log(2.0):  # cosh and sinh overflow past ln(2 DBL_MAX)
+        raise DomainError(f"the entries of boost({eta!r}) overflow")
     c, s = math.cosh(eta), math.sinh(eta)
     return (c, -s), (-s, c)
 
 
 def shear(alpha: float) -> _Matrix:
     """((1, 2 alpha), (0, 1)): translates x proportionally to y."""
-    return (1.0, 2.0 * alpha), (0.0, 1.0)
+    alpha = finite("alpha", alpha)
+    return (1.0, finite(f"2 alpha at alpha = {alpha!r}", 2.0 * alpha)), (0.0, 1.0)
 
 
 def _shear_angles(alpha: float) -> tuple[float, float]:
@@ -84,8 +89,11 @@ def bargmann_decompose(alpha: float) -> tuple[float, float]:
 
 def bargmann_reconstruct(theta_prime: float, eta: float) -> _Matrix:
     """Multiply the three Bargmann factors back together; the middle one is boost(-eta)."""
-    outer = rotation(theta_prime)
-    return _product(outer, boost(-eta), outer)
+    outer = rotation(finite("theta_prime", theta_prime))
+    product = _product(outer, boost(-finite("eta", eta)), outer)
+    if not all(map(math.isfinite, product[0] + product[1])):  # up to 2 cosh(eta) past |eta| ~ 709.8
+        raise DomainError(f"the entries of the Bargmann product overflow at eta = {eta!r}")
+    return product
 
 
 def _omega(alpha: float, lam: float) -> float:
@@ -117,8 +125,7 @@ def shear_as_rotated_squeeze(alpha: float) -> tuple[float, float]:
     then rotated_squeeze_form(theta, eta) == sheared_gaussian_form(alpha).
     """
     alpha = positive("alpha", alpha)
-    # the sheared form's largest entry; e^{2 eta} overflows with it
-    finite(f"1 + 4 alpha^2 at alpha = {alpha!r}", 1.0 + 4.0 * alpha * alpha)
+    sheared_gaussian_form(alpha)  # refuses where its largest entry overflows, and e^{2 eta} with it
     _, eta = _shear_angles(alpha)
     # atan2(1, alpha) / 2 is theta_prime + pi/4 without that sum's cancellation at large alpha
     return 0.5 * math.atan2(1.0, alpha), eta
@@ -126,7 +133,8 @@ def shear_as_rotated_squeeze(alpha: float) -> tuple[float, float]:
 
 def sheared_gaussian_form(alpha: float) -> _Matrix:
     """Quadratic form of the sheared Gaussian exponent (x - 2 alpha y)^2 + y^2."""
-    return (1.0, -2.0 * alpha), (-2.0 * alpha, 1.0 + 4.0 * alpha * alpha)
+    alpha = finite("alpha", alpha)
+    return (1.0, -2.0 * alpha), (-2.0 * alpha, finite(f"1 + 4 alpha^2 at alpha = {alpha!r}", 1.0 + 4.0 * alpha * alpha))
 
 
 def rotated_squeeze_form(theta: float, eta: float) -> _Matrix:
@@ -135,6 +143,9 @@ def rotated_squeeze_form(theta: float, eta: float) -> _Matrix:
     u1 = (cos theta, sin theta), u2 = (sin theta, -cos theta): the exponent
     of a Gaussian squeezed by eta along an axis rotated by theta.
     """
+    theta, eta = finite("theta", theta), finite("eta", eta)
+    if 2.0 * abs(eta) > _EXP_ARG_MAX:
+        raise DomainError(f"the entries of rotated_squeeze_form(theta, {eta!r}) overflow")
     c, s = math.cos(theta), math.sin(theta)
     em, ep = math.exp(-2.0 * eta), math.exp(2.0 * eta)
     cc, ss, cs = c * c, s * s, c * s

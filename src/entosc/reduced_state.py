@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, TextIO
 
-from .errors import CutoffError, DomainError, finite, integer, positive, rapidity
+from .errors import ETA_MAX, CutoffError, DomainError, finite, integer, positive, rapidity
 
 TERM_CAP = 2**23  # (n + 1)(K + 1) terms, 16 B each at the peak (tracemalloc); n = 0 at tanh^2 eta = 0.99999 fits
 
@@ -229,11 +229,15 @@ def temperature(eta) -> float:
 
 def eta_for_temperature(T: float) -> float:
     """Inverse of temperature, atanh(e^{-1/(2T)}), as -ln tanh(1/(4T)) / 2, finite where e^{-1/(2T)} rounds to 1."""
-    if finite("temperature", T) < 0:
+    T = finite("temperature", T)
+    if T < 0:
         raise DomainError("temperature must be non-negative")
     if T == 0.0:
         return 0.0
-    return rapidity(-_log_tanh(0.25 / T) / 2.0)
+    eta = -_log_tanh(0.25 / T) / 2.0
+    if not eta <= ETA_MAX:  # T past temperature(ETA_MAX)
+        raise DomainError(f"temperature must be at most {temperature(ETA_MAX):.6g} (|eta| <= {ETA_MAX}), got {T!r}")
+    return eta
 
 
 def thermo_point(beta_sq: float) -> ThermoPoint:

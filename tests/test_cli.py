@@ -178,7 +178,7 @@ class TestIdentityCheck:
         assert (floats.route, arrays.route) == ("floats", "arrays")
         assert (floats.points, floats.cutoff) == (arrays.points, arrays.cutoff)
         assert abs(floats.deviation - arrays.deviation) <= 1e-15
-        # the walk's K is the first k >= K0 whose amplitude tail bound A_k sup|chi chi| r / (1 - r), from the
+        # the series' K is the first k >= K0 whose amplitude tail bound A_k sup|chi chi| r / (1 - r), from the
         # closed-form coefficient, meets the tolerance: it does at K and, unless K = K0, not at K - 1
         K, a, tol = floats.cutoff, abs(eta), 1e-10
         if a:
@@ -194,19 +194,19 @@ class TestIdentityCheck:
 
     @pytest.mark.parametrize("limit, route", [(math.inf, "_series_rows"), (0, "_series_sum")])
     def test_walks_the_cutoff_once(self, limit, route, monkeypatch):
-        # the route is picked from the walk's K, and each route reads its coefficients from that one walk
-        walks, sums, walk, series = [], [], entangled_series._walk, getattr(entangled_series, route)
-        monkeypatch.setattr(entangled_series, "_walk", lambda *args: (walks.append(args), walk(*args))[1])
+        # the route is picked from the one cutoff search's K, and each route sums its coefficients up to that K
+        searches, sums, search, series = [], [], entangled_series._series_cutoff, getattr(entangled_series, route)
+        monkeypatch.setattr(entangled_series, "_series_cutoff", lambda *args: (searches.append(args), search(*args))[1])
         monkeypatch.setattr(entangled_series, route, lambda *args: (sums.append(args), series(*args))[1])
         monkeypatch.setattr(entangled_series, "LIST_WORK_MAX", limit)
         result = entangled_series.identity_check(3, -1.0, -4.0, 4.0, 0.25, 1e-10)
         assert (result.points, result.route) == (33, "floats" if limit else "arrays") and result.deviation <= 1e-8
-        assert walks == [(3, -1.0, 1e-10)] and len(sums) == 1 and result.cutoff == len(sums[0][1]) - 1
+        assert searches == [(3, -1.0, 1e-10)] and len(sums) == 1 and result.cutoff == len(sums[0][1]) - 1
 
     @pytest.mark.parametrize("over, route", [(0.0, "floats"), (1.0, "arrays")])
     def test_route_switches_at_the_work_limit(self, over, route, monkeypatch):
         # a grid of (K + 49 + 2.5 n) N^2 units of work runs on floats at exactly LIST_WORK_MAX, on arrays one unit past
-        K = len(entangled_series._walk(3, -1.0, 1e-10)) - 1
+        K = entangled_series._series_cutoff(3, -1.0, 1e-10)
         monkeypatch.setattr(entangled_series, "LIST_WORK_MAX", (K + 49 + 2.5 * 3) * 33**2 - over)
         assert entangled_series.identity_check(3, -1.0, -4.0, 4.0, 0.25, 1e-10).route == route
 

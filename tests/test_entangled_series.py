@@ -20,6 +20,7 @@ from entosc.entangled_series import (
     coefficient,
     coefficient_by_quadrature,
     eigenvalue_residual,
+    identity_check,
     schmidt_series,
     series_sum,
     squeezed_wavefunction,
@@ -102,10 +103,10 @@ def probability_seed(n, eta, tol):
 
 @pytest.fixture
 def log_binoms(monkeypatch):
-    """The ks of the log binomials the package forms during the test: (array tables, float search and walk).
+    """The ks of the log binomials the package forms during the test: (array tables, float terms).
 
     The one `_log_binom` takes an array k from the numpy tables and an int k
-    from the float cutoff search and the series' walk, so the type of k tells the two apart.
+    from the float cutoff search and the float identity route, so the type of k tells the two apart.
     """
     built, walked, log_binom = [], [], entangled_series._log_binom
 
@@ -116,7 +117,7 @@ def log_binoms(monkeypatch):
             walked.append(k)
         return log_binom(n, k, *log1p)
 
-    monkeypatch.setattr(reduced_state, "_log_binom", spy)  # `_log_table`, `_cutoff` and the walk's `_log_prob`
+    monkeypatch.setattr(reduced_state, "_log_binom", spy)  # `_log_table`, and `_log_prob` (`_cutoff`, float route)
     monkeypatch.setattr(entangled_series, "_log_binom", spy)  # `coefficient`
     return built, walked
 
@@ -129,7 +130,7 @@ def built(log_binoms):
 
 @pytest.fixture
 def walked(log_binoms):
-    """Each k whose log binom(n + k, k) the float cutoff search and the series' walk form during the test."""
+    """Each k whose log binom(n + k, k) the float cutoff search and the float identity route form during the test."""
     return log_binoms[1]
 
 
@@ -220,7 +221,7 @@ class TestCoefficient:
         assert coefficient(n, k, eta) == pytest.approx(exact, rel=5e-14, abs=sys.float_info.min)
 
     def test_loads_no_numpy(self):
-        # log binom(n + k, k) is the walk's log1p sum in math, also where n + k >= 20 and past _LOG1P_TERMS
+        # log binom(n + k, k) is `_log_binom`'s log1p sum in math, also where n + k >= 20 and past _LOG1P_TERMS
         probe = (
             "import sys\nfrom entosc.entangled_series import coefficient\n"
             "print(coefficient(10, 15, 0.5) > 0.0, coefficient(5000, 20000, 0.7) >= 0.0, 'numpy' in sys.modules)\n"
@@ -482,6 +483,17 @@ class TestSchmidtSeries:
             call()
         assert built == []
         assert (max(walked) == last) if last is not None else (walked == [])
+
+    def test_cutoff_forms_only_the_search_probes(self, walked):
+        # K = 103: the series and the array identity route used to form 112 float terms, the probes and then A_0..A_K
+        probes, K = 2 + math.ceil(math.log2(N_MAX)), 103
+        assert schmidt_series(3, 1.0, 1e-10).cutoff == K and 0 < len(walked) <= probes
+        walked.clear()
+        assert identity_check(3, 1.0, -4, 4, 0.05, 1e-10)[2:] == (K, "arrays") and 0 < len(walked) <= probes
+        walked.clear()
+        # the float route forms A_0..A_K itself, after the search's probes
+        assert identity_check(3, 1.0, -4, 4, 0.25, 1e-10)[2:] == (K, "floats")
+        assert walked[-(K + 1) :] == list(range(K + 1)) and len(walked) <= probes + K + 1
 
     def test_basis_bound_holds_at_zero_rapidity(self, built, walked):
         # A_0 = 1 alone, but chi_n itself must fit the basis: n = 257 used to return a one-term series

@@ -12,7 +12,17 @@ from entosc.covariant_inner import contraction_factor
 from entosc.entangled_series import coefficient, eigenvalue_residual, schmidt_series, series_sum, squeezed_wavefunction
 from entosc.errors import DomainError, budget, finite, integer, positive, rapidity
 from entosc.phase_space import GridFunction2D, PhasePoint, ground_state_grid, wigner_section, wigner_transform, wigner_xp
-from entosc.planar_transforms import bargmann_decompose, shear_as_rotated_squeeze, wigner_decompose
+from entosc.planar_transforms import (
+    bargmann_decompose,
+    bargmann_reconstruct,
+    boost,
+    rotated_squeeze_form,
+    rotation,
+    shear,
+    shear_as_rotated_squeeze,
+    sheared_gaussian_form,
+    wigner_decompose,
+)
 from entosc.reduced_state import eta_for_temperature, reduced_density, temperature, thermo_point, width
 
 
@@ -114,6 +124,18 @@ BAD_LIBRARY_CALLS = {
     "eigenvalue_residual-half_width-inf": lambda: eigenvalue_residual(0, 0.5, half_width=math.inf),
     "eigenvalue_residual-spacing-1e-4": lambda: eigenvalue_residual(0, 0.5, spacing=1e-4),
     "from_function-half_width-1e5": lambda: GridFunction2D.from_function(lambda X, Y: X + Y, half_width=1e5),
+    # the planar constructors: ValueError, OverflowError or TypeError from math, or nan and inf entries
+    "rotation-inf": lambda: rotation(math.inf),
+    "rotation-nan": lambda: rotation(math.nan),
+    "boost-1e300": lambda: boost(1e300),
+    "boost-nan": lambda: boost(math.nan),
+    "shear-str": lambda: shear("x"),
+    "shear-nan": lambda: shear(math.nan),
+    "shear-1e308": lambda: shear(1e308),
+    "rotated_squeeze_form-eta-1e300": lambda: rotated_squeeze_form(0.0, 1e300),
+    "bargmann_reconstruct-eta-1e300": lambda: bargmann_reconstruct(0.0, 1e300),
+    "bargmann_reconstruct-eta-710.4": lambda: bargmann_reconstruct(0.5, 710.4),
+    "sheared_gaussian_form-1e300": lambda: sheared_gaussian_form(1e300),
 }
 
 
@@ -123,3 +145,10 @@ def test_bad_library_inputs_raise_domain_error_fast(call):
     with pytest.raises(DomainError):
         call()
     assert time.perf_counter() - started < 0.05
+
+
+def test_eta_for_temperature_names_its_argument():
+    # the refusal used to name the rapidity 346.08... that the caller never passed; the domain is unchanged
+    with pytest.raises(DomainError, match=r"^temperature must be at most 1\.29618e\+21 \(\|eta\| <= 25\.0\), got 1e\+300$"):
+        eta_for_temperature(1e300)
+    assert eta_for_temperature(temperature(errors.ETA_MAX)) == errors.ETA_MAX

@@ -127,10 +127,11 @@ class TestChi:
         assert peaks[1] < 6 * plane.nbytes
 
     def test_far_tails_are_zero_without_overflow(self):
-        # x * x overflows past |x| ~ 1.3e154 and sqrt(2) x past 1.27e308; the seed exp(-x^2/2) is 0 there
-        rows = chi_batch(5, np.array([-1e300, -1e154, 1.0, 1e200, 1.7e308]))
+        # x * x overflows past |x| ~ 1.3e154 and sqrt(2) x past 1.27e308; the seed exp(-x^2/2) is 0 there,
+        # and a nan next to them stays nan without switching the clip off
+        rows = chi_batch(5, np.array([-1e300, -1e154, 1.0, 1e200, 1.7e308, np.nan, np.inf]))
         assert np.array_equal(rows[:, 2], chi_batch(5, 1.0)[:, 0])
-        assert not rows[:, [0, 1, 3, 4]].any()
+        assert not rows[:, [0, 1, 3, 4, 6]].any() and np.isnan(rows[:, 5]).all()
         assert chi(0, 1e300) == 0.0
 
     def test_bare_matches_weighted(self, bare_row):
