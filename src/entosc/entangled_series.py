@@ -179,14 +179,14 @@ def _arange(start: float, stop: float, step: float) -> list[float]:
     return [start, start + step, *(start + i * delta for i in range(2, length))][:length]
 
 
-def identity_check(n: int, eta, xmin: float, xmax: float, spacing: float, tol: float) -> IdentityRun:
+def identity_check(n: int, eta, xmin: float, xmax: float, spacing: float, series_tol: float) -> IdentityRun:
     """max |series_sum - squeezed_wavefunction| on axis^2, axis = np.arange(xmin, xmax + spacing / 2, spacing).
 
-    The series is accurate to tol, and the budget charges its sides 7 doubles a point before any work.  K comes
+    The series is accurate to series_tol, and the budget charges its sides 7 doubles a point before any work.  K comes
     from one `_series_cutoff`.  Up to LIST_WORK_MAX units of work both sides are built on floats, so no numpy loads;
     above it, on arrays over the open mesh of the axis.  Either way a nan anywhere makes the deviation nan.
     """
-    tol, n, xmin, xmax = positive("tol", tol), integer("n", n), finite("xmin", xmin), finite("xmax", xmax)
+    tol, n, xmin, xmax = positive("series_tol", series_tol), integer("n", n), finite("xmin", xmin), finite("xmax", xmax)
     if xmax <= xmin:
         raise DomainError("grid requires xmax > xmin")
     side = (xmax - xmin) / positive("spacing", spacing) + 1.0

@@ -211,12 +211,15 @@ def _squeezed(n: int, m: int, squeeze, x, y, seed):
 
 
 def squeezed_wavefunction(n: int, eta, x, y):
-    """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta."""
+    """chi_n(x') chi_0(y') for the squeezed coordinates of rapidity eta: 0 where |x| or |y| is infinite, nan at nan."""
     import numpy as np
 
     n, eta = _check_index(n), rapidity(eta)
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    value = _squeezed(n, 0, _light_cone(eta), x, y, _seeded)
+    budget(8.0 * 6 * np.broadcast(x, y).size, "a squeezed state")  # its peak, 6 planes (tracemalloc)
+    with np.errstate(over="ignore", invalid="ignore"):  # only far past underflow: inf - inf gives the nan set to 0
+        value = _squeezed(n, 0, _light_cone(eta), x, y, _seeded)
+    value[np.isnan(value) & ~(np.isnan(x) | np.isnan(y))] = 0.0
     return float(value[0]) if np.ndim(x) == 0 and np.ndim(y) == 0 else value
 
 

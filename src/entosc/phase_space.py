@@ -81,9 +81,6 @@ class PhasePoint(NamedTuple):
     p: float
     q: float
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.p, self.q])
-
 
 class GridFunction2D:
     """Function sampled on a uniform rectangular grid.
@@ -154,7 +151,7 @@ class GridFunction2D:
 
 def wigner_ground_closed(at) -> float:
     """Ground-state Wigner function (1/pi^2) exp(-(x^2 + y^2 + p^2 + q^2))."""
-    v = at.as_array() if isinstance(at, PhasePoint) else np.asarray(at, dtype=float)
+    v = np.asarray(at, dtype=float)
     return float(np.exp(-np.sum(v * v)) / np.pi**2)
 
 
@@ -202,8 +199,7 @@ def _window(psi: GridFunction2D, which: int, coord: float) -> tuple[int, int]:
     i = int(psi.indices(which, coord)[0])
     n, h = psi.values.shape[which], psi.spacing[which]
     m = min(i, n - 1 - i)
-    covered = _covered(n, h, psi.labels[which])
-    if not covered.start <= i < covered.stop:
+    if not m * h >= MIN_COVERAGE:  # `_covered`'s test at this one index
         raise DomainError(
             f"grid covers only {m * h:.2f} around {psi.labels[which]} = {coord}; need at least {MIN_COVERAGE}"
         )
@@ -228,6 +224,9 @@ def wigner_section(psi: GridFunction2D, x: float, y: float, p, q) -> np.ndarray:
     p, q = _momenta(p), _momenta(q)
     ix, mx = _window(psi, 0, x)
     iy, my = _window(psi, 1, y)
+    wx, wy = 2 * mx + 1, 2 * my + 1
+    # the peak (tracemalloc) stays below 4 doubles an entry of F, ep, ep @ F or eq, and 3 a value
+    budget(8.0 * (4 * (wx * wy + p.size * (wx + wy) + wy * q.size) + 3 * p.size * q.size), f"a {p.size} x {q.size} section")
     plus = psi.values[ix - mx : ix + mx + 1, iy - my : iy + my + 1]
     F = np.conj(plus) * plus[::-1, ::-1]  # conj(psi)(x + jh, y + kh) psi(x - jh, y - kh)
     ep = np.exp(-2.0j * np.outer(p, h * np.arange(-mx, mx + 1)))
@@ -303,6 +302,9 @@ def wigner_xp(psi: GridFunction2D, y: float, p) -> GridFunction2D:
     nx = V.shape[0]
     rows = _covered(nx, h, psi.labels[0])
     iy, my = _window(psi, 1, y)
+    nr, nj = rows.stop - rows.start, 2 * ((nx - 1) // 2) + 1
+    # the peak (tracemalloc) stays below 2 doubles an entry of G and of the band, 4 of the gather and of ep, and 3 a value
+    budget(8.0 * (2 * nx * (nx + 2 * my + 1) + 4 * (nr + p.size) * nj + 3 * nr * p.size), f"a {nr} x {p.size} plane")
     band = V[:, iy - my : iy + my + 1]
     G = band.conj() @ band[:, ::-1].T  # conj() returns the array itself when psi is real
     # row i sums j over |j| <= min(i, nx - 1 - i), where both i + j and i - j are on the lattice;
@@ -453,7 +455,7 @@ def flow_covariance_check(label: str, eta: float) -> float:
     eta = rapidity(eta)
     S = flow_exponential(label, eta)
     cov = S @ S.T / 2.0  # the Wigner covariance of the moved ground state
-    far = np.abs([pt.as_array() for pt in DEFAULT_SAMPLE_POINTS]).max(axis=0)
+    far = np.abs(DEFAULT_SAMPLE_POINTS).max(axis=0)
     for what, block, reach, sigmas in (
         ("position", slice(0, 2), FLOW_HALF_WIDTH - far[:2].max(), 6.0),
         ("momentum", slice(2, 4), math.pi / DEFAULT_SPACING - far[2:].max(), 7.0),
@@ -467,6 +469,6 @@ def flow_covariance_check(label: str, eta: float) -> float:
     minv = flow_exponential(label, -eta)
     psi = transformed_state_grid(label, eta, FLOW_HALF_WIDTH, DEFAULT_SPACING)
     deviations = (
-        abs(wigner_transform(psi, pt) - wigner_ground_closed(minv @ pt.as_array())) for pt in DEFAULT_SAMPLE_POINTS
+        abs(wigner_transform(psi, pt) - wigner_ground_closed(minv @ np.asarray(pt))) for pt in DEFAULT_SAMPLE_POINTS
     )
     return max(deviations)

@@ -32,9 +32,11 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, TextIO
 
-from .errors import ETA_MAX, CutoffError, DomainError, finite, integer, positive, rapidity
+from .errors import ETA_MAX, CutoffError, DomainError, budget, finite, integer, positive, rapidity
 
 TERM_CAP = 2**23  # (n + 1)(K + 1) terms, 16 B each at the peak (tracemalloc); n = 0 at tanh^2 eta = 0.99999 fits
+# points of beta_sq_grid, 32 B each; `thermo-curve` at the cap takes about 4.5 s and 53 MB end to end (2 CPUs, Python 3.11)
+THERMO_CURVE_MAX_STEPS = 10**6
 
 
 def _log_cosh(eta: float) -> float:
@@ -149,11 +151,11 @@ class ThermoPoint(NamedTuple):
     temperature: float
 
 
-def _beta_sq(q: float) -> float:
-    """q as a float if it lies in [0, 1), the range of beta^2 = tanh(eta)^2, else DomainError."""
-    q = finite("beta_sq", q)
+def _beta_sq(name: str, q) -> float:
+    """q as a float if it lies in [0, 1), the range of beta^2 = tanh(eta)^2, else DomainError naming it."""
+    q = finite(name, q)
     if not 0.0 <= q < 1.0:
-        raise DomainError(f"beta_sq must lie in [0, 1), got {q}")
+        raise DomainError(f"{name} must lie in [0, 1), got {q}")
     return q
 
 
@@ -202,15 +204,16 @@ def entropy_closed_form(n: int, eta) -> float:
 
 
 def position_density(eta, x, r):
-    """Reduced coordinate-space density matrix rho(x, r) for n = 0."""
+    """Reduced coordinate-space density matrix rho(x, r) for n = 0: 0 where |x| or |r| is infinite, nan at nan."""
     import numpy as np
     eta = rapidity(eta)
     c2 = math.cosh(2.0 * eta)
     x = np.asarray(x, dtype=float)
     r = np.asarray(r, dtype=float)
-    value = (1.0 / math.sqrt(math.pi * c2)) * np.exp(
-        -0.25 * ((x + r) ** 2 / c2 + (x - r) ** 2 * c2)
-    )
+    budget(8.0 * 3 * np.broadcast(x, r).size, "a density matrix")  # its peak, 3 planes (tracemalloc)
+    with np.errstate(over="ignore", invalid="ignore"):  # only far past underflow: inf - inf gives the nan set to 0
+        value = (1.0 / math.sqrt(math.pi * c2)) * np.exp(-0.25 * ((x + r) ** 2 / c2 + (x - r) ** 2 * c2))
+    value = np.where(np.isnan(value) & ~(np.isnan(x) | np.isnan(r)), 0.0, value)
     return float(value) if np.ndim(value) == 0 else value
 
 
@@ -245,7 +248,7 @@ def thermo_point(beta_sq: float) -> ThermoPoint:
 
     Taken from q, not through eta = atanh(sqrt q), they keep the digits of 1 - q.
     """
-    q = _beta_sq(beta_sq)
+    q = _beta_sq("beta_sq", beta_sq)
     if q == 0.0:
         return ThermoPoint(beta_sq=q, entropy=0.0, temperature=0.0)
     log_q = math.log(q)
@@ -254,8 +257,8 @@ def thermo_point(beta_sq: float) -> ThermoPoint:
 
 def beta_sq_grid(beta_sq_min: float, beta_sq_max: float, steps: int) -> list[float]:
     """np.linspace(beta_sq_min, beta_sq_max, steps) bit for bit as a list; ends in [0, 1) keep every point there."""
-    steps = integer("steps", steps, low=2)
-    lo, hi = map(_beta_sq, (finite("beta_sq_min", beta_sq_min), finite("beta_sq_max", beta_sq_max)))
+    steps = integer("steps", steps, low=2, high=THERMO_CURVE_MAX_STEPS)
+    lo, hi = _beta_sq("beta_sq_min", beta_sq_min), _beta_sq("beta_sq_max", beta_sq_max)
     div, delta = steps - 1, hi - lo
     step = delta / div
     if step == 0:  # numpy's order for a span so small that delta / div underflows

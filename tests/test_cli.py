@@ -20,10 +20,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import entosc
 from entosc import entangled_series, errors, oscillator_basis, phase_space
-from entosc.cli import THERMO_CURVE_MAX_STEPS, main
+from entosc.cli import main
 from entosc.dirac_algebra import LIST_STATES_MAX
 from entosc.entangled_series import _arange
-from entosc.reduced_state import ThermoPoint, beta_sq_grid, entropy, temperature, write_thermo_csv
+from entosc.reduced_state import THERMO_CURVE_MAX_STEPS, ThermoPoint, beta_sq_grid, entropy, temperature, write_thermo_csv
 
 
 def run(capsys, *argv):
@@ -234,6 +234,13 @@ class TestAlgebraCheck:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("rep", ["matrix5", "sp4"])
+    def test_cutoff_off_fock_is_refused_by_check_algebra(self, rep, capsys):
+        # the command passes --cutoff through, and the kernel's one check names it
+        code, out, err = run(capsys, "algebra-check", "--rep", rep, "--cutoff", "5")
+        assert (code, out) == (1, "")
+        assert err == f"error: cutoff applies only to rep='fock', not {rep!r}\n"
+
 
 class TestThermoCurve:
     def test_csv_contract(self, tmp_path, capsys):
@@ -291,7 +298,7 @@ class TestThermoCurve:
         )
         assert time.perf_counter() - started < 2.0
         assert (result.returncode, result.stdout) == (1, "")
-        assert result.stderr == "error: beta_sq must lie in [0, 1), got 1.0\n"
+        assert result.stderr == "error: beta_sq_max must lie in [0, 1), got 1.0\n"
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -332,7 +339,7 @@ class TestThermoCurve:
     def test_step_cap_exits_one(self, steps, capsys):
         code, out, err = run(capsys, "thermo-curve", "--steps", str(steps), "--out", "-")
         assert (code, out) == (1, "")
-        assert err == f"error: --steps must be an integer in [2, {THERMO_CURVE_MAX_STEPS}], got {steps}\n"
+        assert err == f"error: steps must be an integer in [2, {THERMO_CURVE_MAX_STEPS}], got {steps}\n"
 
 
 class TestDecomposeShear:
@@ -489,7 +496,8 @@ TOLERANCE_COMMANDS = {
 def test_tolerance_must_be_positive_and_finite(command, flag, value, capsys):
     code, out, err = run(capsys, *TOLERANCE_COMMANDS[command], flag, value)
     assert (code, out) == (1, "")
-    assert err == f"error: {flag} must be positive and finite, got {float(value)!r}\n"
+    name = "series_tol" if flag == "--series-tol" else flag  # identity_check refuses its own argument
+    assert err == f"error: {name} must be positive and finite, got {float(value)!r}\n"
 
 
 class TestWignerGrid:

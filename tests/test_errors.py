@@ -3,6 +3,7 @@
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from entosc.planar_transforms import (
     sheared_gaussian_form,
     wigner_decompose,
 )
-from entosc.reduced_state import eta_for_temperature, reduced_density, temperature, thermo_point, width
+from entosc.reduced_state import eta_for_temperature, position_density, reduced_density, temperature, thermo_point, width
 
 
 class TestValidators:
@@ -145,6 +146,30 @@ def test_bad_library_inputs_raise_domain_error_fast(call):
     with pytest.raises(DomainError):
         call()
     assert time.perf_counter() - started < 0.05
+
+
+MESH = np.linspace(-5.0, 5.0, 1000)
+# each call allocates planes of 8 MB, past a 1 MiB budget, from arguments of 8 kB (series_sum was charged already)
+GRID_CALLS = {
+    "series_sum": lambda: series_sum(0, 0.5, MESH[:, None], MESH[None, :]),
+    "squeezed_wavefunction": lambda: squeezed_wavefunction(0, 0.5, MESH[:, None], MESH[None, :]),
+    "position_density": lambda: position_density(0.5, MESH[:, None], MESH[None, :]),
+    "wigner_section": lambda: wigner_section(PSI, 0.0, 0.0, MESH, MESH),
+    "wigner_xp": lambda: wigner_xp(PSI, 0.0, MESH),
+}
+
+
+@pytest.mark.parametrize("call", GRID_CALLS.values(), ids=GRID_CALLS.keys())
+def test_allocations_that_outgrow_their_arguments_are_charged_first(call, monkeypatch):
+    monkeypatch.setattr(errors, "BYTE_BUDGET", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match="the budget is 0.000977 GiB"):
+            call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**17
 
 
 def test_eta_for_temperature_names_its_argument():

@@ -19,6 +19,7 @@ from entosc.oscillator_basis import (
     chi,
     chi_batch,
     quadrature,
+    squeezed_wavefunction,
 )
 
 
@@ -133,6 +134,17 @@ class TestChi:
         assert np.array_equal(rows[:, 2], chi_batch(5, 1.0)[:, 0])
         assert not rows[:, [0, 1, 3, 4, 6]].any() and np.isnan(rows[:, 5]).all()
         assert chi(0, 1e300) == 0.0
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_squeezed_state_at_far_and_infinite_coordinates_is_zero(self, n):
+        # inf - inf in the light-cone squeeze, or its overflow, used to warn; the Gaussian's limit is 0, and nan stays nan
+        inf = math.inf
+        for x, y in [(inf, 0.0), (0.0, -inf), (inf, inf), (-inf, inf), (1e300, -1e300), (1.7e308, 0.0)]:
+            for eta in (0.5, -25.0, 25.0):
+                assert squeezed_wavefunction(n, eta, x, y) == 0.0
+        value = squeezed_wavefunction(n, 0.5, np.array([inf, 1.0, np.nan, -inf]), np.array([0.0, 0.0, inf, np.nan]))
+        assert value[0] == 0.0 and np.isnan(value[2:]).all()
+        assert value[1] == squeezed_wavefunction(n, 0.5, 1.0, 0.0) != 0.0
 
     def test_bare_matches_weighted(self, bare_row):
         xs = np.linspace(-4, 4, 9)

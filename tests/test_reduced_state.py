@@ -3,6 +3,7 @@
 import io
 import math
 import sys
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import mpmath
@@ -15,7 +16,9 @@ from entosc.oscillator_basis import chi_batch, quadrature
 from entosc.phase_space import squeezed_state_grid
 from entosc.reduced_state import (
     TERM_CAP,
+    THERMO_CURVE_MAX_STEPS,
     ThermoPoint,
+    beta_sq_grid,
     entropy,
     entropy_closed_form,
     eta_for_temperature,
@@ -160,6 +163,14 @@ class TestPositionDensity:
     def test_origin_at_rest(self):
         assert position_density(0.0, 0.0, 0.0) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
 
+    def test_far_and_infinite_coordinates_give_zero(self):
+        # (x + r)^2 used to overflow past 1.3e154, and x - r to be inf - inf at x = r = inf, each with a warning
+        for x, r in [(1e300, 0.0), (math.inf, math.inf), (-math.inf, math.inf), (1e160, -1e160)]:
+            for eta in (0.5, 25.0):
+                assert position_density(eta, x, r) == 0.0
+        value = position_density(0.5, np.array([math.inf, 0.0, math.nan]), np.array([math.inf, 0.0, 0.0]))
+        assert value[0] == 0.0 and value[1] == position_density(0.5, 0.0, 0.0) and np.isnan(value[2])
+
     def test_diagonal_normalized(self):
         eta = 0.7
         scale = math.sqrt(math.cosh(2 * eta))
@@ -301,6 +312,26 @@ class TestThermoCurve:
     def test_domain(self):
         with pytest.raises(DomainError):
             thermo_curve([1.0])
+
+    def test_grid_refuses_steps_past_the_cap_before_any_point(self):
+        # the grid is 32 B a point, so a cap-sized refusal that built it first would peak near 32 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(DomainError, match=rf"^steps must be an integer in \[2, {THERMO_CURVE_MAX_STEPS}\]"):
+                beta_sq_grid(0.0, 0.5, THERMO_CURVE_MAX_STEPS + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+        assert len(beta_sq_grid(0.0, 0.5, THERMO_CURVE_MAX_STEPS)) == THERMO_CURVE_MAX_STEPS
+
+    @pytest.mark.parametrize(
+        "lo, hi, name, value",
+        [(0.0, 1.5, "beta_sq_max", 1.5), (-0.5, 0.5, "beta_sq_min", -0.5), (0.0, 1.0, "beta_sq_max", 1.0)],
+    )
+    def test_grid_names_the_end_out_of_range(self, lo, hi, name, value):
+        with pytest.raises(DomainError, match=rf"^{name} must lie in \[0, 1\), got {value}$"):
+            beta_sq_grid(lo, hi, 3)
 
     def test_csv_format(self):
         buf = io.StringIO()
